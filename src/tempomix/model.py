@@ -269,34 +269,20 @@ def _batched_reprs(bound: BoundModel, store: TemporalStore,
     rows, so each row matches the per-sequence computation.
     """
     cfg = bound.config
-    stream = store.stream
     n = cfg.n_max
-    r = len(keys)
-    tape = bound.tape
-    seqs = [store.recent_neighbors(node, t, n) for node, t in keys]
-    pads = np.array([n - len(s) if len(s) else n - 1 for s in seqs], dtype=np.int64)
-    times = np.empty((r, n))
-    te_rows = np.zeros((r * n, cfg.time_dim))
-    nf_rows = np.zeros((r * n, stream.node_dim)) if stream.node_dim else None
-    ef_rows = np.zeros((r * n, stream.edge_dim)) if stream.edge_dim else None
-    for i, ((node, t), seq) in enumerate(zip(keys, seqs)):
-        base = i * n
-        pad = pads[i]
-        if len(seq):
-            times[i, :pad] = seq.times[0]
-            times[i, pad:] = seq.times
-            te_rows[base + pad:base + n] = time_encode_rows(t - seq.times, cfg.time_dim)
-            if nf_rows is not None:
-                nf_rows[base + pad:base + n] = stream.node_feats[seq.neighbor_ids]
-            if ef_rows is not None:
-                ef_rows[base + pad:base + n] = stream.edge_feats[seq.edge_ids]
-        else:
-            times[i, :] = t  # single all-zero token, mirroring the padding row
-    tokens = nc.matmul(tape.constant(te_rows), bound.encoder.w_time)
-    if nf_rows is not None:
-        tokens = nc.add(tokens, nc.matmul(tape.constant(nf_rows), bound.encoder.w_node))
-    if ef_rows is not None:
-        tokens = nc.add(tokens, nc.matmul(tape.constant(ef_rows), bound.encoder.w_edge))
+    nodes = np.array([node for node, _ in keys], dtype=np.int64)
+    ts = np.array([t for _, t in keys], dtype=np.float64)
+    index, valid = store.recent_windows(nodes, ts, n)
+    entries = index[valid]  # store positions of every real token, row-major
+    lens = valid.sum(axis=1)
+    pads = np.where(lens > 0, n - lens, n - 1)
+    times = np.repeat(ts[:, None], n, axis=1)
+    times[valid] = store.times[entries]
+    # pad slots repeat the oldest real time; a history-less key keeps t on
+    # its single all-zero token
+    oldest = times[np.arange(len(keys)), n - np.maximum(lens, 1)]
+    times = np.where(valid, times, oldest[:, None])
+    tokens = _window_tokens(bound, store, entries, valid, (ts[:, None] - times)[valid])
     for mixer, channel in bound.layers:
         mixed = mx.adaptive_mix_batched(tokens, times, pads, mixer.offsets,
                                         mixer.order_logits, mixer.fusion)
@@ -307,6 +293,34 @@ def _batched_reprs(bound: BoundModel, store: TemporalStore,
             tokens = mx.channel_mix(h, channel, cfg.activation,
                                     residual=not cfg.no_resnet)
     return nc.mean_rows_blocks(tokens, n, pads)
+
+
+def _window_tokens(bound: BoundModel, store: TemporalStore, entries: np.ndarray,
+                   valid: np.ndarray, gaps: np.ndarray) -> Value:
+    """Embedded token rows (R*n_max x dim) of right-aligned windows.
+
+    ``entries`` and ``gaps`` list the real tokens in row-major order; every
+    other row embeds all-zero inputs. The input matrices are dropped on
+    return, so without a gradient nothing keeps them alive.
+    """
+    stream = store.stream
+    tape = bound.tape
+    real = valid.reshape(-1)
+
+    def padded(rows: np.ndarray) -> Value:
+        out = np.zeros((real.size, rows.shape[1]))
+        out[real] = rows
+        return tape.constant(out)
+
+    enc = bound.encoder
+    tokens = nc.matmul(padded(time_encode_rows(gaps, enc.time_dim)), enc.w_time)
+    if stream.node_dim:
+        nodes = stream.node_feats[store.neighbor_ids[entries]]
+        tokens = nc.add(tokens, nc.matmul(padded(nodes), enc.w_node))
+    if stream.edge_dim:
+        edges = stream.edge_feats[store.edge_ids[entries]]
+        tokens = nc.add(tokens, nc.matmul(padded(edges), enc.w_edge))
+    return tokens
 
 
 def _stacked_reprs(bound: BoundModel, store: TemporalStore,
@@ -385,7 +399,14 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """JSON checkpoint; float64 payloads round-trip bit-exactly."""
+    """JSON checkpoint; float64 payloads round-trip bit-exactly.
+
+    Refuses, before writing anything, a tensor with NaN or infinite entries:
+    JSON has no spelling for them.
+    """
+    for name, arr in params.tensors.items():
+        if not np.isfinite(arr).all():
+            raise nc.NonFiniteError(f"save_checkpoint: tensor {name!r} has non-finite entries")
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),

@@ -22,6 +22,7 @@ __all__ = [
     "ShapeError",
     "ContractError",
     "ConfigError",
+    "NonFiniteError",
     "OracleError",
     "Tape",
     "Value",
@@ -71,6 +72,10 @@ class ConfigError(ValueError):
     """Component configuration is inconsistent with the data it was given."""
 
 
+class NonFiniteError(FloatingPointError):
+    """A computed quantity holds NaN or infinity where finite values are required."""
+
+
 class OracleError(RuntimeError):
     """A verification oracle cannot be trusted (e.g. non-deterministic f)."""
 
@@ -87,13 +92,15 @@ class Tape:
 
     ``leaf`` registers a parameter whose gradient is wanted; ``constant``
     wraps data that never needs a gradient. Backward steps run in exact
-    reverse order of the forward pass.
+    reverse order of the forward pass. A tape is single-use: :func:`backward`
+    drops its steps after replaying them, which frees the pass's activations
+    as soon as the caller lets go of the loss.
     """
 
     __slots__ = ("_steps", "leaves", "flops")
 
     def __init__(self):
-        self._steps: list[Callable[[], None]] = []
+        self._steps: list[Callable[[], None]] | None = []
         self.leaves: list[Value] = []
         self.flops: int = 0
 
@@ -107,6 +114,8 @@ class Tape:
 
     def record(self, step: Callable[[], None]) -> None:
         """Append a backward step. Used by modules defining fused ops."""
+        if self._steps is None:
+            raise ContractError("tape already replayed by backward; a Tape is single-use")
         self._steps.append(step)
 
 
@@ -506,14 +515,22 @@ def backward(tape: Tape, loss: Value) -> list[np.ndarray]:
     """Accumulate d(loss)/d(leaf) for every leaf on the tape.
 
     Returns gradients in leaf-registration order; a leaf the loss never
-    touched gets an exact zero gradient. ``loss`` must be a 1x1 Value.
+    touched gets an exact zero gradient. ``loss`` must be a 1x1 Value. The
+    tape's steps are dropped afterwards, so a second call on the same tape
+    raises :class:`ContractError`.
     """
     if loss.tape is not tape:
         raise ContractError("loss does not belong to this tape")
     if loss.data.shape != (1, 1):
         raise ContractError(f"loss must be a 1x1 scalar, got shape {loss.data.shape}")
+    if tape._steps is None:
+        raise ContractError("tape already replayed by backward; a Tape is single-use")
+    # each step holds its output Value, which points back at the tape;
+    # detaching the steps breaks that cycle, so the activations are freed by
+    # reference counting instead of waiting for the cycle collector
+    steps, tape._steps = tape._steps, None
     loss.grad = np.ones((1, 1))
-    for step in reversed(tape._steps):
+    for step in reversed(steps):
         step()
     grads = []
     for leaf in tape.leaves:

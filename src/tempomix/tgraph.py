@@ -30,7 +30,6 @@ __all__ = [
     "ingest_csv",
     "write_csv",
     "chronological_split",
-    "recent_neighbors",
     "sample_negative",
     "SyntheticSpec",
     "generate_synthetic",
@@ -272,7 +271,10 @@ class TemporalStore:
     """Per-node time-sorted adjacency for O(log E + N_max) recency queries.
 
     Adjacency is undirected: an interaction makes each endpoint the other's
-    neighbor. Ties in timestamp keep stream order.
+    neighbor. Ties in timestamp keep stream order. The entries of all nodes
+    sit in three read-only arrays, ``neighbor_ids``, ``times`` and
+    ``edge_ids``, grouped by owner node and time-sorted within each group
+    (a CSR layout); queries return slices of them or indices into them.
     """
 
     def __init__(self, stream: EventStream):
@@ -292,11 +294,21 @@ class TemporalStore:
         order = np.argsort(owners, kind="stable")
         owners = owners[order]
         bounds = np.searchsorted(owners, np.arange(self.node_count + 1))
-        self._nbr = counterparts[order]
-        self._time = times[order]
-        self._eid = edge_ids[order]
+        self.neighbor_ids = _frozen(counterparts[order])
+        self.times = _frozen(times[order])
+        self.edge_ids = _frozen(edge_ids[order])
         self._lo = bounds[:-1]
         self._hi = bounds[1:]
+        # One sorted int64 key per entry, owner * width + rank of its time
+        # among the distinct times, so that a single searchsorted finds the
+        # strict-past window end of any number of (node, t) queries at once.
+        self._utimes = np.unique(self.times)
+        self._width = len(self._utimes) + 1
+        if self.node_count * self._width >= np.iinfo(np.int64).max:
+            raise ValidationError(
+                f"{self.node_count} nodes x {self._width - 1} distinct times "
+                "overflow the int64 window keys")
+        self._keys = owners * self._width + np.searchsorted(self._utimes, self.times)
 
     def recent_neighbors(self, node: int, t: float, n_max: int) -> NeighborSequence:
         if not (0 <= node < self.node_count):
@@ -304,24 +316,68 @@ class TemporalStore:
         if t < 0:
             raise ValidationError(f"query time must be non-negative, got {t}")
         lo, hi = self._lo[node], self._hi[node]
-        end = lo + np.searchsorted(self._time[lo:hi], t, side="left")
+        end = lo + np.searchsorted(self.times[lo:hi], t, side="left")
         start = max(lo, end - n_max)
-        return NeighborSequence(self._nbr[start:end], self._time[start:end],
-                                self._eid[start:end])
+        return NeighborSequence(self.neighbor_ids[start:end], self.times[start:end],
+                                self.edge_ids[start:end])
+
+    def recent_windows(self, nodes, ts, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """Strict-past windows of many queries in one pass.
+
+        Returns ``(index, valid)``, both ``(R, n_max)``: row ``i`` holds the
+        entries ``recent_neighbors(nodes[i], ts[i], n_max)`` would return, as
+        indices into ``neighbor_ids``, ``times`` and ``edge_ids``, oldest to
+        newest and right-aligned; ``valid`` marks the real entries, and the
+        index of an entry that is not valid is 0.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        ts = np.asarray(ts, dtype=np.float64)
+        bad = (nodes < 0) | (nodes >= self.node_count)
+        if bad.any():
+            raise ValidationError(
+                f"node {nodes[bad][0]} outside 0..{self.node_count - 1}")
+        if (ts < 0).any():
+            raise ValidationError(f"query time must be non-negative, got {ts[ts < 0][0]}")
+        query = nodes * self._width + np.searchsorted(self._utimes, ts, side="left")
+        end = np.searchsorted(self._keys, query, side="left")
+        index = end[:, None] - n_max + np.arange(n_max)
+        valid = index >= self._lo[nodes][:, None]
+        return np.where(valid, index, 0), valid
 
 
-def recent_neighbors(store: TemporalStore, node: int, t: float, n_max: int) -> NeighborSequence:
-    return store.recent_neighbors(node, t, n_max)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
-def sample_negative(rng: np.random.Generator, src: int, true_dst: int,
-                    candidates: np.ndarray) -> int:
-    """Uniform draw over ``candidates`` minus the observed destination."""
+def sample_negative(rng: np.random.Generator, src, true_dst, candidates: np.ndarray):
+    """Uniform draw over ``candidates`` minus the observed destination.
+
+    ``src`` and ``true_dst`` are scalars, giving one int, or equal-length
+    vectors, giving one draw per query as an int64 vector. The vector form
+    makes one ``rng.integers`` call with per-query bounds; it yields the
+    draws of one scalar call per query, in order, and leaves ``rng`` in the
+    same state.
+    """
     candidates = np.asarray(candidates)
-    valid = candidates[candidates != true_dst]
-    if len(valid) == 0:
-        raise SamplingError(f"no negative candidate for destination {true_dst}")
-    return int(valid[rng.integers(len(valid))])
+    m = len(candidates)
+    order = np.argsort(candidates, kind="stable")
+    ranked = candidates[order]
+    lo = np.searchsorted(ranked, true_dst, side="left")
+    hi = np.searchsorted(ranked, true_dst, side="right")
+    kept = m - (hi - lo)
+    if np.any(kept == 0):
+        raise SamplingError(
+            f"no negative candidate for destination {np.ravel(true_dst)[np.ravel(kept) == 0][0]}")
+    pick = rng.integers(0, kept)
+    # The pick-th kept candidate sits past every excluded position p_r
+    # (the r-th copy of true_dst) with p_r - r <= pick. p_r - r rises within
+    # a group of equal values, so one search over group-major keys counts them.
+    group = np.searchsorted(ranked, ranked, side="left")
+    keys = group * (m + 1) + order - (np.arange(m) - group)
+    skipped = np.searchsorted(keys, lo * (m + 1) + pick, side="right") - lo
+    drawn = candidates[pick + np.minimum(skipped, hi - lo)]
+    return int(drawn) if np.ndim(true_dst) == 0 else drawn
 
 
 @dataclass

@@ -136,19 +136,24 @@ def evaluate(params: md.ModelParams, split: tg.EventStream, store: tg.TemporalSt
     if len(split) == 0:
         raise ProtocolError("cannot evaluate an empty split")
     rng = np.random.default_rng(seed)
-    pairs, labels = [], []
-    for i in range(len(split)):
-        u, v, t = int(split.src[i]), int(split.dst[i]), float(split.t[i])
-        neg = tg.sample_negative(rng, u, v, candidates)
+    pairs = []
+    for u, v, neg, t in _queries(split, 0, len(split), rng, candidates):
         pairs.append((u, v, t))
         pairs.append((u, neg, t))
-        labels.extend([1.0, 0.0])
     if scorer is None:
         scores = md.score_pairs(params, store, pairs)
     else:
         scores = np.array([scorer(u, v, t) for u, v, t in pairs])
-    labels = np.asarray(labels)
+    labels = np.tile([1.0, 0.0], len(split))
     return average_precision(scores, labels), auc_roc(scores, labels)
+
+
+def _queries(split: tg.EventStream, lo: int, hi: int, rng: np.random.Generator,
+             candidates: np.ndarray) -> list[tuple[int, int, int, float]]:
+    """(src, dst, negative_dst, t) for events [lo, hi), negatives drawn in one call."""
+    src, dst = split.src[lo:hi], split.dst[lo:hi]
+    neg = tg.sample_negative(rng, src, dst, candidates)
+    return list(zip(src.tolist(), dst.tolist(), neg.tolist(), split.t[lo:hi].tolist()))
 
 
 @dataclass
@@ -186,20 +191,18 @@ def fit(train_split: tg.EventStream, val_split: tg.EventStream,
         rng_neg = np.random.default_rng([train_cfg.seed, epoch])
         total = 0.0
         for lo in range(0, n, train_cfg.batch_size):
-            hi = min(lo + train_cfg.batch_size, n)
-            queries = []
-            for i in range(lo, hi):
-                u, v, t = (int(train_split.src[i]), int(train_split.dst[i]),
-                           float(train_split.t[i]))
-                queries.append((u, v, tg.sample_negative(rng_neg, u, v, candidates), t))
+            queries = _queries(train_split, lo, min(lo + train_cfg.batch_size, n),
+                               rng_neg, candidates)
             tape = nc.Tape()
             bound = md.bind(params, tape, trainable=True)
             loss = md.batch_loss(bound, store, queries)
             nc.backward(tape, loss)
             grads = {name: bound.values[name].grad for name in params.tensors}
+            value = float(loss.data[0, 0])
+            _check_step(value, grads, state.step + 1, epoch)
             params = md.ModelParams(model_cfg, params.node_dim, params.edge_dim,
                                     nc.adam_step(state, params.tensors, grads))
-            total += float(loss.data[0, 0])
+            total += value
         epoch_losses.append(total / n)  # reported per positive pair
         ap, auc = evaluate(params, val_split, store, candidates,
                            [train_cfg.seed, VAL_SEED_TAG])
@@ -213,6 +216,16 @@ def fit(train_split: tg.EventStream, val_split: tg.EventStream,
         if streak >= train_cfg.patience:
             break
     return FitResult(best, epoch_losses, val_aps, val_aucs, best_epoch)
+
+
+def _check_step(loss: float, grads: dict[str, np.ndarray], step: int, epoch: int) -> None:
+    """Stop before a non-finite loss or gradient reaches the parameters."""
+    where = f"optimizer step {step} (epoch {epoch})"
+    if not np.isfinite(loss):
+        raise nc.NonFiniteError(f"non-finite loss {loss} at {where}")
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise nc.NonFiniteError(f"non-finite gradient for parameter {name!r} at {where}")
 
 
 def train(stream: tg.EventStream, model_cfg: md.ModelConfig,

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from tempomix import mixers as mx
 from tempomix import model as md
 from tempomix import numcore as nc
 from tempomix import tgraph as tg
-from tempomix.encoders import embed_neighbors
+from tempomix.encoders import embed_neighbors, time_encode_rows
 
 
 def toy_graph(n_events=6, seed=0, edge_dim=3, node_dim=2, n_nodes=5):
@@ -161,6 +162,134 @@ class TestFullModelGradients:
         assert report.max_rel_error <= 1e-4, f"{mixer}: {report.max_rel_error}"
 
 
+def reference_inputs(store, keys, cfg):
+    """The per-key assembly loop the batched path replaced: its exact oracle.
+
+    Returns the padded times, the pad counts and the time, node and edge
+    input rows (``None`` for an absent feature kind).
+    """
+    stream = store.stream
+    n = cfg.n_max
+    r = len(keys)
+    seqs = [store.recent_neighbors(node, t, n) for node, t in keys]
+    pads = np.array([n - len(s) if len(s) else n - 1 for s in seqs], dtype=np.int64)
+    times = np.empty((r, n))
+    te_rows = np.zeros((r * n, cfg.time_dim))
+    nf_rows = np.zeros((r * n, stream.node_dim)) if stream.node_dim else None
+    ef_rows = np.zeros((r * n, stream.edge_dim)) if stream.edge_dim else None
+    for i, ((node, t), seq) in enumerate(zip(keys, seqs)):
+        base = i * n
+        pad = pads[i]
+        if len(seq):
+            times[i, :pad] = seq.times[0]
+            times[i, pad:] = seq.times
+            te_rows[base + pad:base + n] = time_encode_rows(t - seq.times, cfg.time_dim)
+            if nf_rows is not None:
+                nf_rows[base + pad:base + n] = stream.node_feats[seq.neighbor_ids]
+            if ef_rows is not None:
+                ef_rows[base + pad:base + n] = stream.edge_feats[seq.edge_ids]
+        else:
+            times[i, :] = t  # single all-zero token, mirroring the padding row
+    return times, pads, te_rows, nf_rows, ef_rows
+
+
+def reference_reprs(bound, store, keys):
+    """Drop-in for ``model._batched_reprs`` built on ``reference_inputs``."""
+    cfg = bound.config
+    times, pads, te_rows, nf_rows, ef_rows = reference_inputs(store, keys, cfg)
+    tape = bound.tape
+    tokens = nc.matmul(tape.constant(te_rows), bound.encoder.w_time)
+    if nf_rows is not None:
+        tokens = nc.add(tokens, nc.matmul(tape.constant(nf_rows), bound.encoder.w_node))
+    if ef_rows is not None:
+        tokens = nc.add(tokens, nc.matmul(tape.constant(ef_rows), bound.encoder.w_edge))
+    for mixer, channel in bound.layers:
+        mixed = mx.adaptive_mix_batched(tokens, times, pads, mixer.offsets,
+                                        mixer.order_logits, mixer.fusion)
+        h = mixed if cfg.no_resnet else nc.add(tokens, mixed)
+        tokens = h if cfg.no_cm else mx.channel_mix(h, channel, cfg.activation,
+                                                    residual=not cfg.no_resnet)
+    return nc.mean_rows_blocks(tokens, cfg.n_max, pads)
+
+
+def oracle_fixture(seed, node_dim=2, edge_dim=3, **cfg_kw):
+    """Tied timestamps, two history-less nodes and keys at t = 0."""
+    rng = np.random.default_rng(seed)
+    n_nodes, n_events = 7, 40
+    src = rng.integers(n_nodes - 2, size=n_events)
+    dst = (src + 1 + rng.integers(n_nodes - 3, size=n_events)) % (n_nodes - 2)
+    t = np.sort(rng.choice(np.arange(12.0), size=n_events))
+    stream = tg.EventStream(src, dst, t, rng.normal(size=(n_events, edge_dim)),
+                            node_count=n_nodes,
+                            node_feats=rng.normal(size=(n_nodes, node_dim)))
+    cfg = small_config(**{"n_max": 6, **cfg_kw})
+    params = md.init_params(cfg, node_dim, edge_dim, seed=seed + 1)
+    for name, arr in params.tensors.items():
+        params.tensors[name] = arr + 0.3 * rng.normal(size=arr.shape)
+    pairs = [(int(u), int(v), float(tt)) for u, v, tt in zip(src, dst, t)]
+    pairs += [(5, 0, 0.0), (6, 5, 4.0), (1, 6, 0.0), (2, 3, 12.5)]
+    return stream, tg.TemporalStore(stream), cfg, params, pairs
+
+
+class RecordingTape(nc.Tape):
+    """A tape that keeps a copy of every constant it wraps."""
+
+    def __init__(self):
+        super().__init__()
+        self.constants = []
+
+    def constant(self, data):
+        self.constants.append(np.array(data))
+        return super().constant(data)
+
+
+class TestBatchedAssemblyOracle:
+    @pytest.mark.parametrize("node_dim,edge_dim", [(2, 3), (0, 4), (3, 0)])
+    def test_inputs_equal_the_per_key_loop(self, monkeypatch, node_dim, edge_dim):
+        stream, store, cfg, params, pairs = oracle_fixture(30, node_dim, edge_dim)
+        keys = list(dict.fromkeys(k for u, v, t in pairs for k in ((u, t), (v, t))))
+        seen = []
+
+        def spy(tokens, times, pads, *args):
+            seen.append((times, pads))
+            return mixed(tokens, times, pads, *args)
+
+        mixed = mx.adaptive_mix_batched
+        monkeypatch.setattr(md.mx, "adaptive_mix_batched", spy)
+        tape = RecordingTape()
+        md._batched_reprs(md.bind(params, tape, trainable=True), store, keys)
+        times, pads, *rows = reference_inputs(store, keys, cfg)
+        assert np.array_equal(seen[0][0], times)
+        assert np.array_equal(seen[0][1], pads)
+        expected = [r for r in rows if r is not None]
+        assert len(tape.constants) == len(expected)
+        for got, want in zip(tape.constants, expected):
+            assert np.array_equal(got, want)
+        assert pads.max() == cfg.n_max - 1  # history-less keys are present
+
+    @pytest.mark.parametrize("cfg_kw", [{}, {"no_resnet": True, "spans": (2, 4, 8)},
+                                        {"no_cm": True, "activation": "relu"}])
+    def test_scores_loss_and_gradients_equal_the_per_key_loop(self, monkeypatch, cfg_kw):
+        stream, store, cfg, params, pairs = oracle_fixture(31, **cfg_kw)
+        queries = [(u, v, (v + 2) % 5, t) for u, v, t in pairs]
+
+        def run():
+            scores = md.score_pairs(params, store, pairs)
+            tape = nc.Tape()
+            bound = md.bind(params, tape, trainable=True)
+            loss = md.batch_loss(bound, store, queries)
+            return scores, loss.data.copy(), nc.backward(tape, loss)
+
+        fast = run()
+        monkeypatch.setattr(md, "_batched_reprs", reference_reprs)
+        slow = run()
+        assert np.array_equal(fast[0], slow[0])
+        assert np.array_equal(fast[1], slow[1])
+        assert len(fast[2]) == len(slow[2]) == len(params.tensors)
+        for a, b in zip(fast[2], slow[2]):
+            assert np.array_equal(a, b)
+
+
 class TestBatchedPath:
     def test_batched_scores_match_per_sequence_path(self):
         stream, store = toy_graph(n_events=12, seed=20)
@@ -191,6 +320,15 @@ class TestCheckpoint:
         assert set(loaded.tensors) == set(params.tensors)
         for name in params.tensors:
             assert loaded.tensors[name].tobytes() == params.tensors[name].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_refused_by_name(self, tmp_path, bad):
+        params = md.init_params(small_config(), 2, 3, seed=12)
+        params.tensors["layer1.ff_b1"][0, 2] = bad
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(nc.NonFiniteError, match="'layer1.ff_b1'"):
+            md.save_checkpoint(params, path)
+        assert not path.exists()
 
     def test_effective_fusion_reported(self, tmp_path):
         cfg = small_config(no_lp=True)

@@ -1,5 +1,8 @@
 """Tests for the matrix core: primitives, tape gradients, Adam."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,34 @@ class TestBackward:
         x = rng.normal(size=(5, 1))
         report = nc.grad_check(lambda p: nc.mean_rows(nc.gelu(p["x"])), {"x": x}, h=1e-5)
         assert report.max_rel_error <= 1e-4
+
+    def test_a_tape_replays_once(self):
+        tape = nc.Tape()
+        x = tape.leaf([[3.0]])
+        loss = nc.matmul(x, x)
+        nc.backward(tape, loss)
+        with pytest.raises(nc.ContractError, match="single-use"):
+            nc.backward(tape, loss)
+        assert x.grad[0, 0] == 6.0  # not accumulated twice
+        with pytest.raises(nc.ContractError, match="single-use"):
+            nc.matmul(x, x)
+
+    def test_activations_die_with_the_loss(self):
+        # without the cycle collector, only reference counting can free them
+        gc.disable()
+        try:
+            tape = nc.Tape()
+            w = tape.leaf(np.ones((3, 3)))
+            hidden = nc.gelu(nc.matmul(w, w))
+            activation = weakref.ref(hidden.data)
+            loss = nc.sum_all(hidden)
+            del hidden
+            nc.backward(tape, loss)
+            del loss
+            assert activation() is None
+            assert w.grad.shape == (3, 3)
+        finally:
+            gc.enable()
 
     def test_unused_parameter_gets_exact_zero(self):
         tape = nc.Tape()

@@ -124,20 +124,20 @@ class TestRecentNeighbors:
         self.store = tg.TemporalStore(self.stream)
 
     def test_latest_two_before_time(self):
-        seq = tg.recent_neighbors(self.store, 0, 3.5, 2)
+        seq = self.store.recent_neighbors(0, 3.5, 2)
         assert list(seq.neighbor_ids) == [2, 3]
         assert list(seq.times) == [2.0, 3.0]
 
     def test_strict_past_boundary(self):
-        assert len(tg.recent_neighbors(self.store, 0, 1.0, 5)) == 0
+        assert len(self.store.recent_neighbors(0, 1.0, 5)) == 0
 
     def test_destination_side_is_symmetric(self):
-        seq = tg.recent_neighbors(self.store, 1, 2.0, 5)
+        seq = self.store.recent_neighbors(1, 2.0, 5)
         assert list(seq.neighbor_ids) == [0]
         assert list(seq.times) == [1.0]
 
     def test_no_history_returns_empty(self):
-        assert len(tg.recent_neighbors(self.store, 3, 2.0, 4)) == 0
+        assert len(self.store.recent_neighbors(3, 2.0, 4)) == 0
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(7)
@@ -168,6 +168,47 @@ class TestRecentNeighbors:
             assert all(tt < q for tt in seq.times)
 
 
+class TestRecentWindows:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_key_query(self, seed):
+        rng = np.random.default_rng(seed)
+        n_nodes, n_events = 10, 150
+        src = rng.integers(n_nodes - 2, size=n_events)  # the last two nodes stay history-less
+        dst = rng.integers(n_nodes - 2, size=n_events)
+        t = np.sort(rng.choice(np.arange(30.0), size=n_events))  # many ties
+        store = tg.TemporalStore(tg.EventStream(src, dst, t, np.zeros((n_events, 0)),
+                                                node_count=n_nodes))
+        nodes = rng.integers(n_nodes, size=300)
+        # query times at event times (strict past excludes the ties), between
+        # them, at 0 and past the end
+        ts = np.concatenate([rng.choice(t, 150), rng.uniform(0, 32, 146), [0.0, 0.0, 40.0, 1e9]])
+        for n_max in (1, 3, 40):  # 40 exceeds every degree
+            index, valid = store.recent_windows(nodes, ts, n_max)
+            assert index.shape == valid.shape == (300, n_max)
+            for i, (node, q) in enumerate(zip(nodes, ts)):
+                seq = store.recent_neighbors(int(node), float(q), n_max)
+                k = len(seq)
+                assert not valid[i, :n_max - k].any() and valid[i, n_max - k:].all()
+                rows = index[i, n_max - k:]
+                assert np.array_equal(store.neighbor_ids[rows], seq.neighbor_ids)
+                assert np.array_equal(store.times[rows], seq.times)
+                assert np.array_equal(store.edge_ids[rows], seq.edge_ids)
+
+    def test_rejects_bad_nodes_and_negative_times(self):
+        store = tg.TemporalStore(make_stream([(0, 1, 1.0), (0, 2, 2.0)]))
+        with pytest.raises(tg.ValidationError, match="node 3"):
+            store.recent_windows([0, 3], [1.0, 1.0], 2)
+        with pytest.raises(tg.ValidationError, match="node -1"):
+            store.recent_windows([-1], [1.0], 2)
+        with pytest.raises(tg.ValidationError, match="non-negative"):
+            store.recent_windows([0, 1], [1.0, -0.5], 2)
+
+    def test_store_arrays_are_read_only(self):
+        store = tg.TemporalStore(make_stream([(0, 1, 1.0)]))
+        with pytest.raises(ValueError):
+            store.times[0] = 5.0
+
+
 class TestNegativeSampling:
     def test_single_candidate(self):
         rng = np.random.default_rng(0)
@@ -187,6 +228,34 @@ class TestNegativeSampling:
         rng = np.random.default_rng(0)
         with pytest.raises(tg.SamplingError):
             tg.sample_negative(rng, 0, 3, np.array([3]))
+        with pytest.raises(tg.SamplingError, match="destination 3"):
+            tg.sample_negative(rng, np.zeros(3), np.array([1, 3, 2]), np.array([3, 3]))
+
+    @staticmethod
+    def one_at_a_time(rng, true_dst, candidates):
+        out = []
+        for d in true_dst:
+            valid = candidates[candidates != d]
+            out.append(int(valid[rng.integers(len(valid))]))
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_call_reproduces_the_per_query_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            candidates = rng.integers(0, 6, size=9)  # unsorted, with repeats
+        else:
+            candidates = np.unique(rng.integers(0, 30, size=12))
+        # true destinations inside and outside the candidate set
+        true_dst = rng.integers(-2, candidates.max() + 3, size=200)
+        true_dst = true_dst[[np.any(candidates != d) for d in true_dst]]
+        loop_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = self.one_at_a_time(loop_rng, true_dst, candidates)
+        drawn = tg.sample_negative(batch_rng, np.zeros_like(true_dst), true_dst, candidates)
+        assert drawn.tolist() == expected
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+        scalar_rng = np.random.default_rng(seed)
+        assert [tg.sample_negative(scalar_rng, 0, int(d), candidates) for d in true_dst] == expected
 
 
 class TestSynthetic:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tempomix import model as md
+from tempomix import numcore as nc
 from tempomix import tgraph as tg
 from tempomix import traineval as te
 
@@ -163,6 +164,32 @@ class TestTrain:
         d = report.to_dict()
         for key in ("ap", "auc_roc", "epoch_losses", "best_epoch", "timing"):
             assert key in d
+
+    def test_non_finite_loss_stops_the_fit(self, monkeypatch):
+        stream, cfg = tiny_setup(n_events=200)
+        real = md.batch_loss
+        monkeypatch.setattr(md, "batch_loss",
+                            lambda *args: nc.scale(real(*args), np.nan))
+        tcfg = te.TrainConfig(epochs=1, lr=1e-3, batch_size=50, patience=5, seed=3)
+        with pytest.raises(nc.NonFiniteError, match=r"loss nan at optimizer step 1 \(epoch 0\)"):
+            te.train(stream, cfg, tcfg)
+
+    def test_non_finite_gradient_is_named(self, monkeypatch):
+        stream, cfg = tiny_setup(n_events=200)
+        real = nc.backward
+        steps = []
+
+        def backward(tape, loss):
+            grads = real(tape, loss)
+            steps.append(1)
+            if len(steps) == 2:
+                tape.leaves[-1].grad = np.full_like(tape.leaves[-1].grad, np.inf)
+            return grads
+
+        monkeypatch.setattr(nc, "backward", backward)
+        tcfg = te.TrainConfig(epochs=1, lr=1e-3, batch_size=50, patience=5, seed=3)
+        with pytest.raises(nc.NonFiniteError, match=r"'pred.b2' at optimizer step 2 "):
+            te.train(stream, cfg, tcfg)
 
     def test_tiny_stream_rejected(self):
         stream = tg.generate_synthetic(tg.SyntheticSpec(n_events=1), seed=0)
