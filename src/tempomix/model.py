@@ -40,11 +40,14 @@ __all__ = [
     "load_checkpoint",
 ]
 
-PROB_CLAMP = 1e-12  # probabilities are clamped to [PROB_CLAMP, 1-PROB_CLAMP] before logs
+PROB_CLAMP = 1e-12  # bce_loss clamps probabilities to [PROB_CLAMP, 1-PROB_CLAMP] before logs
 
 MIXERS = ("adaptive", "pooling", "mlp", "attention")
 ACTIVATIONS = ("gelu", "relu")
 MLP_TOKEN_RATIO = 0.5  # hidden token count = ceil(ratio * n_max)
+# token rows per block on the scoring path: a block's 4*dim-wide channel-mixer
+# temporaries stay within a few MB instead of growing with the split
+SCORE_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -313,7 +316,10 @@ def _window_tokens(bound: BoundModel, store: TemporalStore, entries: np.ndarray,
         return tape.constant(out)
 
     enc = bound.encoder
-    tokens = nc.matmul(padded(time_encode_rows(gaps, enc.time_dim)), enc.w_time)
+    # gaps repeat heavily (shared timestamps), so encode each distinct one once
+    distinct, inverse = np.unique(gaps, return_inverse=True)
+    te_rows = time_encode_rows(distinct, enc.time_dim)[inverse]
+    tokens = nc.matmul(padded(te_rows), enc.w_time)
     if stream.node_dim:
         nodes = stream.node_feats[store.neighbor_ids[entries]]
         tokens = nc.add(tokens, nc.matmul(padded(nodes), enc.w_node))
@@ -329,20 +335,29 @@ def _stacked_reprs(bound: BoundModel, store: TemporalStore,
     return nc.concat_rows([node_repr_value(bound, store, node, t) for node, t in keys])
 
 
-def _pair_probs(bound: BoundModel, store: TemporalStore,
-                endpoint_pairs: Sequence[tuple[tuple[int, float], tuple[int, float]]]) -> Value:
+def _key_index(endpoint_pairs: Sequence[tuple[tuple[int, float], tuple[int, float]]]
+               ) -> tuple[list[tuple[int, float]], list[int], list[int]]:
+    """Distinct (node, t) keys in first-seen order, and each pair's two rows."""
     keys: dict[tuple[int, float], int] = {}
     for a, b in endpoint_pairs:
         keys.setdefault(a, len(keys))
         keys.setdefault(b, len(keys))
-    key_list = list(keys)
+    return (list(keys), [keys[a] for a, _ in endpoint_pairs],
+            [keys[b] for _, b in endpoint_pairs])
+
+
+def _reprs(bound: BoundModel, store: TemporalStore,
+           keys: Sequence[tuple[int, float]]) -> Value:
     if bound.config.mixer == "adaptive":
-        reprs = _batched_reprs(bound, store, key_list)
-    else:
-        reprs = _stacked_reprs(bound, store, key_list)
-    left = nc.gather_rows(reprs, [keys[a] for a, _ in endpoint_pairs])
-    right = nc.gather_rows(reprs, [keys[b] for _, b in endpoint_pairs])
-    return nc.sigmoid(_predictor_logits(bound, nc.concat_cols(left, right)))
+        return _batched_reprs(bound, store, keys)
+    return _stacked_reprs(bound, store, keys)
+
+
+def _pair_logits(bound: BoundModel, reprs: Value, left: Sequence[int],
+                 right: Sequence[int]) -> Value:
+    """Predictor logits (P x 1) for pairs of representation rows."""
+    return _predictor_logits(bound, nc.concat_cols(nc.gather_rows(reprs, left),
+                                                   nc.gather_rows(reprs, right)))
 
 
 def batch_loss(bound: BoundModel, store: TemporalStore,
@@ -350,32 +365,35 @@ def batch_loss(bound: BoundModel, store: TemporalStore,
     """Summed cross-entropy over (src, dst, negative_dst, t) queries.
 
     Representations are computed once per distinct (node, time) pair; the
-    positive pair and its negative share the source representation.
+    positive pair and its negative share the source representation. The loss
+    is taken on the logits, so no pair's gradient saturates to zero.
     """
     if not queries:
         raise ContractError("batch_loss: empty query batch")
-    tape = bound.tape
     endpoint_pairs = [((u, t), (v, t)) for u, v, _, t in queries]
     endpoint_pairs += [((u, t), (neg, t)) for u, _, neg, t in queries]
-    probs = nc.clamp(_pair_probs(bound, store, endpoint_pairs),
-                     PROB_CLAMP, 1.0 - PROB_CLAMP)
+    keys, left, right = _key_index(endpoint_pairs)
+    logits = _pair_logits(bound, _reprs(bound, store, keys), left, right)
     b = len(queries)
-    pos_sel = tape.constant(np.concatenate([np.ones(b), np.zeros(b)]).reshape(1, -1))
-    neg_sel = tape.constant(np.concatenate([np.zeros(b), np.ones(b)]).reshape(1, -1))
-    ones = tape.constant(np.ones((2 * b, 1)))
-    pos_term = nc.matmul(pos_sel, nc.log(probs))
-    neg_term = nc.matmul(neg_sel, nc.log(nc.add(nc.scale(probs, -1.0), ones)))
-    return nc.scale(nc.add(pos_term, neg_term), -1.0)
+    return nc.bce_with_logits(logits, np.concatenate([np.ones(b), np.zeros(b)]))
 
 
 def score_pairs(params: ModelParams, store: TemporalStore,
                 pairs: Sequence[tuple[int, int, float]]) -> np.ndarray:
-    """Probabilities for (src, dst, t) pairs on the no-gradient path."""
+    """Probabilities for (src, dst, t) pairs on the no-gradient path.
+
+    Keys stream through the layer stack in blocks of about
+    ``SCORE_BLOCK_ROWS`` token rows, so memory is bounded by the block, not by
+    the split. Every row's arithmetic is the same as in one pass.
+    """
     if not pairs:
         return np.zeros(0)
     bound = bind(params, Tape(), trainable=False)
-    endpoint_pairs = [((u, t), (v, t)) for u, v, t in pairs]
-    return _pair_probs(bound, store, endpoint_pairs).data[:, 0].copy()
+    keys, left, right = _key_index([((u, t), (v, t)) for u, v, t in pairs])
+    step = max(1, SCORE_BLOCK_ROWS // bound.config.n_max)
+    reprs = nc.concat_rows([_reprs(bound, store, keys[lo:lo + step])
+                            for lo in range(0, len(keys), step)])
+    return nc.sigmoid(_pair_logits(bound, reprs, left, right)).data[:, 0].copy()
 
 
 def effective_fusions(params: ModelParams) -> list[float]:

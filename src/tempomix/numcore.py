@@ -43,8 +43,7 @@ __all__ = [
     "sum_all",
     "exp_neg",
     "sigmoid",
-    "log",
-    "clamp",
+    "bce_with_logits",
     "backward",
     "grad_check",
     "GradCheckReport",
@@ -478,30 +477,29 @@ def sigmoid(a: Value) -> Value:
     return out
 
 
-def log(a: Value) -> Value:
-    t = a.tape
-    if np.any(a.data <= 0.0):
-        raise ContractError("log: entries must be strictly positive")
-    t.flops += a.data.size
-    out = _out(t, np.log(a.data), a.want_grad)
+def bce_with_logits(logits: Value, labels) -> Value:
+    """Summed binary cross-entropy of an m x 1 logit column against 0/1 labels.
+
+    Each term is softplus(-z) for a positive and softplus(z) for a negative,
+    computed with ``np.logaddexp`` so no probability is formed or clamped; the
+    gradient ``sigmoid(z) - y`` never saturates to zero on a wrong prediction.
+    """
+    t = logits.tape
+    z = logits.data
+    y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
+    if z.shape[1] != 1 or y.shape != z.shape:
+        raise ShapeError(f"bce_with_logits: need an m x 1 logit column and m labels, "
+                         f"got shapes {z.shape} and {np.shape(labels)}")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ContractError("bce_with_logits: labels must be 0 or 1")
+    t.flops += 4 * z.size
+    out = _out(t, np.array([[np.logaddexp(0.0, (1.0 - 2.0 * y) * z).sum()]]),
+               logits.want_grad)
     if out.want_grad:
         def back():
-            if out.grad is not None:
-                accumulate_grad(a, out.grad / a.data)
-        t.record(back)
-    return out
-
-
-def clamp(a: Value, lo: float, hi: float) -> Value:
-    t = a.tape
-    x = a.data
-    t.flops += x.size
-    out = _out(t, np.clip(x, lo, hi), a.want_grad)
-    if out.want_grad:
-        inside = (x > lo) & (x < hi)
-        def back():
-            if out.grad is not None:
-                accumulate_grad(a, out.grad * inside)
+            g = out.grad
+            if g is not None:
+                accumulate_grad(logits, g[0, 0] * (_stable_sigmoid(z) - y))
         t.record(back)
     return out
 

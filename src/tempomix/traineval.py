@@ -117,9 +117,8 @@ def auc_roc(scores, labels) -> float:
     boundaries = np.nonzero(np.diff(s_sorted))[0] + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [len(s_sorted)]])
-    ranks_sorted = np.empty(len(s_sorted))
-    for a, b in zip(starts, ends):
-        ranks_sorted[a:b] = 0.5 * (a + 1 + b)  # average 1-based rank of the tie group
+    # every member of a tie group gets the group's average 1-based rank
+    ranks_sorted = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     ranks = np.empty_like(ranks_sorted)
     ranks[order] = ranks_sorted
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0

@@ -144,6 +144,14 @@ class TestBceLoss:
         with pytest.raises(nc.ContractError):
             md.bce_loss([], [])
 
+    def test_batch_loss_equals_the_spec_on_scored_pairs(self):
+        stream, store, cfg, params, pairs = oracle_fixture(35)
+        queries = [(u, v, (v + 2) % 5, t) for u, v, t in pairs]
+        pos = md.score_pairs(params, store, [(u, v, t) for u, v, _, t in queries])
+        neg = md.score_pairs(params, store, [(u, n, t) for u, _, n, t in queries])
+        loss = md.batch_loss(md.bind(params, nc.Tape()), store, queries)
+        assert loss.data[0, 0] == pytest.approx(md.bce_loss(pos, neg), rel=1e-12)
+
 
 class TestFullModelGradients:
     @pytest.mark.parametrize("mixer", ["adaptive", "pooling", "mlp", "attention"])
@@ -160,6 +168,19 @@ class TestFullModelGradients:
 
         report = nc.grad_check(f, params.tensors, h=1e-5)
         assert report.max_rel_error <= 1e-4, f"{mixer}: {report.max_rel_error}"
+
+    def test_saturated_predictor_still_gets_gradient(self):
+        stream, store, cfg, params, pairs = oracle_fixture(32)
+        params.tensors["pred.w2"][:] = 0.0
+        params.tensors["pred.b2"][:] = -40.0  # every pair scores sigmoid(-40)
+        queries = [(u, v, (v + 2) % 5, t) for u, v, t in pairs]
+        tape = nc.Tape()
+        bound = md.bind(params, tape, trainable=True)
+        nc.backward(tape, md.batch_loss(bound, store, queries))
+        b = len(queries)
+        sig = 1.0 / (1.0 + np.exp(40.0))
+        assert bound.values["pred.b2"].grad[0, 0] == pytest.approx(-b + 2 * b * sig,
+                                                                   abs=1e-12)
 
 
 def reference_inputs(store, keys, cfg):
@@ -288,6 +309,55 @@ class TestBatchedAssemblyOracle:
         assert len(fast[2]) == len(slow[2]) == len(params.tensors)
         for a, b in zip(fast[2], slow[2]):
             assert np.array_equal(a, b)
+
+
+def one_shot_scores(params, store, pairs):
+    """``score_pairs`` with every distinct key in a single ``_batched_reprs`` call."""
+    bound = md.bind(params, nc.Tape(), trainable=False)
+    keys, left, right = md._key_index([((u, t), (v, t)) for u, v, t in pairs])
+    reprs = md._batched_reprs(bound, store, keys)
+    return nc.sigmoid(md._pair_logits(bound, reprs, left, right)).data[:, 0]
+
+
+def count_batched_calls(monkeypatch):
+    """Spy on ``model._batched_reprs``: the returned list gets each call's key count."""
+    calls = []
+    real = md._batched_reprs
+
+    def spy(bound, store, keys):
+        calls.append(len(keys))
+        return real(bound, store, keys)
+
+    monkeypatch.setattr(md, "_batched_reprs", spy)
+    return calls
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize("one_key_blocks", [False, True])
+    def test_blocks_equal_one_shot_and_respect_the_row_budget(self, monkeypatch,
+                                                              one_key_blocks):
+        stream, store, cfg, params, pairs = oracle_fixture(33)
+        keys, _, _ = md._key_index([((u, t), (v, t)) for u, v, t in pairs])
+        assert {(5, 0.0), (6, 4.0), (1, 0.0)} <= set(keys)  # history-less, t = 0
+        per_block = 1 if one_key_blocks else (len(keys) - 1) // 3
+        assert len(keys) % per_block or one_key_blocks  # a partial last block
+        budget = 1 if one_key_blocks else per_block * cfg.n_max + cfg.n_max - 1
+        monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", budget)
+        want = one_shot_scores(params, store, pairs)
+        calls = count_batched_calls(monkeypatch)
+        got = md.score_pairs(params, store, pairs)
+        assert np.array_equal(got, want)
+        assert len(calls) >= 3 and sum(calls) == len(keys)
+        assert max(calls) == per_block
+        assert max(calls) * cfg.n_max <= max(md.SCORE_BLOCK_ROWS, cfg.n_max)
+
+    def test_batch_loss_builds_one_graph(self, monkeypatch):
+        stream, store, cfg, params, pairs = oracle_fixture(34)
+        monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", cfg.n_max)
+        calls = count_batched_calls(monkeypatch)
+        queries = [(u, v, (v + 2) % 5, t) for u, v, t in pairs]
+        md.batch_loss(md.bind(params, nc.Tape(), trainable=True), store, queries)
+        assert len(calls) == 1 and calls[0] > 1
 
 
 class TestBatchedPath:

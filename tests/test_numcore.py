@@ -190,8 +190,8 @@ class TestBackward:
 
         def f3(p):
             h = nc.sigmoid(nc.scale(nc.exp_neg(p["x"]), 0.7))
-            h = nc.clamp(h, 1e-12, 1.0 - 1e-12)
-            return nc.sum_all(nc.log(h))
+            z = nc.matmul(nc.matmul(h, p["w"]), nc.transpose(p["g"]))
+            return nc.bce_with_logits(z, [1.0, 0.0, 1.0, 0.0])
 
         def f4(p):
             rows = nc.concat_rows([nc.mean_rows(p["x"]), nc.mean_rows(nc.transpose(p["w"]))])
@@ -200,6 +200,38 @@ class TestBackward:
         for f in (f1, f2, f3, f4):
             report = nc.grad_check(f, params, h=1e-5)
             assert report.max_rel_error <= 1e-4, f"{f.__name__}: {report.max_rel_error}"
+
+
+class TestBceWithLogits:
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(7)
+        labels = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        z = rng.normal(scale=3.0, size=(6, 1))
+        report = nc.grad_check(lambda p: nc.bce_with_logits(p["z"], labels), {"z": z},
+                               h=1e-5)
+        assert report.max_rel_error <= 1e-4
+
+    def test_equals_cross_entropy_of_the_sigmoid(self):
+        z = np.array([[-3.0], [-0.5], [0.0], [2.0]])
+        labels = np.array([1.0, 0.0, 1.0, 0.0])
+        p = 1.0 / (1.0 + np.exp(-z[:, 0]))
+        want = -np.sum(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+        _, a = wrap(z)
+        assert nc.bce_with_logits(a, labels).data[0, 0] == pytest.approx(want, abs=1e-12)
+
+    def test_confident_mistakes_keep_a_unit_gradient(self):
+        tape, z = wrap([[-40.0], [40.0]], grad=True)
+        loss = nc.bce_with_logits(z, [1.0, 0.0])
+        nc.backward(tape, loss)
+        assert loss.data[0, 0] == pytest.approx(80.0)
+        np.testing.assert_allclose(z.grad, [[-1.0], [1.0]], atol=1e-15)
+
+    def test_bad_labels_rejected(self):
+        _, z = wrap(np.zeros((2, 1)))
+        with pytest.raises(nc.ContractError, match="0 or 1"):
+            nc.bce_with_logits(z, [1.0, 0.5])
+        with pytest.raises(nc.ShapeError):
+            nc.bce_with_logits(z, [1.0, 0.0, 1.0])
 
 
 class TestGradCheck:

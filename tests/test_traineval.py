@@ -32,6 +32,26 @@ def auc_oracle(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def auc_tie_loop(scores, labels):
+    """``auc_roc`` with its tie ranks filled by a loop over the tie groups."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(scores, kind="stable")
+    s_sorted = scores[order]
+    boundaries = np.nonzero(np.diff(s_sorted))[0] + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [len(s_sorted)]])
+    ranks_sorted = np.empty(len(s_sorted))
+    for a, b in zip(starts, ends):
+        ranks_sorted[a:b] = 0.5 * (a + 1 + b)
+    ranks = np.empty_like(ranks_sorted)
+    ranks[order] = ranks_sorted
+    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
 class TestAveragePrecision:
     def test_worked_fixture(self):
         ap = te.average_precision([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
@@ -89,6 +109,15 @@ class TestMetricOracles:
             if 0 < labels.sum() < n:
                 assert te.auc_roc(scores, labels) == pytest.approx(
                     auc_oracle(list(scores), list(labels)), abs=1e-12)
+
+    def test_auc_tie_ranks_equal_the_group_loop(self):
+        rng = np.random.default_rng(2)
+        for n in (2, 3, 17, 400, 5000):
+            for grid in (2, 7, 10_000):
+                scores = rng.integers(0, grid, size=n) / grid
+                labels = np.arange(n) % 2
+                rng.shuffle(labels)
+                assert te.auc_roc(scores, labels) == auc_tie_loop(scores, labels)
 
 
 def tiny_setup(n_events=600, seed=0, **model_kw):
