@@ -5,9 +5,20 @@ attention), the hierarchical offset schedule that widens the lookback window
 with depth, and the per-token channel mixer. All layer functions are pure:
 they read bound parameter Values and return a new Value.
 
-The adaptive mixer is a fused differentiable operation: its backward pass is
-derived analytically and registered on the tape, which keeps per-layer work
-at O(N * K * d) instead of materializing N x N mixing matrices.
+The model runs every mixer on a padded batch: R sequences of n rows stacked
+into one (R*n) x d matrix, each left-padded. The adaptive mixer and
+attention have batched kernels (:func:`adaptive_mix_batched`,
+:func:`attention_mix_batched`); pooling is the adaptive kernel with flat
+order weights, and :func:`mlp_mix` runs on the blocks side by side
+(``numcore.blocks_to_cols``). The single-sequence functions
+(:func:`adaptive_mix`, :func:`pooling_mix`, :func:`attention_mix` and
+:func:`token_block`) serve the per-sequence reference path,
+``model.node_repr``.
+
+The adaptive mixer and attention are fused differentiable operations: their
+backward passes are derived analytically and registered on the tape. The
+adaptive mixer keeps per-layer work at O(N * K * d) instead of materializing
+N x N mixing matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +33,6 @@ from .numcore import ConfigError, ContractError, ShapeError, Value
 
 __all__ = [
     "OffsetSchedule",
-    "hierarchical_offsets",
     "AdaptiveLayer",
     "PoolingLayer",
     "MlpLayer",
@@ -33,6 +43,7 @@ __all__ = [
     "pooling_mix",
     "mlp_mix",
     "attention_mix",
+    "attention_mix_batched",
     "channel_mix",
     "token_block",
 ]
@@ -68,10 +79,6 @@ class OffsetSchedule:
 
     def max_lookback(self) -> int:
         return (self.spans[0] - 1) + sum(self.spans[1:])
-
-
-def hierarchical_offsets(spans: Sequence[int], layer: int) -> np.ndarray:
-    return OffsetSchedule(spans).offsets(layer)
 
 
 @dataclass
@@ -331,12 +338,74 @@ def mlp_mix(tokens: Value, params: MlpLayer, activation: str = "gelu") -> Value:
 
 def attention_mix(tokens: Value, params: AttentionLayer) -> Value:
     """Single-head scaled dot-product attention with output projection."""
+    return attention_mix_batched(tokens, [0], params)
+
+
+def attention_mix_batched(tokens: Value, pad_lens, params: AttentionLayer) -> Value:
+    """Single-head attention within each of R equally padded blocks.
+
+    ``tokens`` stacks R blocks of ``n`` rows into an (R*n) x d matrix; block
+    r's first ``pad_lens[r]`` rows are padding and are masked out as keys, so
+    each real row matches :func:`attention_mix` on its block's real rows.
+    The projections are plain matmuls over all rows; the per-block scores,
+    key mask, softmax and weighted sum are one fused op.
+    """
+    pads = np.asarray(pad_lens, dtype=np.int64)
+    rows = tokens.data.shape[0]
+    r = len(pads)
+    if r == 0 or rows % r:
+        raise ShapeError(f"token rows {rows} do not form {r} equal blocks")
+    n = rows // r
+    if np.any(pads < 0) or np.any(pads >= n):
+        raise ContractError(f"pad lengths must lie in [0, {n})")
     q = nc.matmul(tokens, params.wq)
     k = nc.matmul(tokens, params.wk)
     v = nc.matmul(tokens, params.wv)
-    d_k = params.wq.data.shape[1]
-    weights = nc.softmax_rows(nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(d_k)))
-    return nc.matmul(nc.matmul(weights, v), params.wo)
+    return nc.matmul(_attend(q, k, v, pads), params.wo)
+
+
+def _attend(q: Value, k: Value, v: Value, pads: np.ndarray) -> Value:
+    """softmax(q k^T / sqrt(d_k)) v per block, with each block's first
+    ``pads[r]`` keys masked; the backward is analytic."""
+    tape = q.tape
+    r = len(pads)
+    rows, dk = q.data.shape
+    dv = v.data.shape[1]
+    n = rows // r
+    q3 = q.data.reshape(r, n, dk)
+    k3 = k.data.reshape(r, n, dk)
+    v3 = v.data.reshape(r, n, dv)
+    c = 1.0 / np.sqrt(dk)
+    p = np.matmul(q3, k3.transpose(0, 2, 1))
+    p *= c
+    masked = np.arange(n)[None, :] < pads[:, None]
+    if masked.any():
+        p += np.where(masked, -np.inf, 0.0)[:, None, :]
+    # every block has a real last key, so each row's max is finite
+    p -= p.max(axis=2, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=2, keepdims=True)
+    tape.flops += r * (2 * n * n * (dk + dv) + 6 * n * n)
+    want = q.want_grad or k.want_grad or v.want_grad
+    out = Value(np.matmul(p, v3).reshape(rows, dv), tape, want)
+    if want:
+        def back():
+            g = out.grad
+            if g is None:
+                return
+            g3 = g.reshape(r, n, dv)
+            if v.want_grad:
+                nc.accumulate_grad(v, np.matmul(p.transpose(0, 2, 1), g3).reshape(rows, dv))
+            if q.want_grad or k.want_grad:
+                dp = np.matmul(g3, v3.transpose(0, 2, 1))
+                ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+                ds *= c
+                if q.want_grad:
+                    nc.accumulate_grad(q, np.matmul(ds, k3).reshape(rows, dk))
+                if k.want_grad:
+                    nc.accumulate_grad(k, np.matmul(ds.transpose(0, 2, 1), q3).reshape(rows, dk))
+        tape.record(back)
+    return out
 
 
 def _activation(name: str):

@@ -266,10 +266,13 @@ def _batched_reprs(bound: BoundModel, store: TemporalStore,
                    keys: Sequence[tuple[int, float]]) -> Value:
     """Representations for distinct (node, t) keys, one per output row.
 
-    Adaptive-mixer fast path: every sequence is left-padded to n_max and the
-    whole batch flows through stacked tensors; the batched mixer masks both
-    causally invalid offsets and padding, and the readout averages only real
-    rows, so each row matches the per-sequence computation.
+    The one representation path behind training and scoring, for every
+    mixer: each key's window is left-padded to n_max and the whole batch
+    flows through stacked (R*n_max) x dim tensors. Only the token-mixer call
+    depends on the mixer kind (see :func:`_mix_blocks`); each block's real
+    rows match the per-sequence path (:func:`node_repr_value`). The readout
+    averages the real rows, except for the MLP, whose per-sequence input is
+    padded to n_max and averaged whole.
     """
     cfg = bound.config
     n = cfg.n_max
@@ -287,15 +290,37 @@ def _batched_reprs(bound: BoundModel, store: TemporalStore,
     times = np.where(valid, times, oldest[:, None])
     tokens = _window_tokens(bound, store, entries, valid, (ts[:, None] - times)[valid])
     for mixer, channel in bound.layers:
-        mixed = mx.adaptive_mix_batched(tokens, times, pads, mixer.offsets,
-                                        mixer.order_logits, mixer.fusion)
+        mixed = _mix_blocks(mixer, tokens, times, pads, cfg.activation)
         h = mixed if cfg.no_resnet else nc.add(tokens, mixed)
         if cfg.no_cm:
             tokens = h
         else:
             tokens = mx.channel_mix(h, channel, cfg.activation,
                                     residual=not cfg.no_resnet)
+    if cfg.mixer == "mlp":
+        pads = np.zeros_like(pads)
     return nc.mean_rows_blocks(tokens, n, pads)
+
+
+def _mix_blocks(mixer: mx.MixerLayer, tokens: Value, times: np.ndarray,
+                pads: np.ndarray, activation: str) -> Value:
+    """One layer's token mixer over R blocks of n_max rows, padding first."""
+    if isinstance(mixer, mx.AdaptiveLayer):
+        return mx.adaptive_mix_batched(tokens, times, pads, mixer.offsets,
+                                       mixer.order_logits, mixer.fusion)
+    if isinstance(mixer, mx.PoolingLayer):
+        # flat order logits at fusion 1 weigh the valid part of the window
+        # uniformly: the truncated mean
+        flat = tokens.tape.constant(np.zeros((1, mixer.window)))
+        return mx.adaptive_mix_batched(tokens, times, pads, np.arange(mixer.window),
+                                       flat, 1.0)
+    if isinstance(mixer, mx.AttentionLayer):
+        return mx.attention_mix_batched(tokens, pads, mixer)
+    # the token-axis MLP sees every block as n_max rows; side by side, all
+    # blocks go through one pair of matmuls
+    width = tokens.data.shape[1]
+    side_by_side = nc.blocks_to_cols(tokens, times.shape[1])
+    return nc.cols_to_blocks(mx.mlp_mix(side_by_side, mixer, activation), width)
 
 
 def _window_tokens(bound: BoundModel, store: TemporalStore, entries: np.ndarray,
@@ -329,12 +354,6 @@ def _window_tokens(bound: BoundModel, store: TemporalStore, entries: np.ndarray,
     return tokens
 
 
-def _stacked_reprs(bound: BoundModel, store: TemporalStore,
-                   keys: Sequence[tuple[int, float]]) -> Value:
-    """Per-sequence fallback for mixers without a batched kernel."""
-    return nc.concat_rows([node_repr_value(bound, store, node, t) for node, t in keys])
-
-
 def _key_index(endpoint_pairs: Sequence[tuple[tuple[int, float], tuple[int, float]]]
                ) -> tuple[list[tuple[int, float]], list[int], list[int]]:
     """Distinct (node, t) keys in first-seen order, and each pair's two rows."""
@@ -344,13 +363,6 @@ def _key_index(endpoint_pairs: Sequence[tuple[tuple[int, float], tuple[int, floa
         keys.setdefault(b, len(keys))
     return (list(keys), [keys[a] for a, _ in endpoint_pairs],
             [keys[b] for _, b in endpoint_pairs])
-
-
-def _reprs(bound: BoundModel, store: TemporalStore,
-           keys: Sequence[tuple[int, float]]) -> Value:
-    if bound.config.mixer == "adaptive":
-        return _batched_reprs(bound, store, keys)
-    return _stacked_reprs(bound, store, keys)
 
 
 def _pair_logits(bound: BoundModel, reprs: Value, left: Sequence[int],
@@ -373,7 +385,7 @@ def batch_loss(bound: BoundModel, store: TemporalStore,
     endpoint_pairs = [((u, t), (v, t)) for u, v, _, t in queries]
     endpoint_pairs += [((u, t), (neg, t)) for u, _, neg, t in queries]
     keys, left, right = _key_index(endpoint_pairs)
-    logits = _pair_logits(bound, _reprs(bound, store, keys), left, right)
+    logits = _pair_logits(bound, _batched_reprs(bound, store, keys), left, right)
     b = len(queries)
     return nc.bce_with_logits(logits, np.concatenate([np.ones(b), np.zeros(b)]))
 
@@ -391,7 +403,7 @@ def score_pairs(params: ModelParams, store: TemporalStore,
     bound = bind(params, Tape(), trainable=False)
     keys, left, right = _key_index([((u, t), (v, t)) for u, v, t in pairs])
     step = max(1, SCORE_BLOCK_ROWS // bound.config.n_max)
-    reprs = nc.concat_rows([_reprs(bound, store, keys[lo:lo + step])
+    reprs = nc.concat_rows([_batched_reprs(bound, store, keys[lo:lo + step])
                             for lo in range(0, len(keys), step)])
     return nc.sigmoid(_pair_logits(bound, reprs, left, right)).data[:, 0].copy()
 

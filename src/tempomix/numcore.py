@@ -34,6 +34,8 @@ __all__ = [
     "concat_rows",
     "gather_rows",
     "mean_rows_blocks",
+    "blocks_to_cols",
+    "cols_to_blocks",
     "transpose",
     "softmax_rows",
     "layer_norm_rows",
@@ -41,7 +43,6 @@ __all__ = [
     "relu",
     "mean_rows",
     "sum_all",
-    "exp_neg",
     "sigmoid",
     "bce_with_logits",
     "backward",
@@ -442,16 +443,43 @@ def mean_rows_blocks(a: Value, block_len: int, pad_lens) -> Value:
     return out
 
 
-def exp_neg(a: Value) -> Value:
-    t = a.tape
-    y = np.exp(-a.data)
-    t.flops += 2 * a.data.size
-    out = _out(t, y, a.want_grad)
+def _blocks_to_cols(x: np.ndarray, block_len: int) -> np.ndarray:
+    rows, cols = x.shape
+    r = rows // block_len
+    return x.reshape(r, block_len, cols).transpose(1, 0, 2).reshape(block_len, r * cols)
+
+
+def _cols_to_blocks(x: np.ndarray, width: int) -> np.ndarray:
+    n, cols = x.shape
+    r = cols // width
+    return x.reshape(n, r, width).transpose(1, 0, 2).reshape(r * n, width)
+
+
+def blocks_to_cols(a: Value, block_len: int) -> Value:
+    """Regroup R stacked blocks of ``block_len`` rows side by side:
+    (R*block_len) x d becomes block_len x (R*d), block r in columns r*d..r*d+d-1."""
+    rows, cols = a.data.shape
+    if block_len < 1 or rows % block_len:
+        raise ShapeError(f"blocks_to_cols: {rows} rows do not form blocks of {block_len}")
+    return _regroup(a, _blocks_to_cols(a.data, block_len), lambda g: _cols_to_blocks(g, cols))
+
+
+def cols_to_blocks(a: Value, width: int) -> Value:
+    """Inverse of :func:`blocks_to_cols`: n x (R*width) becomes (R*n) x width."""
+    n, cols = a.data.shape
+    if width < 1 or cols % width:
+        raise ShapeError(f"cols_to_blocks: {cols} columns do not form blocks of {width}")
+    return _regroup(a, _cols_to_blocks(a.data, width), lambda g: _blocks_to_cols(g, n))
+
+
+def _regroup(a: Value, data: np.ndarray, undo: Callable[[np.ndarray], np.ndarray]) -> Value:
+    """A pure re-layout of ``a``; the backward applies the inverse layout."""
+    out = _out(a.tape, data, a.want_grad)
     if out.want_grad:
         def back():
             if out.grad is not None:
-                accumulate_grad(a, -y * out.grad)
-        t.record(back)
+                accumulate_grad(a, undo(out.grad))
+        a.tape.record(back)
     return out
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "SplitError",
     "SamplingError",
     "SpecError",
-    "Event",
     "EventStream",
     "NeighborSequence",
     "TemporalStore",
@@ -54,17 +53,6 @@ class SamplingError(ValueError):
 
 class SpecError(ValueError):
     """A synthetic stream spec is invalid."""
-
-
-@dataclass(frozen=True)
-class Event:
-    """One timestamped interaction."""
-
-    src: int
-    dst: int
-    t: float
-    edge_feat: np.ndarray
-    label: float
 
 
 class EventStream:
@@ -148,10 +136,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self._src)
-
-    def event(self, i: int) -> Event:
-        return Event(int(self.src[i]), int(self.dst[i]), float(self.t[i]),
-                     self.edge_feats[i], float(self.labels[i]))
 
     def slice(self, lo: int, hi: int) -> "EventStream":
         """A view of events [lo, hi) sharing the node universe."""

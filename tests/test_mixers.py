@@ -24,19 +24,19 @@ def run_adaptive(h, times, offsets, logits=None, fusion=0.5, grad=False):
 
 class TestOffsetSchedule:
     def test_layer_one_contiguous_window(self):
-        np.testing.assert_array_equal(mx.hierarchical_offsets([2, 4, 8], 1), [0, 1])
+        np.testing.assert_array_equal(mx.OffsetSchedule([2, 4, 8]).offsets(1), [0, 1])
 
     def test_layer_two_gapped_interval(self):
-        np.testing.assert_array_equal(mx.hierarchical_offsets([2, 4, 8], 2), [2, 3, 4])
+        np.testing.assert_array_equal(mx.OffsetSchedule([2, 4, 8]).offsets(2), [2, 3, 4])
 
     def test_layer_three_kernel_size(self):
-        offs = mx.hierarchical_offsets([2, 4, 8], 3)
+        offs = mx.OffsetSchedule([2, 4, 8]).offsets(3)
         np.testing.assert_array_equal(offs, [4, 5, 6, 7, 8])
         assert mx.OffsetSchedule([2, 4, 8]).kernel_size(3) == 5
 
     def test_layer_out_of_range(self):
         with pytest.raises(IndexError):
-            mx.hierarchical_offsets([2, 4], 3)
+            mx.OffsetSchedule([2, 4]).offsets(3)
 
     def test_non_increasing_spans_rejected(self):
         with pytest.raises(nc.ConfigError):
@@ -232,6 +232,22 @@ class TestPoolingMix:
         assert report.max_rel_error <= 1e-4
 
 
+    def test_flat_adaptive_weights_at_fusion_one_give_the_truncated_mean(self):
+        rng = np.random.default_rng(37)
+        n, d, window = 6, 3, 3
+        pads = np.array([0, 2, 5])
+        times = np.sort(rng.uniform(0, 9, size=(3, n)), axis=1)
+        h = rng.normal(size=(3 * n, d))
+        tape = nc.Tape()
+        flat = tape.constant(np.zeros((1, window)))
+        out = mx.adaptive_mix_batched(tape.constant(h), times, pads, np.arange(window),
+                                      flat, 1.0).data.reshape(3, n, d)
+        for b, pad in enumerate(pads):
+            rows = const(tape, h.reshape(3, n, d)[b, pad:])
+            np.testing.assert_allclose(out[b, pad:], mx.pooling_mix(rows, window).data,
+                                       atol=1e-14)
+
+
 class TestMlpMix:
     def bound(self, tape, n, d, gamma=0.5, zero=False):
         k = math.ceil(gamma * n)
@@ -310,6 +326,122 @@ class TestAttentionMix:
         pool_a = mx.pooling_mix(const(tape2, h), 2).data
         pool_b = mx.pooling_mix(const(tape2, h[perm]), 2).data
         assert not np.allclose(pool_b, pool_a[perm])
+
+
+def reference_attention(tokens, params):
+    """Single-head attention composed from tape primitives: the oracle for the
+    fused kernel behind ``mixers.attention_mix``."""
+    q = nc.matmul(tokens, params.wq)
+    k = nc.matmul(tokens, params.wk)
+    v = nc.matmul(tokens, params.wv)
+    d_k = params.wq.data.shape[1]
+    weights = nc.softmax_rows(nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(d_k)))
+    return nc.matmul(nc.matmul(weights, v), params.wo)
+
+
+def attention_inputs(rng, r, n, d):
+    tape = nc.Tape()
+    params = mx.AttentionLayer(*(tape.constant(rng.normal(size=(d, d))) for _ in range(4)))
+    return tape, tape.constant(rng.normal(size=(r * n, d))), params
+
+
+class TestBatchedAttention:
+    # block 2's only real row is its last one
+    PADS = np.array([0, 2, 4, 1])
+
+    def test_pads_zero_match_the_tape_composed_reference(self):
+        rng = np.random.default_rng(30)
+        tape, tokens, params = attention_inputs(rng, 3, 7, 4)
+        want = reference_attention(tokens, params).data
+        np.testing.assert_allclose(mx.attention_mix(tokens, params).data, want, atol=1e-12)
+        blocks = mx.attention_mix_batched(tokens, [0, 0, 0], params).data.reshape(3, 7, 4)
+        for b in range(3):
+            rows = tape.constant(tokens.data[7 * b:7 * b + 7])
+            np.testing.assert_allclose(blocks[b], reference_attention(rows, params).data,
+                                       atol=1e-12)
+
+    def test_real_rows_match_the_reference_on_each_block(self):
+        rng = np.random.default_rng(31)
+        n, d = 5, 3
+        tape, tokens, params = attention_inputs(rng, len(self.PADS), n, d)
+        out = mx.attention_mix_batched(tokens, self.PADS, params).data.reshape(-1, n, d)
+        for b, pad in enumerate(self.PADS):
+            real = tape.constant(tokens.data[b * n + pad:(b + 1) * n])
+            np.testing.assert_allclose(out[b, pad:], reference_attention(real, params).data,
+                                       atol=1e-12)
+
+    def test_flops_equal_the_reference_tally(self):
+        def flops(attend):
+            tape, tokens, params = attention_inputs(np.random.default_rng(32), 1, 9, 4)
+            attend(tokens, params)
+            return tape.flops
+
+        assert flops(mx.attention_mix) == flops(reference_attention)
+
+    def test_gradients_match_finite_differences_with_mixed_pads(self):
+        rng = np.random.default_rng(33)
+        n, d = 5, 3
+
+        def f(p):
+            params = mx.AttentionLayer(p["wq"], p["wk"], p["wv"], p["wo"])
+            return nc.sum_all(nc.gelu(mx.attention_mix_batched(p["h"], self.PADS, params)))
+
+        params = {name: rng.normal(size=(d, d)) for name in ("wq", "wk", "wv", "wo")}
+        params["h"] = rng.normal(size=(len(self.PADS) * n, d))
+        report = nc.grad_check(f, params, h=1e-5)
+        assert report.max_rel_error <= 1e-4
+
+    @pytest.mark.parametrize("pads,error", [([0, 0, 0], nc.ShapeError),
+                                            ([0, 4], nc.ContractError),
+                                            ([-1, 0], nc.ContractError)])
+    def test_bad_blocks_rejected(self, pads, error):
+        tape, tokens, params = attention_inputs(np.random.default_rng(34), 2, 4, 3)
+        with pytest.raises(error):
+            mx.attention_mix_batched(tokens, pads, params)
+
+
+class TestBlockRegroup:
+    def test_blocks_sit_side_by_side_and_come_back(self):
+        tape = nc.Tape()
+        x = np.arange(12.0).reshape(6, 2)  # 3 blocks of 2 rows
+        cols = nc.blocks_to_cols(tape.constant(x), 2)
+        np.testing.assert_array_equal(cols.data, [[0, 1, 4, 5, 8, 9], [2, 3, 6, 7, 10, 11]])
+        np.testing.assert_array_equal(nc.cols_to_blocks(cols, 2).data, x)
+
+    def test_pair_matches_finite_differences(self):
+        rng = np.random.default_rng(35)
+        mix = rng.normal(size=(3, 3))
+
+        def f(p):
+            # a token-axis matmul between the two regroupings mixes rows
+            # within each block, so a wrong permutation cannot cancel out
+            side = nc.matmul(p["m"], nc.blocks_to_cols(p["x"], 3))
+            back = nc.cols_to_blocks(nc.gelu(side), 2)
+            return nc.sum_all(nc.matmul(nc.gelu(back), p["w"]))
+
+        params = {"x": rng.normal(size=(12, 2)), "m": mix, "w": rng.normal(size=(2, 3))}
+        report = nc.grad_check(f, params, h=1e-5)
+        assert report.max_rel_error <= 1e-4
+
+    @pytest.mark.parametrize("op,arg", [(nc.blocks_to_cols, 4), (nc.cols_to_blocks, 4),
+                                        (nc.blocks_to_cols, 0)])
+    def test_uneven_split_rejected(self, op, arg):
+        tape = nc.Tape()
+        with pytest.raises(nc.ShapeError):
+            op(tape.constant(np.ones((6, 6))), arg)
+
+    def test_side_by_side_mlp_equals_the_per_block_mlp(self):
+        rng = np.random.default_rng(36)
+        r, n, d = 3, 4, 2
+        tape = nc.Tape()
+        params = mx.MlpLayer(*(tape.constant(rng.normal(size=s))
+                               for s in ((2, n), (2, 1), (n, 2), (n, 1))))
+        h = rng.normal(size=(r * n, d))
+        side = nc.blocks_to_cols(tape.constant(h), n)
+        out = nc.cols_to_blocks(mx.mlp_mix(side, params), d).data
+        for b in range(r):
+            block = mx.mlp_mix(tape.constant(h[b * n:(b + 1) * n]), params).data
+            np.testing.assert_allclose(out[b * n:(b + 1) * n], block, atol=1e-12)
 
 
 def zero_channel(tape, d, hidden=None):

@@ -62,10 +62,6 @@ class TestForwardPrimitives:
         _, a = wrap([[1.0, 2.0], [3.0, 6.0]])
         np.testing.assert_allclose(nc.mean_rows(a).data, [[2.0, 4.0]])
 
-    def test_exp_neg(self):
-        _, a = wrap([[0.0, 1.0]])
-        np.testing.assert_allclose(nc.exp_neg(a).data, [[1.0, np.exp(-1.0)]])
-
     def test_concat_cols_and_rows(self):
         _, a, b = wrap([[1.0], [2.0]], [[3.0], [4.0]])
         np.testing.assert_array_equal(nc.concat_cols(a, b).data, [[1, 3], [2, 4]])
@@ -189,7 +185,7 @@ class TestBackward:
             return nc.sum_all(nc.matmul(nc.transpose(h), p["y"]))
 
         def f3(p):
-            h = nc.sigmoid(nc.scale(nc.exp_neg(p["x"]), 0.7))
+            h = nc.sigmoid(nc.scale(nc.gather_rows(p["x"], [3, 0, 0, 2]), 0.7))
             z = nc.matmul(nc.matmul(h, p["w"]), nc.transpose(p["g"]))
             return nc.bce_with_logits(z, [1.0, 0.0, 1.0, 0.0])
 

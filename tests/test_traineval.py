@@ -258,10 +258,6 @@ class RecordingStream(tg.EventStream):
         self._tick()
         return tg.EventStream.edge_feats.fget(self)
 
-    def event(self, i):
-        self._tick()
-        return super().event(i)
-
 
 class TestAccessAudit:
     def test_fitting_never_reads_the_test_partition(self):
