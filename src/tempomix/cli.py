@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import statistics
 import sys
@@ -49,6 +50,33 @@ USAGE_ERRORS = (
     FileNotFoundError,
     json.JSONDecodeError,
 )
+
+
+# glibc malloc settings applied once per process by :func:`main`. A training
+# step frees its activations after the backward pass; with glibc's defaults
+# the freed heap top is trimmed and large arrays are unmapped, so the next
+# step faults the same memory back in page by page. 32 MiB is the largest
+# mmap threshold glibc accepts on 64-bit.
+M_MMAP_THRESHOLD = 32 * 2**20
+M_TRIM_THRESHOLD = 128 * 2**20
+_MALLOPT_PARAMS = ((-3, M_MMAP_THRESHOLD), (-1, M_TRIM_THRESHOLD))  # malloc.h numbers
+
+
+def _libc():
+    import ctypes
+
+    return ctypes.CDLL(None)
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Set the glibc thresholds above; without glibc's ``mallopt``, nothing."""
+    try:
+        mallopt = _libc().mallopt
+    except (OSError, AttributeError):
+        return
+    for param, value in _MALLOPT_PARAMS:
+        mallopt(param, value)
 
 
 class UsageError(ValueError):
@@ -436,6 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -13,12 +13,13 @@ order weights, and :func:`mlp_mix` runs on the blocks side by side
 (``numcore.blocks_to_cols``). The single-sequence functions
 (:func:`adaptive_mix`, :func:`pooling_mix`, :func:`attention_mix` and
 :func:`token_block`) serve the per-sequence reference path,
-``model.node_repr``.
+``model.node_repr``; :func:`adaptive_mix` and :func:`attention_mix` are
+single-block calls of the batched kernels.
 
-The adaptive mixer and attention are fused differentiable operations: their
-backward passes are derived analytically and registered on the tape. The
-adaptive mixer keeps per-layer work at O(N * K * d) instead of materializing
-N x N mixing matrices.
+The adaptive mixer, attention and the channel mixer are fused
+differentiable operations: their backward passes are derived analytically
+and registered on the tape. The adaptive mixer keeps per-layer work at
+O(N * K * d) instead of materializing N x N mixing matrices.
 """
 
 from __future__ import annotations
@@ -142,75 +143,11 @@ def adaptive_mix(tokens: Value, times, offsets, order_logits: Value,
     Row i becomes sum_p alpha_p * tokens[i-p] over valid offsets (i-p >= 0),
     where alpha blends a softmax over learned order logits with a softmax
     over negative time gaps. Rows whose window is entirely out of range pass
-    through unchanged.
+    through unchanged. This is the single-block call of
+    :func:`adaptive_mix_batched`.
     """
-    times = np.asarray(times, dtype=np.float64)
-    h = tokens.data
-    n, d = h.shape
-    if len(times) != n:
-        raise ShapeError(f"times length {len(times)} does not match token count {n}")
-    if np.any(np.diff(times) < 0):
-        raise ContractError("token times must be non-decreasing")
-    offsets = np.asarray(offsets, dtype=np.int64)
-    k = len(offsets)
-    if order_logits.data.shape != (1, k):
-        raise ShapeError(
-            f"order logits shape {order_logits.data.shape} does not match {k} offsets")
-
-    tape = tokens.tape
-    valid = offsets[None, :] <= np.arange(n)[:, None]
-    covered = valid.any(axis=1)
-    gaps = np.full((n, k), np.inf)
-    for j, p in enumerate(offsets):
-        if p < n:
-            gaps[p:, j] = times[p:] - times[: n - p]
-    theta = _masked_softmax(-gaps)
-    order_scores = np.where(valid, order_logits.data[0][None, :], -np.inf)
-    order_w = _masked_softmax(order_scores)
-    fusion_is_value = isinstance(fusion, Value)
-    fuse = float(fusion.data[0, 0]) if fusion_is_value else float(fusion)
-    alpha = fuse * order_w + (1.0 - fuse) * theta
-
-    out_data = np.zeros_like(h)
-    for j, p in enumerate(offsets):
-        if p < n:
-            out_data[p:] += alpha[p:, j:j + 1] * h[: n - p]
-    out_data[~covered] = h[~covered]
-
-    nz = int(valid.sum())
-    tape.flops += 2 * nz * d + 10 * nz + int((~covered).sum()) * d
-
-    want = tokens.want_grad or order_logits.want_grad or (
-        fusion_is_value and fusion.want_grad)
-    out = Value(out_data, tape, want)
-    if want:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            if tokens.want_grad:
-                dh = np.zeros_like(h)
-                for j, p in enumerate(offsets):
-                    if p < n:
-                        dh[: n - p] += alpha[p:, j:j + 1] * g[p:]
-                dh[~covered] += g[~covered]
-                nc.accumulate_grad(tokens, dh)
-            need_order = order_logits.want_grad and fuse != 0.0
-            need_fuse = fusion_is_value and fusion.want_grad
-            if need_order or need_fuse:
-                dalpha = np.zeros((n, k))
-                for j, p in enumerate(offsets):
-                    if p < n:
-                        dalpha[p:, j] = (g[p:] * h[: n - p]).sum(axis=1)
-                if need_order:
-                    go = fuse * dalpha
-                    ds = order_w * (go - (go * order_w).sum(axis=1, keepdims=True))
-                    nc.accumulate_grad(order_logits, ds.sum(axis=0, keepdims=True))
-                if need_fuse:
-                    dfuse = float((dalpha * (order_w - theta)).sum())
-                    nc.accumulate_grad(fusion, np.array([[dfuse]]))
-        tape.record(back)
-    return out
+    times = np.asarray(times, dtype=np.float64)[None]
+    return adaptive_mix_batched(tokens, times, [0], offsets, order_logits, fusion)
 
 
 def adaptive_mix_batched(tokens: Value, times, pad_lens, offsets,
@@ -220,7 +157,7 @@ def adaptive_mix_batched(tokens: Value, times, pad_lens, offsets,
     ``tokens`` stacks R sequences of ``n`` rows each into an (R*n) x d matrix;
     block r's first ``pad_lens[r]`` rows are padding. Offsets never reach into
     the padding and padded rows pass through unchanged, so each block matches
-    what :func:`adaptive_mix` computes on its unpadded sequence.
+    the mixer run on its unpadded sequence alone.
     """
     times = np.asarray(times, dtype=np.float64)
     pads = np.asarray(pad_lens, dtype=np.int64)
@@ -418,12 +355,79 @@ def _activation(name: str):
 
 def channel_mix(h: Value, params: ChannelParams, activation: str = "gelu",
                 residual: bool = True) -> Value:
-    """Feed-forward over layer-normed input, plus residual unless ablated."""
-    act = _activation(activation)
-    z = nc.layer_norm_rows(h, params.ln_gain, params.ln_bias)
-    f = act(nc.add(nc.matmul(z, params.w1), params.b1))
-    f = nc.add(nc.matmul(f, params.w2), params.b2)
-    return nc.add(h, f) if residual else f
+    """Feed-forward over layer-normed input, plus residual unless ablated.
+
+    One fused op: LayerNorm -> W1 + b1 -> activation -> W2 + b2 (-> + h).
+    It does the arithmetic of the same chain of tape ops, in the same order,
+    so output, gradients and flop tally match it bit for bit. The backward
+    reuses the forward's LayerNorm statistics, pre-activation and GELU cdf;
+    without gradients nothing is kept.
+    """
+    if activation not in ("gelu", "relu"):
+        raise ConfigError(f"unknown activation {activation!r}")
+    p = params
+    inputs = (h, p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
+    tape = nc._same_tape(*inputs)
+    m, d = h.data.shape
+    hidden = p.w1.data.shape[1]
+    d_out = p.w2.data.shape[1]
+    shapes = [v.data.shape for v in inputs[1:]]
+    want_shapes = [(1, d), (1, d), (d, hidden), (1, hidden), (hidden, d_out), (1, d_out)]
+    if shapes != want_shapes or (residual and d_out != d):
+        raise ShapeError(f"channel_mix: parameter shapes {shapes} do not fit {m}x{d} input")
+    per_elem = nc._FLOPS_PER_ELEMENT
+    tape.flops += (per_elem["layer_norm"] * m * d + 2 * m * hidden * (d + d_out)
+                   + (1 + per_elem[activation]) * m * hidden
+                   + (2 if residual else 1) * m * d_out)
+
+    want = any(v.want_grad for v in inputs)
+    z, xn, inv_std = nc._layer_norm(h.data, p.ln_gain.data, p.ln_bias.data)
+    pre = z @ p.w1.data
+    pre += p.b1.data
+    if activation == "gelu":
+        cdf = nc._gelu_cdf(pre)
+        act = np.multiply(pre, cdf, out=None if want else cdf)
+    else:
+        act = nc._relu(pre, out=None if want else pre)
+    if not want:
+        pre = cdf = None  # only act stays alive through the W2 matmul
+    f = act @ p.w2.data
+    f += p.b2.data
+    if residual:
+        f += h.data
+    out = Value(f, tape, want)
+    if not want:
+        return out
+
+    def back():
+        g = out.grad
+        if g is None:
+            return
+        if residual:
+            nc.accumulate_grad(h, g)
+        if p.b2.want_grad:
+            nc.accumulate_grad(p.b2, g.sum(axis=0, keepdims=True))
+        need_pre = any(v.want_grad for v in inputs[:5])
+        gact = g @ p.w2.data.T if need_pre else None
+        if p.w2.want_grad:
+            nc.accumulate_grad(p.w2, act.T @ g)
+        if not need_pre:
+            return
+        # the step runs once: the forward's buffers serve as scratch
+        if activation == "gelu":
+            gpre = nc._gelu_grad(gact, pre, cdf, out=act)
+        else:
+            gpre = nc._relu_grad(gact, pre, out=gact)
+        if p.b1.want_grad:
+            nc.accumulate_grad(p.b1, gpre.sum(axis=0, keepdims=True))
+        need_z = h.want_grad or p.ln_gain.want_grad or p.ln_bias.want_grad
+        gz = gpre @ p.w1.data.T if need_z else None
+        if p.w1.want_grad:
+            nc.accumulate_grad(p.w1, z.T @ gpre)
+        if need_z:
+            nc._layer_norm_back(gz, h, p.ln_gain, p.ln_bias, xn, inv_std)
+    tape.record(back)
+    return out
 
 
 MixerLayer = Union[AdaptiveLayer, PoolingLayer, MlpLayer, AttentionLayer]

@@ -59,6 +59,10 @@ LN_EPS = 1e-12  # stabilizer inside the layer-norm square root
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# tape flops per element, shared by the ops and by fused ops built on the
+# same private forward/backward helpers
+_FLOPS_PER_ELEMENT = {"layer_norm": 8, "gelu": 6, "relu": 1}
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -301,6 +305,33 @@ def softmax_rows(a: Value) -> Value:
     return out
 
 
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Row-normalized ``x`` times gain plus bias; also returns the normalized
+    rows and each row's 1/std, which the backward reuses."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    xn = x - mu
+    xn *= inv_std
+    z = xn * gain
+    z += bias
+    return z, xn, inv_std
+
+
+def _layer_norm_back(g: np.ndarray, a: Value, gain: Value, bias: Value,
+                     xn: np.ndarray, inv_std: np.ndarray) -> None:
+    """Accumulate the gradients of :func:`_layer_norm` given its output gradient."""
+    if gain.want_grad:
+        accumulate_grad(gain, (g * xn).sum(axis=0, keepdims=True))
+    if bias.want_grad:
+        accumulate_grad(bias, g.sum(axis=0, keepdims=True))
+    if a.want_grad:
+        gx = g * gain.data
+        accumulate_grad(a, inv_std * (
+            gx - gx.mean(axis=1, keepdims=True)
+            - xn * (gx * xn).mean(axis=1, keepdims=True)))
+
+
 def layer_norm_rows(a: Value, gain: Value, bias: Value) -> Value:
     """Per-row normalization with population variance, then affine gain/bias."""
     t = _same_tape(a, gain, bias)
@@ -308,44 +339,59 @@ def layer_norm_rows(a: Value, gain: Value, bias: Value) -> Value:
     if gain.data.shape != (1, n) or bias.data.shape != (1, n):
         raise ShapeError(
             f"layer_norm_rows: gain/bias must be 1x{n}, got {gain.data.shape} and {bias.data.shape}")
-    x = a.data
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xn = (x - mu) * inv_std
-    t.flops += 8 * x.size
-    out = _out(t, xn * gain.data + bias.data, a.want_grad or gain.want_grad or bias.want_grad)
+    z, xn, inv_std = _layer_norm(a.data, gain.data, bias.data)
+    t.flops += _FLOPS_PER_ELEMENT["layer_norm"] * z.size
+    out = _out(t, z, a.want_grad or gain.want_grad or bias.want_grad)
     if out.want_grad:
         def back():
-            g = out.grad
-            if g is None:
-                return
-            if gain.want_grad:
-                accumulate_grad(gain, (g * xn).sum(axis=0, keepdims=True))
-            if bias.want_grad:
-                accumulate_grad(bias, g.sum(axis=0, keepdims=True))
-            if a.want_grad:
-                gx = g * gain.data
-                accumulate_grad(a, inv_std * (
-                    gx - gx.mean(axis=1, keepdims=True)
-                    - xn * (gx * xn).mean(axis=1, keepdims=True)))
+            if out.grad is not None:
+                _layer_norm_back(out.grad, a, gain, bias, xn, inv_std)
         t.record(back)
     return out
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """The exact GELU gate: the standard normal CDF of ``x``, via erf."""
+    cdf = np.multiply(x, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray, out=None) -> np.ndarray:
+    """``g`` times GELU'(x), given the forward's ``cdf``; ``out`` may be any
+    scratch array of x's shape other than ``g``, ``x`` and ``cdf``."""
+    d = np.multiply(x, -0.5, out=out)
+    d *= x
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= x
+    d += cdf
+    d *= g
+    return d
+
+
+def _relu(x: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
+
+
+def _relu_grad(g: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """``g`` times ReLU'(x); ``out`` may be ``g`` itself."""
+    return np.multiply(g, x > 0.0, out=out)
+
+
 def gelu(a: Value) -> Value:
+    """Exact GELU, x * Phi(x)."""
     t = a.tape
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    t.flops += 6 * x.size
+    cdf = _gelu_cdf(x)
+    t.flops += _FLOPS_PER_ELEMENT["gelu"] * x.size
     out = _out(t, x * cdf, a.want_grad)
     if out.want_grad:
         def back():
-            g = out.grad
-            if g is None:
-                return
-            pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-            accumulate_grad(a, g * (cdf + x * pdf))
+            if out.grad is not None:
+                accumulate_grad(a, _gelu_grad(out.grad, x, cdf))
         t.record(back)
     return out
 
@@ -353,12 +399,12 @@ def gelu(a: Value) -> Value:
 def relu(a: Value) -> Value:
     t = a.tape
     x = a.data
-    t.flops += x.size
-    out = _out(t, np.maximum(x, 0.0), a.want_grad)
+    t.flops += _FLOPS_PER_ELEMENT["relu"] * x.size
+    out = _out(t, _relu(x), a.want_grad)
     if out.want_grad:
         def back():
             if out.grad is not None:
-                accumulate_grad(a, out.grad * (x > 0.0))
+                accumulate_grad(a, _relu_grad(out.grad, x))
         t.record(back)
     return out
 

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from tempomix import cli
 from tempomix import model as md
 from tempomix.cli import main
 
@@ -83,6 +84,50 @@ class TestTrainCommand:
     def test_both_data_sources_rejected(self, tmp_path, capsys):
         rc = main(["train", *FAST, "--dataset", __file__, "--out", str(tmp_path)])
         assert rc == 2
+
+
+class FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def no_libc():
+    raise OSError("no C library")
+
+
+@pytest.fixture
+def fresh_heap_setting():
+    cli._keep_freed_heap.cache_clear()
+    yield
+    cli._keep_freed_heap.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_heap_setting")
+class TestHeapSetting:
+    def test_main_sets_both_thresholds_once_per_process(self, monkeypatch, tmp_path):
+        libc = FakeLibc()
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        for _ in range(2):
+            assert main(["train", "--dataset", str(tmp_path / "none.csv")]) == 2
+        # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 (malloc.h)
+        assert libc.calls == [(-3, cli.M_MMAP_THRESHOLD), (-1, cli.M_TRIM_THRESHOLD)]
+        assert (cli.M_MMAP_THRESHOLD, cli.M_TRIM_THRESHOLD) == (32 * 2**20, 128 * 2**20)
+
+    @pytest.mark.parametrize("libc", [no_libc, object])
+    def test_train_without_mallopt_writes_identical_artifacts(self, monkeypatch, tmp_path,
+                                                              libc):
+        assert main(["train", *FAST, "--out", str(tmp_path / "a")]) == 0
+        cli._keep_freed_heap.cache_clear()
+        monkeypatch.setattr(cli, "_libc", libc)
+        assert main(["train", *FAST, "--out", str(tmp_path / "b")]) == 0
+        for name in ("checkpoint.json", "loss_curve.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        docs = [json.loads((tmp_path / run / "metrics.json").read_text()) for run in "ab"]
+        assert strip_timing(docs[0]) == strip_timing(docs[1])
 
 
 class TestEvalCommand:

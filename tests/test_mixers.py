@@ -22,6 +22,62 @@ def run_adaptive(h, times, offsets, logits=None, fusion=0.5, grad=False):
     return mx.adaptive_mix(tokens, times, offsets, order, fusion)
 
 
+def reference_adaptive_mix(tokens, times, offsets, order_logits, fusion):
+    """The per-sequence adaptive kernel, one sequence at a time: the oracle for
+    ``mixers.adaptive_mix``, the single-block call of the batched kernel."""
+    times = np.asarray(times, dtype=np.float64)
+    h = tokens.data
+    n, d = h.shape
+    offsets = np.asarray(offsets, dtype=np.int64)
+    k = len(offsets)
+    tape = tokens.tape
+    valid = offsets[None, :] <= np.arange(n)[:, None]
+    covered = valid.any(axis=1)
+    gaps = np.full((n, k), np.inf)
+    for j, p in enumerate(offsets):
+        if p < n:
+            gaps[p:, j] = times[p:] - times[: n - p]
+    theta = mx._masked_softmax(-gaps)
+    order_w = mx._masked_softmax(np.where(valid, order_logits.data[0][None, :], -np.inf))
+    fusion_is_value = isinstance(fusion, nc.Value)
+    fuse = float(fusion.data[0, 0]) if fusion_is_value else float(fusion)
+    alpha = fuse * order_w + (1.0 - fuse) * theta
+
+    out_data = np.zeros_like(h)
+    for j, p in enumerate(offsets):
+        if p < n:
+            out_data[p:] += alpha[p:, j:j + 1] * h[: n - p]
+    out_data[~covered] = h[~covered]
+    nz = int(valid.sum())
+    tape.flops += 2 * nz * d + 10 * nz + int((~covered).sum()) * d
+
+    want = tokens.want_grad or order_logits.want_grad or (fusion_is_value and fusion.want_grad)
+    out = nc.Value(out_data, tape, want)
+    if want:
+        def back():
+            g = out.grad
+            if tokens.want_grad:
+                dh = np.zeros_like(h)
+                for j, p in enumerate(offsets):
+                    if p < n:
+                        dh[: n - p] += alpha[p:, j:j + 1] * g[p:]
+                dh[~covered] += g[~covered]
+                nc.accumulate_grad(tokens, dh)
+            dalpha = np.zeros((n, k))
+            for j, p in enumerate(offsets):
+                if p < n:
+                    dalpha[p:, j] = (g[p:] * h[: n - p]).sum(axis=1)
+            if order_logits.want_grad and fuse != 0.0:
+                go = fuse * dalpha
+                ds = order_w * (go - (go * order_w).sum(axis=1, keepdims=True))
+                nc.accumulate_grad(order_logits, ds.sum(axis=0, keepdims=True))
+            if fusion_is_value and fusion.want_grad:
+                dfuse = float((dalpha * (order_w - theta)).sum())
+                nc.accumulate_grad(fusion, np.array([[dfuse]]))
+        tape.record(back)
+    return out
+
+
 class TestOffsetSchedule:
     def test_layer_one_contiguous_window(self):
         np.testing.assert_array_equal(mx.OffsetSchedule([2, 4, 8]).offsets(1), [0, 1])
@@ -149,6 +205,31 @@ class TestAdaptiveMix:
         report = nc.grad_check(f, params, h=1e-5)
         assert report.max_rel_error <= 1e-4
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_block_matches_the_per_sequence_reference(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        n, d = int(rng.integers(1, 9)), 3
+        start, k = int(rng.integers(0, 4)), int(rng.integers(1, 5))
+        offsets = np.arange(start, start + k)
+        times = np.sort(rng.integers(0, 6, size=n)).astype(float)
+        arrays = {"h": rng.normal(size=(n, d)), "order": rng.normal(size=(1, k)),
+                  "fuse_raw": rng.normal(size=(1, 1)), "w": rng.normal(size=(d, 2))}
+
+        def run(mix):
+            tape = nc.Tape()
+            v = {name: tape.leaf(a) for name, a in arrays.items()}
+            out = mix(v["h"], times, offsets, v["order"], nc.sigmoid(v["fuse_raw"]))
+            flops = tape.flops
+            nc.backward(tape, nc.sum_all(nc.gelu(nc.matmul(out, v["w"]))))
+            return out.data, flops, {name: val.grad for name, val in v.items()}
+
+        out, flops, grads = run(mx.adaptive_mix)
+        want_out, want_flops, want_grads = run(reference_adaptive_mix)
+        assert flops == want_flops
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        for name in arrays:
+            np.testing.assert_allclose(grads[name], want_grads[name], rtol=0, atol=1e-12)
+
     def test_batched_blocks_match_per_sequence(self):
         rng = np.random.default_rng(20)
         n, d, k = 6, 3, 2
@@ -166,7 +247,8 @@ class TestAdaptiveMix:
         out = mx.adaptive_mix_batched(tape.constant(h3.reshape(3 * n, d)), times, pads,
                                       offsets, tape.constant(logits), fusion)
         for b, pad in enumerate(pads):
-            single = run_adaptive(h3[b, pad:], times[b, pad:], offsets, logits, fusion)
+            single = reference_adaptive_mix(tape.constant(h3[b, pad:]), times[b, pad:], offsets,
+                                            tape.constant(logits), fusion)
             np.testing.assert_allclose(out.data.reshape(3, n, d)[b, pad:], single.data,
                                        atol=1e-14)
             # padded rows pass through untouched (they are zero here)
@@ -485,6 +567,89 @@ class TestChannelMix:
         out = mx.channel_mix(const(tape, np.ones((2, 3))), zero_channel(tape, 3),
                              residual=False)
         np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
+
+
+def reference_channel_mix(h, params, activation="gelu", residual=True):
+    """The channel mixer composed from tape primitives: the oracle for the
+    fused op behind ``mixers.channel_mix``."""
+    act = {"gelu": nc.gelu, "relu": nc.relu}[activation]
+    z = nc.layer_norm_rows(h, params.ln_gain, params.ln_bias)
+    f = act(nc.add(nc.matmul(z, params.w1), params.b1))
+    f = nc.add(nc.matmul(f, params.w2), params.b2)
+    return nc.add(h, f) if residual else f
+
+
+CHANNEL_NAMES = ("ln_gain", "ln_bias", "w1", "b1", "w2", "b2")
+
+
+def channel_arrays(rng, m=6, d=4, hidden=7):
+    h = rng.normal(size=(m, d))
+    h[0] = 0.0  # all-zero row
+    h[1] = 1.5  # exactly constant row: its variance is 0, inv_std is 1/sqrt(LN_EPS)
+    shapes = ((1, d), (1, d), (d, hidden), (1, hidden), (hidden, d), (1, d))
+    arrays = {name: rng.normal(size=shape) for name, shape in zip(CHANNEL_NAMES, shapes)}
+    arrays["ln_gain"] += 1.0
+    arrays["h"] = h
+    return arrays
+
+
+def run_channel(mix, arrays, activation, residual, leaves):
+    """Output, tape flops and leaf gradients of one channel mix under a loss
+    that also reads ``h`` directly, so ``h`` gathers gradient from two ops."""
+    tape = nc.Tape()
+    v = {name: (tape.leaf if name in leaves else tape.constant)(a) for name, a in arrays.items()}
+    out = mix(v["h"], mx.ChannelParams(*(v[name] for name in CHANNEL_NAMES)),
+              activation, residual)
+    flops = tape.flops
+    mixer_steps = len(tape._steps)
+    side = tape.constant(np.linspace(-1.0, 1.0, arrays["h"].shape[1])[:, None])
+    loss = nc.add(nc.sum_all(nc.gelu(out)), nc.sum_all(nc.matmul(v["h"], side)))
+    nc.backward(tape, loss)
+    return out.data, flops, mixer_steps, {name: v[name].grad for name in leaves}
+
+
+class TestFusedChannelMix:
+    ALL = ("h",) + CHANNEL_NAMES
+
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    @pytest.mark.parametrize("leaves", [ALL, ("h",), ("w2", "b2"), ("ln_gain", "w1"), ()])
+    def test_bit_identical_to_the_tape_chain(self, activation, residual, leaves):
+        arrays = channel_arrays(np.random.default_rng(50))
+        out, flops, _, grads = run_channel(mx.channel_mix, arrays, activation, residual,
+                                           leaves)
+        want_out, want_flops, _, want_grads = run_channel(reference_channel_mix, arrays,
+                                                          activation, residual, leaves)
+        assert flops == want_flops
+        np.testing.assert_array_equal(out, want_out)
+        for name in leaves:
+            np.testing.assert_array_equal(grads[name], want_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("leaves,steps", [(ALL, 1), ((), 0)])
+    def test_one_tape_step_and_none_without_gradients(self, leaves, steps):
+        arrays = channel_arrays(np.random.default_rng(51))
+        assert run_channel(mx.channel_mix, arrays, "gelu", True, leaves)[2] == steps
+
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_gradients_match_finite_differences(self, activation, residual):
+        arrays = channel_arrays(np.random.default_rng(52), m=4, d=3, hidden=5)
+        arrays["h"] = np.random.default_rng(53).normal(size=(4, 3))
+
+        def f(p):
+            params = mx.ChannelParams(*(p[name] for name in CHANNEL_NAMES))
+            return nc.sum_all(nc.gelu(mx.channel_mix(p["h"], params, activation, residual)))
+
+        report = nc.grad_check(f, arrays, h=1e-5)
+        assert report.max_rel_error <= 1e-4
+
+    def test_mismatched_parameters_rejected(self):
+        tape = nc.Tape()
+        params = zero_channel(tape, 3)
+        with pytest.raises(nc.ShapeError):
+            mx.channel_mix(const(tape, np.ones((2, 4))), params)
+        with pytest.raises(nc.ConfigError):
+            mx.channel_mix(const(tape, np.ones((2, 3))), params, activation="tanh")
 
 
 class TestTokenBlock:
