@@ -19,7 +19,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +104,13 @@ class RunSpec:
     train: te.TrainConfig = field(default_factory=te.TrainConfig)
     out_dir: Path = Path("out")
     runs: int = 1
+    bipartite: bool = False  # disjoint source and destination ids at ingest
 
     def validate(self):
         if (self.data_path is None) == (self.synthetic is None):
             raise UsageError("exactly one data source required: a dataset path or a synthetic spec")
+        if self.bipartite and self.data_path is None:
+            raise UsageError("bipartite applies to a dataset path, not a synthetic stream")
         if self.runs < 1:
             raise UsageError("--runs must be at least 1")
 
@@ -115,7 +118,7 @@ class RunSpec:
         if self.data_path is not None:
             if not Path(self.data_path).exists():
                 raise UsageError(f"dataset file not found: {self.data_path}")
-            return tg.ingest_csv(self.data_path)
+            return tg.ingest_csv(self.data_path, bipartite=self.bipartite)
         return tg.generate_synthetic(self.synthetic, self.synthetic_seed)
 
 
@@ -139,6 +142,7 @@ def resolve_run_spec(args) -> RunSpec:
     spec = RunSpec()
     if "path" in data:
         spec.data_path = data["path"]
+    spec.bipartite = bool(data.get("bipartite", False))
     if "synthetic" in data:
         spec.synthetic = tg.SyntheticSpec.from_dict(data["synthetic"])
         spec.synthetic_seed = int(data.get("seed", 0))
@@ -152,7 +156,7 @@ def resolve_run_spec(args) -> RunSpec:
         spec.data_path, spec.synthetic = args.dataset, None
     if getattr(args, "synthetic", None):
         spec.synthetic = tg.SyntheticSpec.from_dict(json.loads(args.synthetic))
-        spec.data_path = None
+        spec.data_path, spec.bipartite = None, False
     for name in ("mixer", "dim", "time_dim", "n_max"):
         flag = getattr(args, name, None)
         if flag is not None:
@@ -260,9 +264,7 @@ def cmd_ablate(args) -> int:
                          if k not in overrides})
         if "activation" not in overrides:
             cfg_dict["activation"] = base["activation"]
-        variant_spec = RunSpec(spec.data_path, spec.synthetic, spec.synthetic_seed,
-                               md.ModelConfig.from_dict(cfg_dict), spec.train,
-                               spec.out_dir, spec.runs)
+        variant_spec = replace(spec, model=md.ModelConfig.from_dict(cfg_dict))
         _log(f"ablation variant: {variant}")
         reports, params_list = _run_training(variant_spec)
         md.save_checkpoint(params_list[0], spec.out_dir / f"checkpoint_{variant}.json")
@@ -394,7 +396,7 @@ def cmd_bench(args) -> int:
 def cmd_ingest(args) -> int:
     if not Path(args.path).exists():
         raise UsageError(f"dataset file not found: {args.path}")
-    stream = tg.ingest_csv(args.path)
+    stream = tg.ingest_csv(args.path, bipartite=args.bipartite)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -433,6 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="summarize an interaction CSV")
     p.add_argument("path")
     p.add_argument("--out", help="directory for the normalized copy")
+    p.add_argument("--bipartite", action="store_true",
+                   help="give source and destination ids disjoint node ids")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="fit a model and write metrics artifacts")

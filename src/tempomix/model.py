@@ -45,8 +45,9 @@ PROB_CLAMP = 1e-12  # bce_loss clamps probabilities to [PROB_CLAMP, 1-PROB_CLAMP
 MIXERS = ("adaptive", "pooling", "mlp", "attention")
 ACTIVATIONS = ("gelu", "relu")
 MLP_TOKEN_RATIO = 0.5  # hidden token count = ceil(ratio * n_max)
-# token rows per block on the scoring path: a block's 4*dim-wide channel-mixer
-# temporaries stay within a few MB instead of growing with the split
+# token rows per block on the scoring path, and input rows per projection of
+# an input table: a block's 4*dim-wide channel-mixer temporaries and a chunk's
+# input rows stay within a few MB instead of growing with the split
 SCORE_BLOCK_ROWS = 4096
 
 
@@ -262,24 +263,95 @@ def bce_loss(pos_probs: Sequence[float], neg_probs: Sequence[float]) -> float:
     return float(-(np.log(pos).sum() + np.log(1.0 - neg).sum()))
 
 
+def _windows(store: TemporalStore, keys: Sequence[tuple[int, float]],
+             n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Query times of ``keys`` and their right-aligned strict-past windows:
+    the store positions of the real tokens in row-major order, and the
+    (R, n_max) mask of real slots."""
+    nodes = np.array([node for node, _ in keys], dtype=np.int64)
+    ts = np.array([t for _, t in keys], dtype=np.float64)
+    index, valid = store.recent_windows(nodes, ts, n_max)
+    return ts, index[valid], valid
+
+
+def _input_kinds(bound: BoundModel, store: TemporalStore, ts: np.ndarray,
+                 entries: np.ndarray, valid: np.ndarray) -> list[tuple]:
+    """Per input kind present, in the order tokens sum them (time gap,
+    neighbor node, edge): every real token's lookup value in row-major order,
+    the map from values to input rows, and the encoder weight."""
+    stream, enc = store.stream, bound.encoder
+    kinds = [(np.repeat(ts, valid.sum(axis=1)) - store.times[entries],
+              lambda gaps: time_encode_rows(gaps, enc.time_dim), enc.w_time)]
+    if stream.node_dim:
+        kinds.append((store.neighbor_ids[entries], stream.node_feats.__getitem__,
+                      enc.w_node))
+    if stream.edge_dim:
+        kinds.append((store.edge_ids[entries], stream.edge_feats.__getitem__,
+                      enc.w_edge))
+    return kinds
+
+
+def _distinct(kinds: list[tuple]) -> list[tuple]:
+    """``kinds`` with each kind's per-token values replaced by their sorted
+    distinct values."""
+    return [(np.unique(values), rows_of, weight) for values, rows_of, weight in kinds]
+
+
+def _input_tables(distinct_kinds: list[tuple]) -> list[tuple[np.ndarray, Value]]:
+    """Projected lookup tables, one per input kind: its sorted distinct values
+    and their projected rows (dim wide), then one all-zero row that pad slots
+    index. Each input row is built and projected once, by tape matmuls over
+    at most ``SCORE_BLOCK_ROWS`` input rows; the time encoder has fixed
+    frequencies, so a projected row depends only on its value."""
+    tables = []
+    for distinct, rows_of, weight in distinct_kinds:
+        parts = []
+        for lo in range(0, len(distinct) + 1, SCORE_BLOCK_ROWS):  # the last input row is zero
+            chunk = distinct[lo:lo + SCORE_BLOCK_ROWS]
+            rows = np.zeros((min(SCORE_BLOCK_ROWS, len(distinct) + 1 - lo),
+                             weight.data.shape[0]))
+            if chunk.size:
+                rows[:chunk.size] = rows_of(chunk)
+            parts.append(nc.matmul(weight.tape.constant(rows), weight))
+        tables.append((distinct, parts[0] if len(parts) == 1 else nc.concat_rows(parts)))
+    return tables
+
+
+def _window_tokens(kinds: list[tuple], tables: list[tuple[np.ndarray, Value]],
+                   valid: np.ndarray) -> Value:
+    """Embedded token rows (R*n_max x dim) of right-aligned windows.
+
+    Each token sums one looked-up row per input kind; pad slots index each
+    table's zero row, so pad tokens are exactly zero.
+    """
+    real = valid.reshape(-1)
+    tokens = None
+    for (values, _, _), (distinct, table) in zip(kinds, tables):
+        index = np.full(real.size, len(distinct))
+        index[real] = np.searchsorted(distinct, values)
+        rows = nc.gather_rows(table, index)
+        tokens = rows if tokens is None else nc.add(tokens, rows)
+    return tokens
+
+
 def _batched_reprs(bound: BoundModel, store: TemporalStore,
-                   keys: Sequence[tuple[int, float]]) -> Value:
+                   keys: Sequence[tuple[int, float]],
+                   tables: list[tuple[np.ndarray, Value]] | None = None) -> Value:
     """Representations for distinct (node, t) keys, one per output row.
 
     The one representation path behind training and scoring, for every
     mixer: each key's window is left-padded to n_max and the whole batch
-    flows through stacked (R*n_max) x dim tensors. Only the token-mixer call
-    depends on the mixer kind (see :func:`_mix_blocks`); each block's real
-    rows match the per-sequence path (:func:`node_repr_value`). The readout
-    averages the real rows, except for the MLP, whose per-sequence input is
-    padded to n_max and averaged whole.
+    flows through stacked (R*n_max) x dim tensors. Tokens are gathered from
+    projected lookup tables (:func:`_input_tables`): ``tables`` built over a
+    superset of these keys, or by default tables of these keys alone. Only
+    the token-mixer call depends on the mixer kind (see :func:`_mix_blocks`);
+    each block's real rows match the per-sequence path
+    (:func:`node_repr_value`). The readout averages the real rows, except for
+    the MLP, whose per-sequence input is padded to n_max and averaged whole.
     """
     cfg = bound.config
     n = cfg.n_max
-    nodes = np.array([node for node, _ in keys], dtype=np.int64)
-    ts = np.array([t for _, t in keys], dtype=np.float64)
-    index, valid = store.recent_windows(nodes, ts, n)
-    entries = index[valid]  # store positions of every real token, row-major
+    ts, entries, valid = _windows(store, keys, n)
     lens = valid.sum(axis=1)
     pads = np.where(lens > 0, n - lens, n - 1)
     times = np.repeat(ts[:, None], n, axis=1)
@@ -288,7 +360,10 @@ def _batched_reprs(bound: BoundModel, store: TemporalStore,
     # its single all-zero token
     oldest = times[np.arange(len(keys)), n - np.maximum(lens, 1)]
     times = np.where(valid, times, oldest[:, None])
-    tokens = _window_tokens(bound, store, entries, valid, (ts[:, None] - times)[valid])
+    kinds = _input_kinds(bound, store, ts, entries, valid)
+    if tables is None:
+        tables = _input_tables(_distinct(kinds))
+    tokens = _window_tokens(kinds, tables, valid)
     for mixer, channel in bound.layers:
         mixed = _mix_blocks(mixer, tokens, times, pads, cfg.activation)
         h = mixed if cfg.no_resnet else nc.add(tokens, mixed)
@@ -321,37 +396,6 @@ def _mix_blocks(mixer: mx.MixerLayer, tokens: Value, times: np.ndarray,
     width = tokens.data.shape[1]
     side_by_side = nc.blocks_to_cols(tokens, times.shape[1])
     return nc.cols_to_blocks(mx.mlp_mix(side_by_side, mixer, activation), width)
-
-
-def _window_tokens(bound: BoundModel, store: TemporalStore, entries: np.ndarray,
-                   valid: np.ndarray, gaps: np.ndarray) -> Value:
-    """Embedded token rows (R*n_max x dim) of right-aligned windows.
-
-    ``entries`` and ``gaps`` list the real tokens in row-major order; every
-    other row embeds all-zero inputs. The input matrices are dropped on
-    return, so without a gradient nothing keeps them alive.
-    """
-    stream = store.stream
-    tape = bound.tape
-    real = valid.reshape(-1)
-
-    def padded(rows: np.ndarray) -> Value:
-        out = np.zeros((real.size, rows.shape[1]))
-        out[real] = rows
-        return tape.constant(out)
-
-    enc = bound.encoder
-    # gaps repeat heavily (shared timestamps), so encode each distinct one once
-    distinct, inverse = np.unique(gaps, return_inverse=True)
-    te_rows = time_encode_rows(distinct, enc.time_dim)[inverse]
-    tokens = nc.matmul(padded(te_rows), enc.w_time)
-    if stream.node_dim:
-        nodes = stream.node_feats[store.neighbor_ids[entries]]
-        tokens = nc.add(tokens, nc.matmul(padded(nodes), enc.w_node))
-    if stream.edge_dim:
-        edges = stream.edge_feats[store.edge_ids[entries]]
-        tokens = nc.add(tokens, nc.matmul(padded(edges), enc.w_edge))
-    return tokens
 
 
 def _key_index(endpoint_pairs: Sequence[tuple[tuple[int, float], tuple[int, float]]]
@@ -394,16 +438,25 @@ def score_pairs(params: ModelParams, store: TemporalStore,
                 pairs: Sequence[tuple[int, int, float]]) -> np.ndarray:
     """Probabilities for (src, dst, t) pairs on the no-gradient path.
 
-    Keys stream through the layer stack in blocks of about
-    ``SCORE_BLOCK_ROWS`` token rows, so memory is bounded by the block, not by
-    the split. Every row's arithmetic is the same as in one pass.
+    The projected input tables are built once, over every key of the split.
+    Keys then stream through the layer stack in blocks of about
+    ``SCORE_BLOCK_ROWS`` token rows, so memory is bounded by the block and the
+    tables, not by the split. Every block reads the same tables, so every
+    row's arithmetic is the same as in one pass.
     """
     if not pairs:
         return np.zeros(0)
     bound = bind(params, Tape(), trainable=False)
     keys, left, right = _key_index([((u, t), (v, t)) for u, v, t in pairs])
+    ts, entries, valid = _windows(store, keys, bound.config.n_max)
+    distinct = _distinct(_input_kinds(bound, store, ts, entries, valid))
+    # the all-key windows go before the input rows are built: held through
+    # the build, they raise the heap's high-water mark (peak RSS) by a few MB.
+    # Only the dim-wide tables are held across blocks.
+    del ts, entries, valid
+    tables = _input_tables(distinct)
     step = max(1, SCORE_BLOCK_ROWS // bound.config.n_max)
-    reprs = nc.concat_rows([_batched_reprs(bound, store, keys[lo:lo + step])
+    reprs = nc.concat_rows([_batched_reprs(bound, store, keys[lo:lo + step], tables)
                             for lo in range(0, len(keys), step)])
     return nc.sigmoid(_pair_logits(bound, reprs, left, right)).data[:, 0].copy()
 

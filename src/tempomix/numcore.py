@@ -454,9 +454,12 @@ def gather_rows(a: Value, indices) -> Value:
             g = out.grad
             if g is None:
                 return
-            da = np.zeros_like(a.data)
-            np.add.at(da, idx, g)
-            accumulate_grad(a, da)
+            # one bincount over (row, column) cells sums each cell's rows in
+            # index order, as np.add.at would, several times faster
+            rows, cols = a.data.shape
+            cells = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+            accumulate_grad(a, np.bincount(cells, weights=g.reshape(-1),
+                                           minlength=rows * cols).reshape(rows, cols))
         t.record(back)
     return out
 

@@ -155,12 +155,14 @@ class EventStream:
                            node_feats=self.node_feats)
 
 
-def ingest_csv(path) -> EventStream:
+def ingest_csv(path, bipartite: bool = False) -> EventStream:
     """Read `src,dst,timestamp,label,feat...` rows (one header line).
 
     Ids are opaque tokens, compacted to 0..node_count-1 in order of first
     appearance in the time-sorted stream; sorting is stable so rows with
-    equal timestamps keep their file order.
+    equal timestamps keep their file order. With ``bipartite``, source and
+    destination tokens live in disjoint namespaces (user ``0`` and item ``0``
+    are two nodes), numbered by one shared counter in the same order.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -193,7 +195,8 @@ def ingest_csv(path) -> EventStream:
         raise ParseError(f"{path}: no data rows")
 
     order = np.argsort([r[2] for r in rows], kind="stable")
-    ids: dict[str, int] = {}
+    src_side, dst_side = ("src", "dst") if bipartite else ("", "")
+    ids: dict[tuple[str, str], int] = {}
     src = np.empty(len(rows), dtype=np.int64)
     dst = np.empty(len(rows), dtype=np.int64)
     t = np.empty(len(rows))
@@ -201,8 +204,8 @@ def ingest_csv(path) -> EventStream:
     feats = np.empty((len(rows), len(rows[0][4])))
     for out_i, in_i in enumerate(order):
         u, v, ts, lab, fs = rows[in_i]
-        src[out_i] = ids.setdefault(u, len(ids))
-        dst[out_i] = ids.setdefault(v, len(ids))
+        src[out_i] = ids.setdefault((src_side, u), len(ids))
+        dst[out_i] = ids.setdefault((dst_side, v), len(ids))
         t[out_i] = ts
         labels[out_i] = lab
         feats[out_i] = fs

@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from tempomix import cli
 from tempomix import model as md
+from tempomix import tgraph as tg
 from tempomix.cli import main
+
+OVERLAPPING_IDS = str(Path(__file__).parent / "data" / "overlapping_ids.csv")
 
 
 SYNTH = json.dumps({"n_src": 5, "n_dst": 5, "n_events": 300,
@@ -197,3 +201,34 @@ class TestIngestCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "nodes=4" in out and "links=3" in out
+
+    def test_bipartite_flag_counts_users_and_items(self, tmp_path, capsys):
+        assert main(["ingest", OVERLAPPING_IDS]) == 0
+        assert "nodes=3 " in capsys.readouterr().out
+        assert main(["ingest", OVERLAPPING_IDS, "--bipartite"]) == 0
+        assert "nodes=5 " in capsys.readouterr().out
+
+    def test_default_normalized_copy_unchanged_by_the_option(self, tmp_path):
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert main(["ingest", OVERLAPPING_IDS, "--out", str(plain)]) == 0
+        tg.write_csv(tg.ingest_csv(OVERLAPPING_IDS, bipartite=False), tmp_path / "want.csv")
+        assert (plain / "ingested.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert main(["ingest", OVERLAPPING_IDS, "--bipartite", "--out", str(flagged)]) == 0
+        assert (flagged / "ingested.csv").read_bytes() != (plain / "ingested.csv").read_bytes()
+
+
+class TestBipartiteRunSpec:
+    def test_spec_data_option_reaches_ingest(self, tmp_path):
+        spec = tmp_path / "run.json"
+        spec.write_text(json.dumps({"data": {"path": OVERLAPPING_IDS, "bipartite": True}}))
+        resolved = cli.resolve_run_spec(cli.build_parser().parse_args(
+            ["train", "--config", str(spec)]))
+        assert resolved.bipartite
+        assert resolved.load_stream().node_count == 5
+
+    def test_rejected_for_a_synthetic_stream(self, tmp_path, capsys):
+        spec = tmp_path / "run.json"
+        spec.write_text(json.dumps({"data": {"synthetic": json.loads(SYNTH),
+                                             "bipartite": True}}))
+        assert main(["train", "--config", str(spec), "--out", str(tmp_path)]) == 2
+        assert "bipartite" in capsys.readouterr().err

@@ -214,8 +214,9 @@ def reference_inputs(store, keys, cfg):
     return times, pads, te_rows, nf_rows, ef_rows
 
 
-def reference_reprs(bound, store, keys):
-    """Drop-in for ``model._batched_reprs`` built on ``reference_inputs``."""
+def reference_reprs(bound, store, keys, tables=None):
+    """Drop-in for ``model._batched_reprs`` built on ``reference_inputs``: the
+    padded input matrices, each multiplied by its encoder weight."""
     cfg = bound.config
     times, pads, te_rows, nf_rows, ef_rows = reference_inputs(store, keys, cfg)
     tape = bound.tape
@@ -264,6 +265,35 @@ class RecordingTape(nc.Tape):
         return super().constant(data)
 
 
+def record_gathers(monkeypatch):
+    """Spy on ``numcore.gather_rows``: the returned list gets each call's indices."""
+    calls = []
+    real = nc.gather_rows
+
+    def spy(a, indices):
+        calls.append(np.array(indices))
+        return real(a, indices)
+
+    monkeypatch.setattr(nc, "gather_rows", spy)
+    return calls
+
+
+def real_gaps(store, keys, n_max):
+    """Every real token's time gap, by the per-key window query."""
+    return np.concatenate([t - store.recent_neighbors(node, t, n_max).times
+                           for node, t in keys])
+
+
+def pad_slots_of(store, keys, n_max):
+    """Row-major mask of the pad slots in the keys' padded windows."""
+    _, valid = store.recent_windows(np.array([node for node, _ in keys]),
+                                    np.array([t for _, t in keys]), n_max)
+    return ~valid.reshape(-1)
+
+
+ENCODERS = ("enc.time", "enc.node", "enc.edge")
+
+
 class TestBatchedAssemblyOracle:
     @pytest.mark.parametrize("node_dim,edge_dim", [(2, 3), (0, 4), (3, 0)])
     def test_inputs_equal_the_per_key_loop(self, monkeypatch, node_dim, edge_dim):
@@ -277,15 +307,21 @@ class TestBatchedAssemblyOracle:
 
         mixed = mx.adaptive_mix_batched
         monkeypatch.setattr(md.mx, "adaptive_mix_batched", spy)
+        gathers = record_gathers(monkeypatch)
         tape = RecordingTape()
         md._batched_reprs(md.bind(params, tape, trainable=True), store, keys)
         times, pads, *rows = reference_inputs(store, keys, cfg)
         assert np.array_equal(seen[0][0], times)
         assert np.array_equal(seen[0][1], pads)
         expected = [r for r in rows if r is not None]
+        # one table of input rows per kind, then one lookup per kind
         assert len(tape.constants) == len(expected)
-        for got, want in zip(tape.constants, expected):
-            assert np.array_equal(got, want)
+        pad_slots = pad_slots_of(store, keys, cfg.n_max)
+        for table, index, want in zip(tape.constants, gathers, expected):
+            assert not table[-1].any()  # the zero row
+            assert (index[pad_slots] == len(table) - 1).all()
+            assert len(np.unique(table[:-1], axis=0)) == len(table) - 1  # each input once
+            assert np.array_equal(table[index], want)
         assert pads.max() == cfg.n_max - 1  # history-less keys are present
 
     @pytest.mark.parametrize("cfg_kw", [{}, {"no_resnet": True, "spans": (2, 4, 8)},
@@ -307,11 +343,92 @@ class TestBatchedAssemblyOracle:
         assert np.array_equal(fast[0], slow[0])
         assert np.array_equal(fast[1], slow[1])
         assert len(fast[2]) == len(slow[2]) == len(params.tensors)
-        for a, b in zip(fast[2], slow[2]):
-            assert np.array_equal(a, b)
+        for name, a, b in zip(params.tensors, fast[2], slow[2]):
+            if name in ENCODERS:
+                # the encoder weights' gradients are summed per table row first
+                assert max_abs_diff(a, b) <= 1e-12 * np.abs(b).max(), name
+            else:
+                assert np.array_equal(a, b), name
 
 
-def per_sequence_reprs(bound, store, keys):
+class TestInputTables:
+    def test_scoring_encodes_each_distinct_gap_of_the_split_once(self, monkeypatch):
+        stream, store, cfg, params, pairs = oracle_fixture(40)
+        keys, _, _ = md._key_index([((u, t), (v, t)) for u, v, t in pairs])
+        monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", 4)  # one key per block
+        blocks = count_batched_calls(monkeypatch)
+        encoded = []
+        real = md.time_encode_rows
+
+        def spy(dts, time_dim):
+            encoded.append(np.array(dts))
+            return real(dts, time_dim)
+
+        monkeypatch.setattr(md, "time_encode_rows", spy)
+        md.score_pairs(params, store, pairs)
+        distinct = np.unique(real_gaps(store, keys, cfg.n_max))
+        assert len(blocks) == len(keys) >= 3
+        assert len(encoded) == -(-len(distinct) // md.SCORE_BLOCK_ROWS) >= 2
+        assert np.array_equal(np.concatenate(encoded), distinct)
+
+    def test_no_input_matrix_has_a_row_per_token(self, monkeypatch):
+        stream, store, cfg, params, pairs = oracle_fixture(41)
+        widths = {cfg.time_dim, stream.node_dim, stream.edge_dim}
+        keys, _, _ = md._key_index([((u, t), (v, t)) for u, v, t in pairs])
+        tapes = []
+
+        def recording_tape():
+            tapes.append(RecordingTape())
+            return tapes[-1]
+
+        monkeypatch.setattr(md, "Tape", recording_tape)
+        md.score_pairs(params, store, pairs)
+        md._batched_reprs(md.bind(params, recording_tape(), trainable=True), store, keys)
+        assert len(tapes) == 2
+        for tape in tapes:
+            # one table per input kind; one-row constants are scoring's parameters
+            inputs = [c for c in tape.constants if c.shape[1] in widths and len(c) > 1]
+            assert len(inputs) == 3
+            assert all(len(c) < len(keys) for c in inputs)
+            assert all(len(c) != len(keys) * cfg.n_max for c in tape.constants)
+
+    def test_pad_tokens_are_exact_zeros(self, monkeypatch):
+        stream, store, cfg, params, pairs = oracle_fixture(42)
+        keys, _, _ = md._key_index([((u, t), (v, t)) for u, v, t in pairs])
+        seen = []
+        mixed = mx.adaptive_mix_batched
+
+        def spy(tokens, *args):
+            seen.append(tokens.data.copy())
+            return mixed(tokens, *args)
+
+        monkeypatch.setattr(md.mx, "adaptive_mix_batched", spy)
+        md._batched_reprs(md.bind(params, nc.Tape(), trainable=True), store, keys)
+        pad_slots = pad_slots_of(store, keys, cfg.n_max)
+        assert pad_slots.any() and (~pad_slots).any()
+        assert (seen[0][pad_slots] == 0.0).all()
+        assert (seen[0][~pad_slots] != 0.0).any(axis=1).all()
+
+    def test_encoder_gradients_match_finite_differences(self):
+        stream, store, cfg, params, pairs = oracle_fixture(43)
+        queries = [(u, v, (v + 2) % 5, t) for u, v, t in pairs]
+        keys, _, _ = md._key_index([((u, t), (v, t)) for u, v, _, t in queries]
+                                   + [((u, t), (n, t)) for u, _, n, t in queries])
+        assert any(t == 0.0 for _, t in keys)
+        assert 0 in [len(store.recent_neighbors(node, t, cfg.n_max)) for node, t in keys]
+        encoders = {name: params.tensors[name] for name in ENCODERS}
+
+        def f(values):
+            tape = values["enc.time"].tape
+            rest = {k: tape.constant(v) for k, v in params.tensors.items()
+                    if k not in values}
+            return md.batch_loss(md.BoundModel(cfg, {**rest, **values}), store, queries)
+
+        report = nc.grad_check(f, encoders, h=1e-5)
+        assert report.max_rel_error <= 1e-4, report.max_rel_error
+
+
+def per_sequence_reprs(bound, store, keys, tables=None):
     """Drop-in for ``model._batched_reprs`` that runs ``node_repr_value``, the
     per-sequence path, once per key."""
     return nc.concat_rows([md.node_repr_value(bound, store, node, t) for node, t in keys])
@@ -401,9 +518,9 @@ def count_batched_calls(monkeypatch):
     calls = []
     real = md._batched_reprs
 
-    def spy(bound, store, keys):
+    def spy(bound, store, keys, tables=None):
         calls.append(len(keys))
-        return real(bound, store, keys)
+        return real(bound, store, keys, tables)
 
     monkeypatch.setattr(md, "_batched_reprs", spy)
     return calls

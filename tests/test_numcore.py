@@ -156,6 +156,25 @@ class TestBackward:
         nc.backward(tape, nc.sum_all(picked))
         np.testing.assert_array_equal(a.grad, [[1, 1], [0, 0], [2, 2]])
 
+    def test_gather_rows_backward_sums_in_index_order(self):
+        # bit for bit the sequential scatter-add of np.add.at, repeats included
+        rng = np.random.default_rng(0)
+        idx = rng.integers(0, 7, size=500)
+        g = rng.normal(size=(500, 5)) * 10.0 ** rng.integers(-8, 8, size=(500, 1))
+
+        class StepTape(nc.Tape):
+            def record(self, step):
+                self.last_step = step
+
+        tape = StepTape()
+        a = tape.leaf(np.zeros((9, 5)))
+        picked = nc.gather_rows(a, idx)
+        picked.grad = g
+        tape.last_step()
+        want = np.zeros((9, 5))
+        np.add.at(want, idx, g)
+        assert np.array_equal(a.grad, want)
+
     def test_mean_rows_blocks_skips_padding(self):
         tape = nc.Tape()
         a = tape.leaf([[9.0], [2.0], [4.0], [1.0], [3.0], [5.0]])

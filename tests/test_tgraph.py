@@ -7,6 +7,9 @@ import pytest
 
 from tempomix import tgraph as tg
 
+# users 0-2 and items 0-1, numbered separately as in JODIE-format files
+OVERLAPPING_IDS = os.path.join(os.path.dirname(__file__), "data", "overlapping_ids.csv")
+
 
 def make_stream(events, node_count=None, edge_dim=0):
     src = [e[0] for e in events]
@@ -77,10 +80,25 @@ class TestIngest:
         np.testing.assert_array_equal(again.labels, stream.labels)
         assert again.node_count == stream.node_count
 
+    def test_bipartite_keeps_user_and_item_ids_apart(self):
+        stream = tg.ingest_csv(OVERLAPPING_IDS, bipartite=True)
+        assert stream.node_count == 3 + 2
+        # one counter in order of first appearance: u0, i0, u1, i1, u2
+        np.testing.assert_array_equal(stream.src, [0, 2, 0, 4, 2])
+        np.testing.assert_array_equal(stream.dst, [1, 1, 3, 3, 1])
+        assert not set(stream.src) & set(stream.dst)
+
+    def test_shared_namespace_is_the_default(self):
+        stream = tg.ingest_csv(OVERLAPPING_IDS)
+        assert stream.node_count == 3
+        np.testing.assert_array_equal(stream.src, [0, 1, 0, 2, 1])
+        np.testing.assert_array_equal(stream.dst, [0, 0, 1, 1, 0])
+
     @pytest.mark.skipif(not os.path.exists(os.environ.get("TEMPOMIX_WIKIPEDIA", "data/wikipedia.csv")),
                         reason="Wikipedia interaction file not present")
     def test_wikipedia_counts(self):
-        stream = tg.ingest_csv(os.environ.get("TEMPOMIX_WIKIPEDIA", "data/wikipedia.csv"))
+        stream = tg.ingest_csv(os.environ.get("TEMPOMIX_WIKIPEDIA", "data/wikipedia.csv"),
+                               bipartite=True)
         assert stream.node_count == 9227
         assert len(stream) == 157474
         assert stream.edge_dim == 172
