@@ -302,33 +302,25 @@ def cmd_ablate(args) -> int:
 
 def _bench_forward(mixer: str, n: int, dim: int, kernel: int,
                    rng: np.random.Generator):
-    """One mixer forward on fresh constants; returns (tape_flops, wall_ns)."""
-    h = rng.normal(size=(n, dim))
-    times = np.arange(float(n))
+    """One token-mixer forward on fresh constants; returns (tape_flops, wall_ns)."""
     tape = nc.Tape()
-    tokens = tape.constant(h)
+    tokens = tape.constant(rng.normal(size=(n, dim)))
     if mixer == "adaptive":
-        order = tape.constant(np.zeros((1, kernel)))
-        start = time.perf_counter_ns()
-        mx.adaptive_mix(tokens, times, np.arange(kernel), order, 0.5)
+        layer = mx.AdaptiveLayer(np.arange(kernel), tape.constant(np.zeros((1, kernel))), 0.5)
     elif mixer == "pooling":
-        start = time.perf_counter_ns()
-        mx.pooling_mix(tokens, kernel)
+        layer = mx.PoolingLayer(window=kernel)
     elif mixer == "mlp":
         hidden = int(np.ceil(md.MLP_TOKEN_RATIO * n))
-        params = mx.MlpLayer(tape.constant(rng.normal(size=(hidden, n))),
-                             tape.constant(np.zeros((hidden, 1))),
-                             tape.constant(rng.normal(size=(n, hidden))),
-                             tape.constant(np.zeros((n, 1))))
-        start = time.perf_counter_ns()
-        mx.mlp_mix(tokens, params)
-    elif mixer == "attention":
-        params = mx.AttentionLayer(*(tape.constant(rng.normal(size=(dim, dim)))
-                                     for _ in range(4)))
-        start = time.perf_counter_ns()
-        mx.attention_mix(tokens, params)
+        layer = mx.MlpLayer(tape.constant(rng.normal(size=(hidden, n))),
+                            tape.constant(np.zeros((hidden, 1))),
+                            tape.constant(rng.normal(size=(n, hidden))),
+                            tape.constant(np.zeros((n, 1))))
     else:
-        raise UsageError(f"unknown mixer {mixer!r}")
+        layer = mx.AttentionLayer(*(tape.constant(rng.normal(size=(dim, dim)))
+                                    for _ in range(4)))
+    times = np.arange(float(n))
+    start = time.perf_counter_ns()
+    mx.token_mix(tokens, times, layer)
     return tape.flops, time.perf_counter_ns() - start
 
 
@@ -350,6 +342,9 @@ def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0) -> dict:
         raise UsageError("sequence lengths must be ascending")
     if repeats < 1:
         raise UsageError("repeats must be at least 1")
+    unknown = [m for m in mixer_kinds if m not in md.MIXERS]
+    if unknown:
+        raise UsageError(f"unknown mixers {unknown}; choose from {md.MIXERS}")
     rng = np.random.default_rng(seed)
     out = {}
     for mixer in mixer_kinds:

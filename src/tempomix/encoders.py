@@ -16,7 +16,7 @@ from . import numcore as nc
 from .numcore import ConfigError, ContractError, Value
 from .tgraph import EventStream, NeighborSequence
 
-__all__ = ["EncoderParams", "time_encode", "time_encode_rows", "embed_neighbors"]
+__all__ = ["EncoderParams", "time_encode_rows", "embed_neighbors"]
 
 
 def _frequencies(time_dim: int) -> np.ndarray:
@@ -24,15 +24,9 @@ def _frequencies(time_dim: int) -> np.ndarray:
     return 10.0 ** (-4.0 * np.arange(time_dim) / time_dim)
 
 
-def time_encode(dt: float, time_dim: int) -> np.ndarray:
-    """cos(w_k * dt) for a fixed geometric frequency bank, k = 0..time_dim-1."""
-    if dt < 0:
-        raise ContractError(f"time gap must be non-negative, got {dt}")
-    return np.cos(_frequencies(time_dim) * dt)
-
-
 def time_encode_rows(dts: np.ndarray, time_dim: int) -> np.ndarray:
-    """Row-stacked time encodings for a vector of gaps."""
+    """Row-stacked time encodings for a vector of gaps: row i is
+    cos(w_k * dts[i]) for a fixed geometric frequency bank, k = 0..time_dim-1."""
     dts = np.asarray(dts, dtype=np.float64)
     if np.any(dts < 0):
         raise ContractError("time gaps must be non-negative")

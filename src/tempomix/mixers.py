@@ -5,16 +5,17 @@ attention), the hierarchical offset schedule that widens the lookback window
 with depth, and the per-token channel mixer. All layer functions are pure:
 they read bound parameter Values and return a new Value.
 
-The model runs every mixer on a padded batch: R sequences of n rows stacked
-into one (R*n) x d matrix, each left-padded. The adaptive mixer and
-attention have batched kernels (:func:`adaptive_mix_batched`,
-:func:`attention_mix_batched`); pooling is the adaptive kernel with flat
-order weights, and :func:`mlp_mix` runs on the blocks side by side
-(``numcore.blocks_to_cols``). The single-sequence functions
-(:func:`adaptive_mix`, :func:`pooling_mix`, :func:`attention_mix` and
-:func:`token_block`) serve the per-sequence reference path,
-``model.node_repr``; :func:`adaptive_mix` and :func:`attention_mix` are
-single-block calls of the batched kernels.
+Every mixer runs through one dispatch, :func:`token_mix`, and every layer
+is one :func:`token_block` (residual around the token mixer, then the
+channel mixer). Training and scoring run them on a padded batch: R sequences
+of n rows stacked into one (R*n) x d matrix, each left-padded. The reference
+path ``model.node_repr`` runs them on one sequence, and ``tempomix bench``
+times :func:`token_mix`, so it measures the kernels that training runs.
+The adaptive mixer and attention have batched kernels
+(:func:`adaptive_mix_batched`, :func:`attention_mix_batched`; their
+single-sequence calls are :func:`adaptive_mix` and :func:`attention_mix`);
+pooling is the adaptive kernel with flat order weights, and :func:`mlp_mix`
+runs on the blocks side by side (``numcore.blocks_to_cols``).
 
 The adaptive mixer, attention and the channel mixer are fused
 differentiable operations: their backward passes are derived analytically
@@ -41,11 +42,11 @@ __all__ = [
     "ChannelParams",
     "adaptive_mix",
     "adaptive_mix_batched",
-    "pooling_mix",
     "mlp_mix",
     "attention_mix",
     "attention_mix_batched",
     "channel_mix",
+    "token_mix",
     "token_block",
 ]
 
@@ -98,6 +99,10 @@ class AdaptiveLayer:
 @dataclass
 class PoolingLayer:
     window: int
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ContractError(f"pooling window must be >= 1, got {self.window}")
 
 
 @dataclass
@@ -229,34 +234,6 @@ def adaptive_mix_batched(tokens: Value, times, pad_lens, offsets,
                 if need_fuse:
                     dfuse = float((dalpha * (order_w - theta)).sum())
                     nc.accumulate_grad(fusion, np.array([[dfuse]]))
-        tape.record(back)
-    return out
-
-
-def pooling_mix(tokens: Value, window: int) -> Value:
-    """Mean over the most recent ``window`` tokens, truncated at the start."""
-    window = int(window)
-    if window < 1:
-        raise ContractError(f"pooling window must be >= 1, got {window}")
-    h = tokens.data
-    n, d = h.shape
-    tape = tokens.tape
-    cs = np.vstack([np.zeros((1, d)), np.cumsum(h, axis=0)])
-    hi = np.arange(1, n + 1)
-    lo = np.maximum(0, hi - window)
-    counts = (hi - lo).astype(np.float64)[:, None]
-    out_data = (cs[hi] - cs[lo]) / counts
-    tape.flops += 4 * n * d
-    out = Value(out_data, tape, tokens.want_grad)
-    if out.want_grad:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            a = g / counts
-            cs_a = np.vstack([np.zeros((1, d)), np.cumsum(a, axis=0)])
-            j = np.arange(n)
-            nc.accumulate_grad(tokens, cs_a[np.minimum(n, j + window)] - cs_a[j])
         tape.record(back)
     return out
 
@@ -433,20 +410,43 @@ def channel_mix(h: Value, params: ChannelParams, activation: str = "gelu",
 MixerLayer = Union[AdaptiveLayer, PoolingLayer, MlpLayer, AttentionLayer]
 
 
+def token_mix(tokens: Value, times, mixer: MixerLayer, activation: str = "gelu",
+              pad_lens=None) -> Value:
+    """One layer's token mixer: the one place a mixer kind meets its kernel.
+
+    ``times`` of shape (n,) is one sequence of n token rows. Shape (R, n) is
+    R blocks of n rows stacked into an (R*n) x d matrix, block r's first
+    ``pad_lens[r]`` rows padding (none by default); each block's real rows
+    match the mixer run on them alone.
+    """
+    times = np.atleast_2d(np.asarray(times, dtype=np.float64))
+    if pad_lens is None:
+        pad_lens = np.zeros(len(times), dtype=np.int64)
+    if isinstance(mixer, AdaptiveLayer):
+        return adaptive_mix_batched(tokens, times, pad_lens, mixer.offsets,
+                                    mixer.order_logits, mixer.fusion)
+    if isinstance(mixer, PoolingLayer):
+        # flat order logits at fusion 1 weigh the valid part of the window
+        # uniformly: the truncated mean
+        flat = tokens.tape.constant(np.zeros((1, mixer.window)))
+        return adaptive_mix_batched(tokens, times, pad_lens, np.arange(mixer.window),
+                                    flat, 1.0)
+    if isinstance(mixer, AttentionLayer):
+        return attention_mix_batched(tokens, pad_lens, mixer)
+    if isinstance(mixer, MlpLayer):
+        # the token-axis MLP sees every block as n rows; side by side, all
+        # blocks go through one pair of matmuls
+        side_by_side = nc.blocks_to_cols(tokens, times.shape[1])
+        return nc.cols_to_blocks(mlp_mix(side_by_side, mixer, activation),
+                                 tokens.data.shape[1])
+    raise ConfigError(f"unknown mixer layer type {type(mixer).__name__}")
+
+
 def token_block(tokens: Value, times, mixer: MixerLayer, channel: ChannelParams,
                 activation: str = "gelu", residual: bool = True,
-                use_channel_mixer: bool = True) -> Value:
-    """One full block: residual around the token mixer, then the channel mixer."""
-    if isinstance(mixer, AdaptiveLayer):
-        mixed = adaptive_mix(tokens, times, mixer.offsets, mixer.order_logits, mixer.fusion)
-    elif isinstance(mixer, PoolingLayer):
-        mixed = pooling_mix(tokens, mixer.window)
-    elif isinstance(mixer, MlpLayer):
-        mixed = mlp_mix(tokens, mixer, activation)
-    elif isinstance(mixer, AttentionLayer):
-        mixed = attention_mix(tokens, mixer)
-    else:
-        raise ConfigError(f"unknown mixer layer type {type(mixer).__name__}")
+                use_channel_mixer: bool = True, pad_lens=None) -> Value:
+    """One full block: residual around :func:`token_mix`, then the channel mixer."""
+    mixed = token_mix(tokens, times, mixer, activation, pad_lens)
     h = nc.add(tokens, mixed) if residual else mixed
     if use_channel_mixer:
         h = channel_mix(h, channel, activation, residual)

@@ -343,11 +343,11 @@ def _batched_reprs(bound: BoundModel, store: TemporalStore,
     mixer: each key's window is left-padded to n_max and the whole batch
     flows through stacked (R*n_max) x dim tensors. Tokens are gathered from
     projected lookup tables (:func:`_input_tables`): ``tables`` built over a
-    superset of these keys, or by default tables of these keys alone. Only
-    the token-mixer call depends on the mixer kind (see :func:`_mix_blocks`);
-    each block's real rows match the per-sequence path
-    (:func:`node_repr_value`). The readout averages the real rows, except for
-    the MLP, whose per-sequence input is padded to n_max and averaged whole.
+    superset of these keys, or by default tables of these keys alone. Each
+    layer is the block body of the per-sequence path (:func:`node_repr_value`),
+    ``mixers.token_block``, run on all blocks at once; each block's real rows
+    match that path. The readout averages the real rows, except for the MLP,
+    whose per-sequence input is padded to n_max and averaged whole.
     """
     cfg = bound.config
     n = cfg.n_max
@@ -365,37 +365,13 @@ def _batched_reprs(bound: BoundModel, store: TemporalStore,
         tables = _input_tables(_distinct(kinds))
     tokens = _window_tokens(kinds, tables, valid)
     for mixer, channel in bound.layers:
-        mixed = _mix_blocks(mixer, tokens, times, pads, cfg.activation)
-        h = mixed if cfg.no_resnet else nc.add(tokens, mixed)
-        if cfg.no_cm:
-            tokens = h
-        else:
-            tokens = mx.channel_mix(h, channel, cfg.activation,
-                                    residual=not cfg.no_resnet)
+        tokens = mx.token_block(tokens, times, mixer, channel,
+                                activation=cfg.activation,
+                                residual=not cfg.no_resnet,
+                                use_channel_mixer=not cfg.no_cm, pad_lens=pads)
     if cfg.mixer == "mlp":
         pads = np.zeros_like(pads)
     return nc.mean_rows_blocks(tokens, n, pads)
-
-
-def _mix_blocks(mixer: mx.MixerLayer, tokens: Value, times: np.ndarray,
-                pads: np.ndarray, activation: str) -> Value:
-    """One layer's token mixer over R blocks of n_max rows, padding first."""
-    if isinstance(mixer, mx.AdaptiveLayer):
-        return mx.adaptive_mix_batched(tokens, times, pads, mixer.offsets,
-                                       mixer.order_logits, mixer.fusion)
-    if isinstance(mixer, mx.PoolingLayer):
-        # flat order logits at fusion 1 weigh the valid part of the window
-        # uniformly: the truncated mean
-        flat = tokens.tape.constant(np.zeros((1, mixer.window)))
-        return mx.adaptive_mix_batched(tokens, times, pads, np.arange(mixer.window),
-                                       flat, 1.0)
-    if isinstance(mixer, mx.AttentionLayer):
-        return mx.attention_mix_batched(tokens, pads, mixer)
-    # the token-axis MLP sees every block as n_max rows; side by side, all
-    # blocks go through one pair of matmuls
-    width = tokens.data.shape[1]
-    side_by_side = nc.blocks_to_cols(tokens, times.shape[1])
-    return nc.cols_to_blocks(mx.mlp_mix(side_by_side, mixer, activation), width)
 
 
 def _key_index(endpoint_pairs: Sequence[tuple[tuple[int, float], tuple[int, float]]]
@@ -463,19 +439,9 @@ def score_pairs(params: ModelParams, store: TemporalStore,
 
 def effective_fusions(params: ModelParams) -> list[float]:
     """Per-layer order/recency fusion coefficient actually used in forward."""
-    cfg = params.config
-    if cfg.mixer != "adaptive":
-        return []
-    out = []
-    for i in range(cfg.num_layers):
-        if cfg.no_lp:
-            out.append(0.0)
-        elif cfg.no_rt:
-            out.append(1.0)
-        else:
-            raw = float(params.tensors[f"layer{i}.fuse"][0, 0])
-            out.append(float(nc._stable_sigmoid(np.array([[raw]]))[0, 0]))
-    return out
+    fusions = [mixer.fusion for mixer, _ in bind(params, Tape(), trainable=False).layers
+               if isinstance(mixer, mx.AdaptiveLayer)]
+    return [float(f.data[0, 0]) if isinstance(f, Value) else float(f) for f in fusions]
 
 
 CHECKPOINT_VERSION = 1

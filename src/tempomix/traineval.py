@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -126,11 +125,10 @@ def auc_roc(scores, labels) -> float:
 
 
 def evaluate(params: md.ModelParams, split: tg.EventStream, store: tg.TemporalStore,
-             candidates: np.ndarray, seed, scorer: Callable | None = None):
+             candidates: np.ndarray, seed):
     """AP and AUC-ROC over the split's positives plus seeded 1:1 negatives.
 
     Negatives keep the source node and draw a uniform different destination.
-    ``scorer(u, v, t)`` overrides the model (used by oracle tests).
     """
     if len(split) == 0:
         raise ProtocolError("cannot evaluate an empty split")
@@ -139,10 +137,7 @@ def evaluate(params: md.ModelParams, split: tg.EventStream, store: tg.TemporalSt
     for u, v, neg, t in _queries(split, 0, len(split), rng, candidates):
         pairs.append((u, v, t))
         pairs.append((u, neg, t))
-    if scorer is None:
-        scores = md.score_pairs(params, store, pairs)
-    else:
-        scores = np.array([scorer(u, v, t) for u, v, t in pairs])
+    scores = md.score_pairs(params, store, pairs)
     labels = np.tile([1.0, 0.0], len(split))
     return average_precision(scores, labels), auc_roc(scores, labels)
 

@@ -192,6 +192,26 @@ class TestBenchCommand:
         rc = main(["bench", "--lengths", "64,128", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_pooling_measures_the_adaptive_kernel(self, tmp_path):
+        rc = main(["bench", "--lengths", "64,256,1024", "--repeats", "1",
+                   "--mixers", "adaptive,pooling", "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "bench.json").read_text())
+        ops = {m: [p["ops"] for p in doc[m]["points"]] for m in ("adaptive", "pooling")}
+        assert ops["pooling"] == ops["adaptive"]
+        assert doc["pooling"]["ops_slope"] <= 1.05
+
+    def test_unknown_mixer_fails_before_measuring(self, tmp_path, capsys, monkeypatch):
+        def measured(*args):
+            raise AssertionError("a mixer was measured")
+
+        monkeypatch.setattr(cli, "_bench_forward", measured)
+        rc = main(["bench", "--lengths", "32,64,128", "--repeats", "1",
+                   "--mixers", "adaptive,bogus", "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "bench.csv").exists()
+        assert "bogus" in capsys.readouterr().err
+
 
 class TestIngestCommand:
     def test_summary_line(self, tmp_path, capsys):

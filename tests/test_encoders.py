@@ -19,20 +19,20 @@ def bind(tape, node_dim, edge_dim, time_dim, dim, fill="zero"):
 
 class TestTimeEncode:
     def test_zero_gap_gives_all_ones(self):
-        np.testing.assert_array_equal(enc.time_encode(0.0, 16), np.ones(16))
+        np.testing.assert_array_equal(enc.time_encode_rows([0.0], 16)[0], np.ones(16))
 
     def test_pi_at_unit_frequency(self):
         # leading frequency is 1, so cos(pi * 1) = -1
-        assert enc.time_encode(np.pi, 8)[0] == pytest.approx(-1.0, abs=1e-12)
+        assert enc.time_encode_rows([np.pi], 8)[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_range_bounded_by_one(self):
         rng = np.random.default_rng(0)
         for dt in rng.uniform(0, 1e6, size=50):
-            assert np.max(np.abs(enc.time_encode(dt, 100))) <= 1.0
+            assert np.max(np.abs(enc.time_encode_rows([dt], 100))) <= 1.0
 
     def test_negative_gap_rejected(self):
         with pytest.raises(nc.ContractError):
-            enc.time_encode(-0.5, 4)
+            enc.time_encode_rows([-0.5], 4)
 
     def test_frequencies_strictly_decreasing(self):
         freqs = enc._frequencies(100)

@@ -22,6 +22,23 @@ def run_adaptive(h, times, offsets, logits=None, fusion=0.5, grad=False):
     return mx.adaptive_mix(tokens, times, offsets, order, fusion)
 
 
+def run_pooling(tokens, window):
+    """The shipped pooling path on one sequence: ``token_mix`` with a
+    ``PoolingLayer``."""
+    times = np.arange(float(tokens.data.shape[0]))
+    return mx.token_mix(tokens, times, mx.PoolingLayer(window=window))
+
+
+def reference_pooling_mix(h, window):
+    """Mean over the most recent ``window`` rows of ``h``, truncated at the
+    start, by prefix sums: the oracle for the shipped pooling path."""
+    n, d = h.shape
+    cs = np.vstack([np.zeros((1, d)), np.cumsum(h, axis=0)])
+    hi = np.arange(1, n + 1)
+    lo = np.maximum(0, hi - window)
+    return (cs[hi] - cs[lo]) / (hi - lo)[:, None]
+
+
 def reference_adaptive_mix(tokens, times, offsets, order_logits, fusion):
     """The per-sequence adaptive kernel, one sequence at a time: the oracle for
     ``mixers.adaptive_mix``, the single-block call of the batched kernel."""
@@ -291,28 +308,38 @@ class TestAdaptiveMix:
 class TestPoolingMix:
     def test_truncated_window_means(self):
         tape = nc.Tape()
-        out = mx.pooling_mix(const(tape, [[1.0], [3.0], [5.0]]), 2)
+        out = run_pooling(const(tape, [[1.0], [3.0], [5.0]]), 2)
         np.testing.assert_allclose(out.data, [[1.0], [2.0], [4.0]])
 
     def test_window_one_is_identity(self):
         rng = np.random.default_rng(6)
         h = rng.normal(size=(4, 3))
         tape = nc.Tape()
-        np.testing.assert_allclose(mx.pooling_mix(const(tape, h), 1).data, h)
+        np.testing.assert_allclose(run_pooling(const(tape, h), 1).data, h)
 
     def test_window_covering_everything_is_running_mean(self):
         tape = nc.Tape()
         h = np.array([[2.0], [4.0], [9.0]])
-        out = mx.pooling_mix(const(tape, h), 10)
+        out = run_pooling(const(tape, h), 10)
         np.testing.assert_allclose(out.data, [[2.0], [3.0], [5.0]])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         report = nc.grad_check(
-            lambda p: nc.sum_all(nc.gelu(mx.pooling_mix(p["h"], 3))),
+            lambda p: nc.sum_all(nc.gelu(run_pooling(p["h"], 3))),
             {"h": rng.normal(size=(6, 2))}, h=1e-5)
         assert report.max_rel_error <= 1e-4
 
+    def test_matches_the_prefix_sum_oracle(self):
+        rng = np.random.default_rng(39)
+        h = rng.normal(size=(7, 3))
+        for window in (1, 2, 5, 7, 9):
+            out = run_pooling(nc.Tape().constant(h), window).data
+            np.testing.assert_allclose(out, reference_pooling_mix(h, window), atol=1e-14)
+
+    def test_window_below_one_rejected(self):
+        with pytest.raises(nc.ContractError):
+            mx.PoolingLayer(window=0)
 
     def test_flat_adaptive_weights_at_fusion_one_give_the_truncated_mean(self):
         rng = np.random.default_rng(37)
@@ -325,8 +352,8 @@ class TestPoolingMix:
         out = mx.adaptive_mix_batched(tape.constant(h), times, pads, np.arange(window),
                                       flat, 1.0).data.reshape(3, n, d)
         for b, pad in enumerate(pads):
-            rows = const(tape, h.reshape(3, n, d)[b, pad:])
-            np.testing.assert_allclose(out[b, pad:], mx.pooling_mix(rows, window).data,
+            rows = h.reshape(3, n, d)[b, pad:]
+            np.testing.assert_allclose(out[b, pad:], reference_pooling_mix(rows, window),
                                        atol=1e-14)
 
 
@@ -405,8 +432,8 @@ class TestAttentionMix:
         swapped = run_adaptive(h[perm], times, [0, 1], fusion=0.0).data
         assert not np.allclose(swapped, base[perm])
         tape2 = nc.Tape()
-        pool_a = mx.pooling_mix(const(tape2, h), 2).data
-        pool_b = mx.pooling_mix(const(tape2, h[perm]), 2).data
+        pool_a = run_pooling(const(tape2, h), 2).data
+        pool_b = run_pooling(const(tape2, h[perm]), 2).data
         assert not np.allclose(pool_b, pool_a[perm])
 
 
@@ -652,6 +679,13 @@ class TestFusedChannelMix:
             mx.channel_mix(const(tape, np.ones((2, 3))), params, activation="tanh")
 
 
+class TestTokenMix:
+    def test_unknown_layer_type_rejected(self):
+        tape = nc.Tape()
+        with pytest.raises(nc.ConfigError):
+            mx.token_mix(const(tape, np.ones((3, 2))), np.arange(3.0), zero_channel(tape, 2))
+
+
 class TestTokenBlock:
     def test_identity_mixer_with_zero_ffn_doubles_input(self):
         rng = np.random.default_rng(13)
@@ -671,8 +705,7 @@ class TestTokenBlock:
         mixer = mx.PoolingLayer(window=2)
         out = mx.token_block(tokens, np.arange(4.0), mixer, zero_channel(tape, 2),
                              use_channel_mixer=False)
-        pooled = mx.pooling_mix(const(tape, h), 2).data
-        np.testing.assert_allclose(out.data, h + pooled)
+        np.testing.assert_allclose(out.data, h + reference_pooling_mix(h, 2))
 
     def test_no_residual_no_channel_mixer_returns_pure_mix(self):
         rng = np.random.default_rng(15)
@@ -680,7 +713,7 @@ class TestTokenBlock:
         tape = nc.Tape()
         out = mx.token_block(const(tape, h), np.arange(4.0), mx.PoolingLayer(window=2),
                              zero_channel(tape, 2), residual=False, use_channel_mixer=False)
-        np.testing.assert_allclose(out.data, mx.pooling_mix(const(tape, h), 2).data)
+        np.testing.assert_allclose(out.data, reference_pooling_mix(h, 2))
 
 
 class TestReceptiveField:

@@ -497,7 +497,7 @@ class TestPadInvariance:
 
         def mix(tokens):
             tape_tokens = bound.tape.constant(tokens.reshape(-1, d))
-            out = md._mix_blocks(mixer_layer, tape_tokens, times, pads, cfg.activation)
+            out = mx.token_mix(tape_tokens, times, mixer_layer, cfg.activation, pads)
             return out.data.reshape(len(pads), n, d)
 
         base = mix(h)

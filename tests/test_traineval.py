@@ -141,15 +141,16 @@ class TestEvaluate:
         assert ap == pytest.approx(0.5, abs=0.05)
         assert auc == pytest.approx(0.5, abs=0.05)
 
-    def test_oracle_scorer_reaches_one(self):
+    def test_oracle_scorer_reaches_one(self, monkeypatch):
         stream, cfg = tiny_setup(n_events=200)
         params = md.init_params(cfg, stream.node_dim, stream.edge_dim, seed=5)
         store = tg.TemporalStore(stream)
         split = stream.slice(100, 200)
         truth = {(int(split.src[i]), int(split.dst[i]), float(split.t[i]))
                  for i in range(len(split))}
-        ap, auc = te.evaluate(params, split, store, stream.destinations(), seed=6,
-                              scorer=lambda u, v, t: 1.0 if (u, v, t) in truth else 0.0)
+        monkeypatch.setattr(md, "score_pairs", lambda params, store, pairs: np.array(
+            [1.0 if pair in truth else 0.0 for pair in pairs]))
+        ap, auc = te.evaluate(params, split, store, stream.destinations(), seed=6)
         assert ap == 1.0
         assert auc == 1.0
 
