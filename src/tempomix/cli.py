@@ -56,10 +56,14 @@ USAGE_ERRORS = (
 # step frees its activations after the backward pass; with glibc's defaults
 # the freed heap top is trimmed and large arrays are unmapped, so the next
 # step faults the same memory back in page by page. 32 MiB is the largest
-# mmap threshold glibc accepts on 64-bit.
+# mmap threshold glibc accepts on 64-bit. One arena keeps the channel mixer's
+# row worker thread (``numcore._row_passes``) allocating from the main heap
+# instead of growing a second one of its own.
 M_MMAP_THRESHOLD = 32 * 2**20
 M_TRIM_THRESHOLD = 128 * 2**20
-_MALLOPT_PARAMS = ((-3, M_MMAP_THRESHOLD), (-1, M_TRIM_THRESHOLD))  # malloc.h numbers
+M_ARENA_MAX = 1
+_MALLOPT_PARAMS = ((-3, M_MMAP_THRESHOLD), (-1, M_TRIM_THRESHOLD),  # malloc.h numbers
+                   (-8, M_ARENA_MAX))
 
 
 def _libc():
@@ -70,7 +74,7 @@ def _libc():
 
 @functools.cache
 def _keep_freed_heap() -> None:
-    """Set the glibc thresholds above; without glibc's ``mallopt``, nothing."""
+    """Set the glibc settings above; without glibc's ``mallopt``, nothing."""
     try:
         mallopt = _libc().mallopt
     except (OSError, AttributeError):
@@ -306,7 +310,8 @@ def _bench_forward(mixer: str, n: int, dim: int, kernel: int,
     tape = nc.Tape()
     tokens = tape.constant(rng.normal(size=(n, dim)))
     if mixer == "adaptive":
-        layer = mx.AdaptiveLayer(np.arange(kernel), tape.constant(np.zeros((1, kernel))), 0.5)
+        offsets = np.arange(kernel)
+        layer = mx.AdaptiveLayer(offsets, tape.constant(np.zeros((1, offsets.size))), 0.5)
     elif mixer == "pooling":
         layer = mx.PoolingLayer(window=kernel)
     elif mixer == "mlp":

@@ -174,6 +174,8 @@ def adaptive_mix_batched(tokens: Value, times, pad_lens, offsets,
         raise ContractError("token times must be non-decreasing within each block")
     offsets = np.asarray(offsets, dtype=np.int64)
     k = len(offsets)
+    if k == 0:
+        raise ContractError("adaptive mixing needs at least one offset")
     if order_logits.data.shape != (1, k):
         raise ShapeError(
             f"order logits shape {order_logits.data.shape} does not match {k} offsets")
@@ -339,6 +341,12 @@ def channel_mix(h: Value, params: ChannelParams, activation: str = "gelu",
     so output, gradients and flop tally match it bit for bit. The backward
     reuses the forward's LayerNorm statistics, pre-activation and GELU cdf;
     without gradients nothing is kept.
+
+    The per-row passes after the LayerNorm (in the backward, ``g @ W2.T`` and
+    the activation gradient) run over row chunks on two cores
+    (``numcore._row_passes``). The weight- and bias-gradient reductions,
+    ``gpre @ W1.T`` and the LayerNorm backward run whole, so every sum keeps
+    its order.
     """
     if activation not in ("gelu", "relu"):
         raise ConfigError(f"unknown activation {activation!r}")
@@ -358,20 +366,32 @@ def channel_mix(h: Value, params: ChannelParams, activation: str = "gelu",
                    + (2 if residual else 1) * m * d_out)
 
     want = any(v.want_grad for v in inputs)
-    z, xn, inv_std = nc._layer_norm(h.data, p.ln_gain.data, p.ln_bias.data)
-    pre = z @ p.w1.data
-    pre += p.b1.data
-    if activation == "gelu":
-        cdf = nc._gelu_cdf(pre)
-        act = np.multiply(pre, cdf, out=None if want else cdf)
-    else:
-        act = nc._relu(pre, out=None if want else pre)
-    if not want:
-        pre = cdf = None  # only act stays alive through the W2 matmul
-    f = act @ p.w2.data
-    f += p.b2.data
-    if residual:
-        f += h.data
+    x, gain, bias = h.data, p.ln_gain.data, p.ln_bias.data
+    w1, b1, w2, b2 = p.w1.data, p.b1.data, p.w2.data, p.b2.data
+    gelu = activation == "gelu"
+    # LayerNorm runs whole: split, its many small row-statistics calls would
+    # mostly pass the GIL back and forth between the two threads
+    z, xn, inv_std = nc._layer_norm(x, gain, bias)
+    f = np.empty((m, d_out))
+    if want:  # what the backward reads, filled rows by rows
+        pre, act = np.empty((m, hidden)), np.empty((m, hidden))
+        cdf = np.empty((m, hidden)) if gelu else None
+
+    def forward_rows(lo, hi):
+        rows = slice(lo, hi)
+        pre_r = np.matmul(z[rows], w1, out=pre[rows] if want else None)
+        pre_r += b1
+        if gelu:
+            cdf_r = nc._gelu_cdf(pre_r, out=cdf[rows] if want else None)
+            act_r = np.multiply(pre_r, cdf_r, out=act[rows] if want else cdf_r)
+        else:
+            act_r = nc._relu(pre_r, out=act[rows] if want else pre_r)
+        f_r = np.matmul(act_r, w2, out=f[rows])
+        f_r += b2
+        if residual:
+            f_r += x[rows]
+
+    nc._row_passes(m, forward_rows)
     out = Value(f, tape, want)
     if not want:
         return out
@@ -384,21 +404,25 @@ def channel_mix(h: Value, params: ChannelParams, activation: str = "gelu",
             nc.accumulate_grad(h, g)
         if p.b2.want_grad:
             nc.accumulate_grad(p.b2, g.sum(axis=0, keepdims=True))
-        need_pre = any(v.want_grad for v in inputs[:5])
-        gact = g @ p.w2.data.T if need_pre else None
         if p.w2.want_grad:
             nc.accumulate_grad(p.w2, act.T @ g)
-        if not need_pre:
+        if not any(v.want_grad for v in inputs[:5]):
             return
-        # the step runs once: the forward's buffers serve as scratch
-        if activation == "gelu":
-            gpre = nc._gelu_grad(gact, pre, cdf, out=act)
-        else:
-            gpre = nc._relu_grad(gact, pre, out=gact)
+
+        def backward_rows(lo, hi):  # the step runs once: act becomes gpre
+            rows = slice(lo, hi)
+            gact = g[rows] @ w2.T
+            if gelu:
+                nc._gelu_grad(gact, pre[rows], cdf[rows], out=act[rows])
+            else:
+                nc._relu_grad(gact, pre[rows], out=act[rows])
+
+        nc._row_passes(m, backward_rows)
+        gpre = act
         if p.b1.want_grad:
             nc.accumulate_grad(p.b1, gpre.sum(axis=0, keepdims=True))
         need_z = h.want_grad or p.ln_gain.want_grad or p.ln_bias.want_grad
-        gz = gpre @ p.w1.data.T if need_z else None
+        gz = gpre @ w1.T if need_z else None
         if p.w1.want_grad:
             nc.accumulate_grad(p.w1, z.T @ gpre)
         if need_z:

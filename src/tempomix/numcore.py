@@ -12,7 +12,12 @@ work can be compared across algorithms in a machine-independent way.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -350,9 +355,9 @@ def layer_norm_rows(a: Value, gain: Value, bias: Value) -> Value:
     return out
 
 
-def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+def _gelu_cdf(x: np.ndarray, out=None) -> np.ndarray:
     """The exact GELU gate: the standard normal CDF of ``x``, via erf."""
-    cdf = np.multiply(x, _INV_SQRT2)
+    cdf = np.multiply(x, _INV_SQRT2, out=out)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
@@ -379,6 +384,101 @@ def _relu(x: np.ndarray, out=None) -> np.ndarray:
 def _relu_grad(g: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     """``g`` times ReLU'(x); ``out`` may be ``g`` itself."""
     return np.multiply(g, x > 0.0, out=out)
+
+
+# Row passes: per-row work split into chunks of rows that the calling thread
+# and one persistent worker take in turn. numpy and scipy release the GIL
+# inside large array operations, so the two threads run on two cores. A
+# chunk's rows are bit-identical to the whole pass, since a GEMM that is
+# split only by output rows keeps each row's sum over K; chunks never fall
+# below _ROW_CHUNK / 2 rows, well above the few-row shapes (one row: gemv)
+# that OpenBLAS sums in another order. Row functions write shared results
+# only into arrays their caller allocated, and call no public op: a Tape is
+# single-owner.
+_ROW_CHUNK = 512
+_row_worker = None  # made on the first split pass; False where passes run inline
+_row_worker_made = threading.Lock()
+
+
+def _blas_to_one_thread() -> bool:
+    """Hold numpy's bundled OpenBLAS to one thread, so that its spinning
+    threads leave the second core to the row worker; False if not found.
+
+    The whole GEMMs then take OpenBLAS's single-thread path, which blocks the
+    sum over K differently from its threaded one for some K above 512:
+    a weight gradient over that many rows can differ in the last bits from a
+    run with several BLAS threads, and equals one with OPENBLAS_NUM_THREADS=1.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*.so*")):
+        try:
+            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+        return True
+    return False
+
+
+class _RowWorker:
+    def __init__(self):
+        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._busy = threading.Lock()  # one caller at a time; others run inline
+        threading.Thread(target=self._serve, name="tempomix-rows", daemon=True).start()
+
+    def _serve(self):
+        while True:  # between jobs, holds none of a caller's arrays
+            self._done.put(self._job(*self._jobs.get()))
+
+    @staticmethod
+    def _job(fn, chunks) -> BaseException | None:
+        try:
+            for lo, hi in chunks:
+                fn(lo, hi)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run
+            return exc
+        return None
+
+    def run(self, fn, chunks) -> None:
+        """``fn(lo, hi)`` for each chunk of a list iterator, which hands each
+        chunk to one thread; all inline while another caller has the worker."""
+        if not self._busy.acquire(blocking=False):
+            for lo, hi in chunks:
+                fn(lo, hi)
+            return
+        self._jobs.put((fn, chunks))
+        try:
+            for lo, hi in chunks:
+                fn(lo, hi)
+        finally:
+            for _ in chunks:  # after an error here, leave the worker nothing to start
+                pass
+            err = self._done.get()
+            self._busy.release()
+        if err is not None:
+            raise err
+
+
+def _row_passes(m: int, fn: Callable[[int, int], None]) -> None:
+    """Run ``fn(lo, hi)`` over row ranges that cover ``range(m)`` exactly once:
+    ceil(m / _ROW_CHUNK) near-equal chunks shared by the caller and the row
+    worker, or one call ``fn(0, m)`` for at most one chunk or without a worker."""
+    global _row_worker
+    k = -(-m // _ROW_CHUNK)
+    if k >= 2 and _row_worker is None:
+        with _row_worker_made:
+            if _row_worker is None:
+                cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+                _row_worker = cores >= 2 and _blas_to_one_thread() and _RowWorker()
+    if k < 2 or not _row_worker:
+        fn(0, m)
+        return
+    _row_worker.run(fn, iter([(i * m // k, (i + 1) * m // k) for i in range(k)]))
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=lambda: globals().update(_row_worker=None))
 
 
 def gelu(a: Value) -> Value:

@@ -9,6 +9,7 @@ import pytest
 
 from tempomix import cli
 from tempomix import model as md
+from tempomix import numcore as nc
 from tempomix import tgraph as tg
 from tempomix.cli import main
 
@@ -117,8 +118,9 @@ class TestHeapSetting:
         monkeypatch.setattr(cli, "_libc", lambda: libc)
         for _ in range(2):
             assert main(["train", "--dataset", str(tmp_path / "none.csv")]) == 2
-        # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 (malloc.h)
-        assert libc.calls == [(-3, cli.M_MMAP_THRESHOLD), (-1, cli.M_TRIM_THRESHOLD)]
+        # glibc's M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD is -1 and M_ARENA_MAX
+        # is -8 (malloc.h)
+        assert libc.calls == [(-3, cli.M_MMAP_THRESHOLD), (-1, cli.M_TRIM_THRESHOLD), (-8, 1)]
         assert (cli.M_MMAP_THRESHOLD, cli.M_TRIM_THRESHOLD) == (32 * 2**20, 128 * 2**20)
 
     @pytest.mark.parametrize("libc", [no_libc, object])
@@ -128,6 +130,28 @@ class TestHeapSetting:
         cli._keep_freed_heap.cache_clear()
         monkeypatch.setattr(cli, "_libc", libc)
         assert main(["train", *FAST, "--out", str(tmp_path / "b")]) == 0
+        for name in ("checkpoint.json", "loss_curve.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        docs = [json.loads((tmp_path / run / "metrics.json").read_text()) for run in "ab"]
+        assert strip_timing(docs[0]) == strip_timing(docs[1])
+
+
+class TestRowWorker:
+    def test_train_with_worker_off_and_on_writes_identical_artifacts(self, monkeypatch,
+                                                                     tmp_path):
+        rows = []
+        row_passes = nc._row_passes
+
+        def counted(m, fn):
+            rows.append(m)
+            row_passes(m, fn)
+
+        monkeypatch.setattr(nc, "_row_passes", counted)
+        monkeypatch.setattr(nc, "_row_worker", False)
+        assert main(["train", *FAST, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(nc, "_row_worker", nc._RowWorker())
+        assert main(["train", *FAST, "--out", str(tmp_path / "b")]) == 0
+        assert max(rows) > nc._ROW_CHUNK  # the passes were split
         for name in ("checkpoint.json", "loss_curve.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         docs = [json.loads((tmp_path / run / "metrics.json").read_text()) for run in "ab"]
@@ -211,6 +235,15 @@ class TestBenchCommand:
         assert rc == 2
         assert not (tmp_path / "bench.csv").exists()
         assert "bogus" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("kernel", ["0", "-1"])
+    def test_kernel_below_one_is_a_usage_error(self, tmp_path, capsys, kernel):
+        rc = main(["bench", "--lengths", "32,64,128", "--repeats", "1",
+                   "--mixers", "adaptive", "--kernel", kernel, "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "bench.csv").exists()
+        assert "offset" in capsys.readouterr().err
 
 
 class TestIngestCommand:

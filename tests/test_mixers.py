@@ -1,6 +1,10 @@
 """Tests for the token mixers and the hierarchical offset schedule."""
 
 import math
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -120,6 +124,10 @@ class TestOffsetSchedule:
 
 
 class TestAdaptiveMix:
+    def test_empty_offsets_rejected(self):
+        with pytest.raises(nc.ContractError):
+            run_adaptive([[1.0], [2.0]], [0.0, 1.0], [])
+
     def test_time_only_worked_example(self):
         # recency weights at row 2: softmax(-(0, 2, 3)) applied to rows 2,1,0
         out = run_adaptive([[1.0], [2.0], [3.0]], [0.0, 1.0, 3.0], [0, 1, 2], fusion=0.0)
@@ -677,6 +685,146 @@ class TestFusedChannelMix:
             mx.channel_mix(const(tape, np.ones((2, 4))), params)
         with pytest.raises(nc.ConfigError):
             mx.channel_mix(const(tape, np.ones((2, 3))), params, activation="tanh")
+
+
+@pytest.fixture(scope="module")
+def row_worker():
+    """One row worker for the module, made without touching the BLAS threads."""
+    return nc._RowWorker()
+
+
+class TestRowPasses:
+    """The channel mixer's row passes give the same bits with the worker off
+    and on, and the worker is one thread for the life of the process."""
+
+    CHUNK = nc._ROW_CHUNK
+
+    @pytest.mark.parametrize("m", [CHUNK // 2, CHUNK, 3 * CHUNK + 17])
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    @pytest.mark.parametrize("leaves", [TestFusedChannelMix.ALL, ("h",), ("w2", "b2"),
+                                        ("ln_gain", "w1"), ()])
+    def test_worker_off_and_on_agree_bit_for_bit(self, monkeypatch, row_worker, m,
+                                                 activation, residual, leaves):
+        arrays = channel_arrays(np.random.default_rng(54), m=m)
+        runs = []
+        for worker in (False, row_worker):
+            monkeypatch.setattr(nc, "_row_worker", worker)
+            runs.append(run_channel(mx.channel_mix, arrays, activation, residual, leaves))
+        (out, flops, steps, grads), (out_on, flops_on, steps_on, grads_on) = runs
+        assert (flops, steps) == (flops_on, steps_on)
+        np.testing.assert_array_equal(out_on, out)
+        for name in leaves:
+            np.testing.assert_array_equal(grads_on[name], grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("m", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17, 8 * CHUNK - 1])
+    def test_chunks_cover_each_row_once_and_are_never_short(self, monkeypatch, row_worker,
+                                                            m):
+        monkeypatch.setattr(nc, "_row_worker", row_worker)
+        seen = np.zeros(m, dtype=np.int64)
+        spans = []
+
+        def rows(lo, hi):
+            seen[lo:hi] += 1
+            spans.append(hi - lo)
+
+        nc._row_passes(m, rows)
+        assert np.all(seen == 1)
+        if m > self.CHUNK:  # a GEMM over very few rows sums in another order
+            assert self.CHUNK // 2 <= min(spans) and max(spans) <= self.CHUNK
+        else:
+            assert spans == [m]
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, row_worker):
+        monkeypatch.setattr(nc, "_row_worker", row_worker)
+        caller = threading.get_ident()
+        worker_started = threading.Event()
+
+        def rows(lo, hi):
+            if threading.get_ident() == caller:  # hold a chunk until the worker has one
+                assert worker_started.wait(timeout=60)
+                return
+            worker_started.set()
+            raise ArithmeticError(f"rows {lo}:{hi}")
+
+        with pytest.raises(ArithmeticError, match="rows"):
+            nc._row_passes(3 * self.CHUNK, rows)
+        seen = np.zeros(3 * self.CHUNK, dtype=np.int64)  # the worker serves the next call
+
+        def count(lo, hi):
+            seen[lo:hi] += 1
+
+        nc._row_passes(3 * self.CHUNK, count)
+        assert np.all(seen == 1)
+
+    def test_concurrent_callers_each_get_every_row_once(self, monkeypatch, row_worker):
+        monkeypatch.setattr(nc, "_row_worker", row_worker)
+        failures = []
+
+        def caller():
+            for _ in range(20):
+                seen = np.zeros(4 * self.CHUNK + 3, dtype=np.int64)
+
+                def rows(lo, hi):
+                    time.sleep(1e-4)  # a row function that releases the GIL
+                    seen[lo:hi] += 1
+
+                nc._row_passes(seen.size, rows)
+                if not np.all(seen == 1):
+                    failures.append(seen)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+
+    def test_the_worker_keeps_no_array_after_a_call(self, monkeypatch, row_worker):
+        monkeypatch.setattr(nc, "_row_worker", row_worker)
+        out = np.zeros(4 * self.CHUNK)
+
+        def rows(lo, hi, out=out):  # a default: "del out" would empty a closure cell
+            out[lo:hi] = 1.0
+
+        nc._row_passes(out.size, rows)
+        alive = weakref.ref(out)
+        del out, rows
+        assert alive() is None
+
+    def test_the_worker_is_made_once_not_per_call(self, monkeypatch):
+        monkeypatch.setattr(nc, "_row_worker", None)
+        monkeypatch.setattr(nc, "_blas_to_one_thread", lambda: True)
+        monkeypatch.setattr(nc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        arrays = channel_arrays(np.random.default_rng(55), m=2 * self.CHUNK + 1)
+
+        def call():
+            run_channel(mx.channel_mix, arrays, "gelu", True, TestFusedChannelMix.ALL)
+
+        call()
+        assert isinstance(nc._row_worker, nc._RowWorker)
+        threads = threading.active_count()
+        for _ in range(50):
+            call()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cores,blas", [({0}, True), ({0, 1}, False)])
+    def test_one_core_or_no_blas_setter_runs_inline(self, monkeypatch, cores, blas):
+        monkeypatch.setattr(nc, "_row_worker", None)
+        monkeypatch.setattr(nc, "_blas_to_one_thread", lambda: blas)
+        monkeypatch.setattr(nc.os, "sched_getaffinity", lambda pid: cores, raising=False)
+        threads = threading.active_count()
+        spans = []
+        nc._row_passes(3 * self.CHUNK, lambda lo, hi: spans.append((lo, hi)))
+        assert nc._row_worker is False
+        assert spans == [(0, 3 * self.CHUNK)]
+        assert threading.active_count() == threads
 
 
 class TestTokenMix:
