@@ -57,8 +57,8 @@ USAGE_ERRORS = (
 # the freed heap top is trimmed and large arrays are unmapped, so the next
 # step faults the same memory back in page by page. 32 MiB is the largest
 # mmap threshold glibc accepts on 64-bit. One arena keeps the channel mixer's
-# row worker thread (``numcore._row_passes``) allocating from the main heap
-# instead of growing a second one of its own.
+# row worker thread (``numcore._start_row_worker``, also started by
+# :func:`main`) allocating from the main heap instead of a second one.
 M_MMAP_THRESHOLD = 32 * 2**20
 M_TRIM_THRESHOLD = 128 * 2**20
 M_ARENA_MAX = 1
@@ -469,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
+    nc._start_row_worker()  # and, with it, numpy's OpenBLAS at one thread
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -396,8 +395,7 @@ def _relu_grad(g: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
 # only into arrays their caller allocated, and call no public op: a Tape is
 # single-owner.
 _ROW_CHUNK = 512
-_row_worker = None  # made on the first split pass; False where passes run inline
-_row_worker_made = threading.Lock()
+_row_worker: ThreadPoolExecutor | None = None  # None: every pass runs inline
 
 
 def _blas_to_one_thread() -> bool:
@@ -421,60 +419,46 @@ def _blas_to_one_thread() -> bool:
     return False
 
 
-class _RowWorker:
-    def __init__(self):
-        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._busy = threading.Lock()  # one caller at a time; others run inline
-        threading.Thread(target=self._serve, name="tempomix-rows", daemon=True).start()
+def _start_row_worker() -> None:
+    """Start the row worker, once per process, where it has a core of its own:
+    at least two cores and numpy's bundled OpenBLAS held to one thread.
+    Elsewhere the passes run inline and BLAS keeps its thread count.
 
-    def _serve(self):
-        while True:  # between jobs, holds none of a caller's arrays
-            self._done.put(self._job(*self._jobs.get()))
+    ``cli.main`` calls this before any work, so a command's GEMMs run with
+    one BLAS thread count throughout, whatever the sizes of its passes.
+    """
+    global _row_worker
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if _row_worker is None and cores >= 2 and _blas_to_one_thread():
+        _row_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tempomix-rows")
 
-    @staticmethod
-    def _job(fn, chunks) -> BaseException | None:
-        try:
-            for lo, hi in chunks:
-                fn(lo, hi)
-        except BaseException as exc:  # noqa: BLE001 - re-raised by run
-            return exc
-        return None
 
-    def run(self, fn, chunks) -> None:
-        """``fn(lo, hi)`` for each chunk of a list iterator, which hands each
-        chunk to one thread; all inline while another caller has the worker."""
-        if not self._busy.acquire(blocking=False):
-            for lo, hi in chunks:
-                fn(lo, hi)
-            return
-        self._jobs.put((fn, chunks))
-        try:
-            for lo, hi in chunks:
-                fn(lo, hi)
-        finally:
-            for _ in chunks:  # after an error here, leave the worker nothing to start
-                pass
-            err = self._done.get()
-            self._busy.release()
-        if err is not None:
-            raise err
+def _drain(fn: Callable[[int, int], None], chunks) -> None:
+    for lo, hi in chunks:
+        fn(lo, hi)
 
 
 def _row_passes(m: int, fn: Callable[[int, int], None]) -> None:
     """Run ``fn(lo, hi)`` over row ranges that cover ``range(m)`` exactly once:
-    ceil(m / _ROW_CHUNK) near-equal chunks shared by the caller and the row
-    worker, or one call ``fn(0, m)`` for at most one chunk or without a worker."""
-    global _row_worker
+    ceil(m / _ROW_CHUNK) near-equal chunks that the caller and the row worker
+    take from one list iterator, or one call ``fn(0, m)`` for at most one
+    chunk or without a worker. A second caller's chunks queue behind the
+    first's on the worker while it drains them itself."""
     k = -(-m // _ROW_CHUNK)
-    if k >= 2 and _row_worker is None:
-        with _row_worker_made:
-            if _row_worker is None:
-                cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-                _row_worker = cores >= 2 and _blas_to_one_thread() and _RowWorker()
-    if k < 2 or not _row_worker:
+    worker = _row_worker
+    if k < 2 or worker is None:
         fn(0, m)
         return
-    _row_worker.run(fn, iter([(i * m // k, (i + 1) * m // k) for i in range(k)]))
+    chunks = iter([(i * m // k, (i + 1) * m // k) for i in range(k)])
+    done = worker.submit(_drain, fn, chunks)
+    try:
+        _drain(fn, chunks)
+    finally:
+        for _ in chunks:  # after an error here, leave the worker nothing to start
+            pass
+        err = done.exception()
+    if err is not None:
+        raise err
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has no worker thread

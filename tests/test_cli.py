@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,19 @@ class TestHeapSetting:
 
 
 class TestRowWorker:
+    def test_main_starts_the_worker_and_pins_blas_once(self, monkeypatch, tmp_path):
+        pins = []
+        monkeypatch.setattr(nc, "_row_worker", None)
+        monkeypatch.setattr(nc, "_blas_to_one_thread", lambda: pins.append(1) or True)
+        monkeypatch.setattr(nc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        try:
+            for _ in range(2):
+                assert main(["train", "--dataset", str(tmp_path / "none.csv")]) == 2
+                assert isinstance(nc._row_worker, ThreadPoolExecutor)
+            assert pins == [1]
+        finally:
+            nc._row_worker.shutdown()
+
     def test_train_with_worker_off_and_on_writes_identical_artifacts(self, monkeypatch,
                                                                      tmp_path):
         rows = []
@@ -147,10 +161,12 @@ class TestRowWorker:
             row_passes(m, fn)
 
         monkeypatch.setattr(nc, "_row_passes", counted)
-        monkeypatch.setattr(nc, "_row_worker", False)
+        monkeypatch.setattr(nc, "_start_row_worker", lambda: None)
+        monkeypatch.setattr(nc, "_row_worker", None)
         assert main(["train", *FAST, "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setattr(nc, "_row_worker", nc._RowWorker())
-        assert main(["train", *FAST, "--out", str(tmp_path / "b")]) == 0
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            monkeypatch.setattr(nc, "_row_worker", worker)
+            assert main(["train", *FAST, "--out", str(tmp_path / "b")]) == 0
         assert max(rows) > nc._ROW_CHUNK  # the passes were split
         for name in ("checkpoint.json", "loss_curve.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -690,7 +691,9 @@ class TestFusedChannelMix:
 @pytest.fixture(scope="module")
 def row_worker():
     """One row worker for the module, made without touching the BLAS threads."""
-    return nc._RowWorker()
+    worker = ThreadPoolExecutor(max_workers=1)
+    yield worker
+    worker.shutdown()
 
 
 class TestRowPasses:
@@ -708,7 +711,7 @@ class TestRowPasses:
                                                  activation, residual, leaves):
         arrays = channel_arrays(np.random.default_rng(54), m=m)
         runs = []
-        for worker in (False, row_worker):
+        for worker in (None, row_worker):
             monkeypatch.setattr(nc, "_row_worker", worker)
             runs.append(run_channel(mx.channel_mix, arrays, activation, residual, leaves))
         (out, flops, steps, grads), (out_on, flops_on, steps_on, grads_on) = runs
@@ -807,12 +810,18 @@ class TestRowPasses:
         def call():
             run_channel(mx.channel_mix, arrays, "gelu", True, TestFusedChannelMix.ALL)
 
-        call()
-        assert isinstance(nc._row_worker, nc._RowWorker)
-        threads = threading.active_count()
-        for _ in range(50):
+        nc._start_row_worker()
+        worker = nc._row_worker
+        try:
+            nc._start_row_worker()
+            assert isinstance(worker, ThreadPoolExecutor) and nc._row_worker is worker
             call()
-        assert threading.active_count() == threads
+            threads = threading.active_count()
+            for _ in range(50):
+                call()
+            assert threading.active_count() == threads
+        finally:
+            worker.shutdown()
 
     @pytest.mark.parametrize("cores,blas", [({0}, True), ({0, 1}, False)])
     def test_one_core_or_no_blas_setter_runs_inline(self, monkeypatch, cores, blas):
@@ -820,9 +829,10 @@ class TestRowPasses:
         monkeypatch.setattr(nc, "_blas_to_one_thread", lambda: blas)
         monkeypatch.setattr(nc.os, "sched_getaffinity", lambda pid: cores, raising=False)
         threads = threading.active_count()
+        nc._start_row_worker()
         spans = []
         nc._row_passes(3 * self.CHUNK, lambda lo, hi: spans.append((lo, hi)))
-        assert nc._row_worker is False
+        assert nc._row_worker is None
         assert spans == [(0, 3 * self.CHUNK)]
         assert threading.active_count() == threads
 
