@@ -149,7 +149,8 @@ class TestRowWorker:
                 assert isinstance(nc._row_worker, ThreadPoolExecutor)
             assert pins == [1]
         finally:
-            nc._row_worker.shutdown()
+            if nc._row_worker is not None:
+                nc._row_worker.shutdown()
 
     def test_train_with_worker_off_and_on_writes_identical_artifacts(self, monkeypatch,
                                                                      tmp_path):

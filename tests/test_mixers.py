@@ -820,6 +820,15 @@ class TestRowPasses:
             for _ in range(50):
                 call()
             assert threading.active_count() == threads
+            runners = []  # the Thread objects themselves: kept alive, never reused
+
+            def rows(lo, hi):
+                time.sleep(1e-3)  # long enough that the worker takes chunks too
+                runners.append(threading.current_thread())
+
+            for _ in range(50):
+                nc._row_passes(3 * self.CHUNK, rows)
+            assert len(set(runners) - {threading.current_thread()}) == 1
         finally:
             worker.shutdown()
 
