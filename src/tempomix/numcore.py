@@ -322,18 +322,24 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return z, xn, inv_std
 
 
-def _layer_norm_back(g: np.ndarray, a: Value, gain: Value, bias: Value,
+def _layer_norm_back_rows(g: np.ndarray, gain: np.ndarray, xn: np.ndarray,
+                          inv_std: np.ndarray) -> np.ndarray:
+    """The input gradient of :func:`_layer_norm`, row by row."""
+    gx = g * gain
+    return inv_std * (gx - gx.mean(axis=1, keepdims=True)
+                      - xn * (gx * xn).mean(axis=1, keepdims=True))
+
+
+def _layer_norm_back(g: np.ndarray, a: Value | None, gain: Value, bias: Value,
                      xn: np.ndarray, inv_std: np.ndarray) -> None:
-    """Accumulate the gradients of :func:`_layer_norm` given its output gradient."""
+    """Accumulate the gradients of :func:`_layer_norm` given its output gradient;
+    with ``a`` None only gain's and bias's, whose sums over rows run whole."""
     if gain.want_grad:
         accumulate_grad(gain, (g * xn).sum(axis=0, keepdims=True))
     if bias.want_grad:
         accumulate_grad(bias, g.sum(axis=0, keepdims=True))
-    if a.want_grad:
-        gx = g * gain.data
-        accumulate_grad(a, inv_std * (
-            gx - gx.mean(axis=1, keepdims=True)
-            - xn * (gx * xn).mean(axis=1, keepdims=True)))
+    if a is not None and a.want_grad:
+        accumulate_grad(a, _layer_norm_back_rows(g, gain.data, xn, inv_std))
 
 
 def layer_norm_rows(a: Value, gain: Value, bias: Value) -> Value:
@@ -439,17 +445,23 @@ def _drain(fn: Callable[[int, int], None], chunks) -> None:
 
 
 def _row_passes(m: int, fn: Callable[[int, int], None]) -> None:
-    """Run ``fn(lo, hi)`` over row ranges that cover ``range(m)`` exactly once:
-    ceil(m / _ROW_CHUNK) near-equal chunks that the caller and the row worker
-    take from one list iterator, or one call ``fn(0, m)`` for at most one
-    chunk or without a worker. A second caller's chunks queue behind the
-    first's on the worker while it drains them itself."""
-    k = -(-m // _ROW_CHUNK)
+    """Run ``fn(lo, hi)`` over row ranges that cover ``range(m)`` exactly once,
+    each bound a multiple of ``fn.block`` if ``fn`` has that attribute (which
+    must divide ``m``; one row otherwise): ceil(m / _ROW_CHUNK) chunks of
+    near-equal numbers of blocks that the caller and the row worker take from
+    one list iterator, fewer where a chunk would fall below _ROW_CHUNK / 2
+    rows, or one call ``fn(0, m)`` for at most one chunk or without a worker.
+    A second caller's chunks queue behind the first's on the worker while it
+    drains them itself."""
+    block = getattr(fn, "block", 1)
+    blocks = m // block
+    k = min(-(-m // _ROW_CHUNK), blocks // -(-(_ROW_CHUNK // 2) // block))
     worker = _row_worker
     if k < 2 or worker is None:
         fn(0, m)
         return
-    chunks = iter([(i * m // k, (i + 1) * m // k) for i in range(k)])
+    chunks = iter([(i * blocks // k * block, (i + 1) * blocks // k * block)
+                   for i in range(k)])
     done = worker.submit(_drain, fn, chunks)
     try:
         _drain(fn, chunks)

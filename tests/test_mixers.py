@@ -1,5 +1,6 @@
 """Tests for the token mixers and the hierarchical offset schedule."""
 
+import inspect
 import math
 import sys
 import threading
@@ -44,55 +45,85 @@ def reference_pooling_mix(h, window):
     return (cs[hi] - cs[lo]) / (hi - lo)[:, None]
 
 
-def reference_adaptive_mix(tokens, times, offsets, order_logits, fusion):
+def masked_softmax_rows(scores):
+    """Softmax over the last axis treating -inf entries as absent; rows with
+    no finite entry come out all zero."""
+    m = scores.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(scores - m)
+    s = e.sum(axis=-1, keepdims=True)
+    return e / np.where(s > 0.0, s, 1.0)
+
+
+def reference_adaptive_mix(tokens, times, offsets, order_logits, fusion, pad_lens=None):
     """The per-sequence adaptive kernel, one sequence at a time: the oracle for
-    ``mixers.adaptive_mix``, the single-block call of the batched kernel."""
-    times = np.asarray(times, dtype=np.float64)
-    h = tokens.data
-    n, d = h.shape
+    ``mixers.adaptive_mix``, the single-block call of the batched kernel.
+
+    With 2-D ``times`` (R x n), ``tokens`` stacks R blocks of n rows, block
+    r's first ``pad_lens[r]`` rows padding (none by default): each block's
+    real rows run alone, its padding passes through, and the order-logit and
+    fusion gradients sum over the rows of all blocks at once."""
+    times = np.atleast_2d(np.asarray(times, dtype=np.float64))
+    r, n = times.shape
+    pads = np.zeros(r, dtype=np.int64) if pad_lens is None else np.asarray(pad_lens)
+    h3 = tokens.data.reshape(r, n, -1)
+    d = h3.shape[2]
     offsets = np.asarray(offsets, dtype=np.int64)
     k = len(offsets)
     tape = tokens.tape
-    valid = offsets[None, :] <= np.arange(n)[:, None]
-    covered = valid.any(axis=1)
-    gaps = np.full((n, k), np.inf)
-    for j, p in enumerate(offsets):
-        if p < n:
-            gaps[p:, j] = times[p:] - times[: n - p]
-    theta = mx._masked_softmax(-gaps)
-    order_w = mx._masked_softmax(np.where(valid, order_logits.data[0][None, :], -np.inf))
     fusion_is_value = isinstance(fusion, nc.Value)
     fuse = float(fusion.data[0, 0]) if fusion_is_value else float(fusion)
+    # weights over every block's rows, zero on padding and invalid offsets
+    theta, order_w = np.zeros((r, n, k)), np.zeros((r, n, k))
+    covered = np.zeros((r, n), dtype=bool)
+    nz = 0
+    for b, pad in enumerate(pads):
+        m, t = n - pad, times[b, pad:]
+        valid = offsets[None, :] <= np.arange(m)[:, None]
+        covered[b, pad:] = valid.any(axis=1)
+        gaps = np.full((m, k), np.inf)
+        for j, p in enumerate(offsets):
+            if p < m:
+                gaps[p:, j] = t[p:] - t[: m - p]
+        theta[b, pad:] = masked_softmax_rows(-gaps)
+        order_w[b, pad:] = masked_softmax_rows(
+            np.where(valid, order_logits.data[0][None, :], -np.inf))
+        nz += int(valid.sum())
     alpha = fuse * order_w + (1.0 - fuse) * theta
 
-    out_data = np.zeros_like(h)
-    for j, p in enumerate(offsets):
-        if p < n:
-            out_data[p:] += alpha[p:, j:j + 1] * h[: n - p]
-    out_data[~covered] = h[~covered]
-    nz = int(valid.sum())
+    out3 = h3.copy()  # padding and rows without a valid offset pass through
+    for b, pad in enumerate(pads):
+        h, m = h3[b, pad:], n - pad
+        mixed = np.zeros_like(h)
+        for j, p in enumerate(offsets):
+            if p < m:
+                mixed[p:] += alpha[b, pad + p:, j:j + 1] * h[: m - p]
+        out3[b, pad:][covered[b, pad:]] = mixed[covered[b, pad:]]
     tape.flops += 2 * nz * d + 10 * nz + int((~covered).sum()) * d
 
     want = tokens.want_grad or order_logits.want_grad or (fusion_is_value and fusion.want_grad)
-    out = nc.Value(out_data, tape, want)
+    out = nc.Value(out3.reshape(r * n, d), tape, want)
     if want:
         def back():
-            g = out.grad
-            if tokens.want_grad:
+            g3 = out.grad.reshape(r, n, d)
+            dalpha = np.zeros((r, n, k))
+            dh3 = g3.copy()  # padding passes the gradient through
+            for b, pad in enumerate(pads):
+                h, g, m = h3[b, pad:], g3[b, pad:], n - pad
                 dh = np.zeros_like(h)
                 for j, p in enumerate(offsets):
-                    if p < n:
-                        dh[: n - p] += alpha[p:, j:j + 1] * g[p:]
-                dh[~covered] += g[~covered]
-                nc.accumulate_grad(tokens, dh)
-            dalpha = np.zeros((n, k))
-            for j, p in enumerate(offsets):
-                if p < n:
-                    dalpha[p:, j] = (g[p:] * h[: n - p]).sum(axis=1)
+                    if p < m:
+                        dh[: m - p] += alpha[b, pad + p:, j:j + 1] * g[p:]
+                        dalpha[b, pad + p:, j] = (g[p:] * h[: m - p]).sum(axis=1)
+                uncovered = ~covered[b, pad:]
+                dh[uncovered] += g[uncovered]
+                dh3[b, pad:] = dh
+            if tokens.want_grad:
+                nc.accumulate_grad(tokens, dh3.reshape(r * n, d))
             if order_logits.want_grad and fuse != 0.0:
                 go = fuse * dalpha
-                ds = order_w * (go - (go * order_w).sum(axis=1, keepdims=True))
-                nc.accumulate_grad(order_logits, ds.sum(axis=0, keepdims=True))
+                ds = order_w * (go - (go * order_w).sum(axis=2, keepdims=True))
+                nc.accumulate_grad(order_logits, ds.sum(axis=(0, 1)).reshape(1, k))
             if fusion_is_value and fusion.want_grad:
                 dfuse = float((dalpha * (order_w - theta)).sum())
                 nc.accumulate_grad(fusion, np.array([[dfuse]]))
@@ -301,6 +332,16 @@ class TestAdaptiveMix:
         }
         report = nc.grad_check(f, params, h=1e-5)
         assert report.max_rel_error <= 1e-4
+
+    def test_offset_sums_match_a_trailing_axis_sum_bit_for_bit(self):
+        # the weights put offsets first; their sums must keep numpy's pairwise
+        # order over a trailing axis, which changes at 8 and 128 terms
+        rng = np.random.default_rng(22)
+        for k in [*range(1, 140), 255, 256, 300]:
+            e = rng.normal(size=(5, 3, k)) * 10.0 ** rng.uniform(-6, 6, size=(5, 3, k))
+            leading = np.ascontiguousarray(np.moveaxis(e, -1, 0))
+            np.testing.assert_array_equal(mx._sum_offsets(leading), e.sum(axis=-1),
+                                          err_msg=f"{k} offsets")
 
     def test_work_scales_linearly_in_token_count(self):
         offsets = np.array([4, 5, 6, 7, 8])
@@ -724,19 +765,29 @@ class TestRowPasses:
     def test_chunks_cover_each_row_once_and_are_never_short(self, monkeypatch, row_worker,
                                                             m):
         monkeypatch.setattr(nc, "_row_worker", row_worker)
-        seen = np.zeros(m, dtype=np.int64)
-        spans = []
+        for block in (None, 1, 7, 20, self.CHUNK // 2 + 1, self.CHUNK + 3):
+            rows_m = m if block is None else m // block * block
+            seen = np.zeros(rows_m, dtype=np.int64)
+            spans = []
 
-        def rows(lo, hi):
-            seen[lo:hi] += 1
-            spans.append(hi - lo)
+            def rows(lo, hi):
+                seen[lo:hi] += 1
+                spans.append((lo, hi))
 
-        nc._row_passes(m, rows)
-        assert np.all(seen == 1)
-        if m > self.CHUNK:  # a GEMM over very few rows sums in another order
-            assert self.CHUNK // 2 <= min(spans) and max(spans) <= self.CHUNK
-        else:
-            assert spans == [m]
+            if block is not None:
+                rows.block = block
+            nc._row_passes(rows_m, rows)
+            assert np.all(seen == 1)
+            sizes = [hi - lo for lo, hi in spans]
+            step = block or 1
+            if step == 1:  # the chunk count of a pass without blocks
+                assert len(spans) == max(1, -(-rows_m // self.CHUNK))
+            if len(spans) > 1:  # a GEMM over very few rows sums in another order
+                assert self.CHUNK // 2 <= min(sizes) and max(sizes) < self.CHUNK + step
+                assert all(lo % step == 0 and hi % step == 0 for lo, hi in spans)
+                assert len(spans) <= -(-rows_m // self.CHUNK)
+            else:
+                assert spans == [(0, rows_m)]
 
     def test_a_worker_exception_reaches_the_caller(self, monkeypatch, row_worker):
         monkeypatch.setattr(nc, "_row_worker", row_worker)
@@ -844,6 +895,210 @@ class TestRowPasses:
         assert nc._row_worker is None
         assert spans == [(0, 3 * self.CHUNK)]
         assert threading.active_count() == threads
+
+
+def block_arrays(rng, r, n, k, d=4, hidden=9):
+    """Tokens, times and pad lengths of R padded blocks, plus mixer and channel
+    parameters. Some blocks have no history (pad n - 1), some no padding;
+    padding rows are zero in even blocks (as in training), random in odd."""
+    arrays = channel_arrays(rng, m=r * n, d=d, hidden=hidden)
+    pads = rng.integers(0, n, size=r)
+    pads[:3] = [n - 1, 0, n - 1][:r]
+    times = np.sort(rng.uniform(0, 9, size=(r, n)), axis=1)
+    h3 = arrays["h"].reshape(r, n, d)
+    for b, pad in enumerate(pads):
+        times[b, :pad] = times[b, pad]
+        if b % 2 == 0:
+            h3[b, :pad] = 0.0
+    arrays["order"] = rng.normal(size=(1, k))
+    arrays["fuse_raw"] = rng.normal(size=(1, 1))
+    return arrays, times, pads
+
+
+def fused_block(tokens, times, pads, kind, offsets, order, fusion, params, activation,
+                residual):
+    if kind == "pooling":
+        mixer = mx.PoolingLayer(window=len(offsets))
+    else:
+        mixer = mx.AdaptiveLayer(offsets=offsets, order_logits=order, fusion=fusion)
+    return mx.token_block(tokens, times, mixer, params, activation, residual, pad_lens=pads)
+
+
+def composed_block(tokens, times, pads, kind, offsets, order, fusion, params, activation,
+                   residual):
+    """The chain the fused block stands for: batched adaptive kernel, residual
+    add, fused channel mixer."""
+    if kind == "pooling":
+        order, fusion = tokens.tape.constant(np.zeros((1, len(offsets)))), 1.0
+    mixed = mx.adaptive_mix_batched(tokens, times, pads, offsets, order, fusion)
+    h = nc.add(tokens, mixed) if residual else mixed
+    return mx.channel_mix(h, params, activation, residual)
+
+
+def reference_block(tokens, times, pads, kind, offsets, order, fusion, params, activation,
+                    residual):
+    """The block from the per-sequence oracles of both kernels."""
+    if kind == "pooling":
+        order, fusion = tokens.tape.constant(np.zeros((1, len(offsets)))), 1.0
+    mixed = reference_adaptive_mix(tokens, times, offsets, order, fusion, pads)
+    h = nc.add(tokens, mixed) if residual else mixed
+    return reference_channel_mix(h, params, activation, residual)
+
+
+# (mixer kind, offsets, fixed fusion or None for a learned one)
+BLOCK_MIXERS = {
+    "learned": ("adaptive", np.arange(9), None),
+    "no_lp": ("adaptive", np.array([2, 3, 4]), 0.0),
+    "no_rt": ("adaptive", np.arange(1, 6), 1.0),
+    "pooling": ("pooling", np.arange(3), None),
+}
+BLOCK_ALL = ("h", "order", "fuse_raw") + CHANNEL_NAMES
+
+
+def run_block(block, arrays, times, pads, mixer, activation, residual, leaves):
+    """Output, tape flops and steps, and leaf gradients of one token block under
+    a loss that also reads the tokens directly, so they gather gradient from
+    two ops."""
+    kind, offsets, fixed = BLOCK_MIXERS[mixer]
+    tape = nc.Tape()
+    v = {name: (tape.leaf if name in leaves else tape.constant)(a) for name, a in arrays.items()}
+    fusion = nc.sigmoid(v["fuse_raw"]) if fixed is None else fixed
+    params = mx.ChannelParams(*(v[name] for name in CHANNEL_NAMES))
+    flops, steps = tape.flops, len(tape._steps)
+    out = block(v["h"], times, pads, kind, offsets, v["order"], fusion, params, activation,
+                residual)
+    flops, steps = tape.flops - flops, len(tape._steps) - steps
+    side = tape.constant(np.linspace(-1.0, 1.0, arrays["h"].shape[1])[:, None])
+    loss = nc.add(nc.sum_all(nc.gelu(out)), nc.sum_all(nc.matmul(v["h"], side)))
+    nc.backward(tape, loss)
+    return out.data, flops, steps, {name: v[name].grad for name in leaves}
+
+
+class TestFusedTokenBlock:
+    """An adaptive or pooling layer with the channel mixer is one fused op, bit
+    for bit the chain of kernels and the per-sequence oracles, worker off and
+    on, whatever rows its chunks get."""
+
+    CHUNK = nc._ROW_CHUNK
+
+    def assert_matches_both_oracles(self, arrays, times, pads, mixer, activation, residual,
+                                    leaves):
+        out, flops, steps, grads = run_block(fused_block, arrays, times, pads, mixer,
+                                             activation, residual, leaves)
+        for oracle in (composed_block, reference_block):
+            want_out, want_flops, want_steps, want_grads = run_block(
+                oracle, arrays, times, pads, mixer, activation, residual, leaves)
+            assert steps == min(1, want_steps), oracle.__name__  # one step, not a chain
+            assert flops == want_flops, oracle.__name__
+            np.testing.assert_array_equal(out, want_out, err_msg=oracle.__name__)
+            for name in leaves:
+                np.testing.assert_array_equal(grads[name], want_grads[name],
+                                              err_msg=f"{oracle.__name__}: {name}")
+
+    @pytest.mark.parametrize("leaves", [BLOCK_ALL, ("h",), ("order", "fuse_raw"),
+                                        ("w2", "b2"), ("ln_gain", "w1"), ()])
+    @pytest.mark.parametrize("mixer", list(BLOCK_MIXERS))
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_bit_identical_to_the_chain_and_the_oracles(self, activation, residual, mixer,
+                                                        leaves):
+        arrays, times, pads = block_arrays(np.random.default_rng(60), r=9, n=7,
+                                           k=len(BLOCK_MIXERS[mixer][1]))
+        self.assert_matches_both_oracles(arrays, times, pads, mixer, activation, residual,
+                                         leaves)
+
+    @pytest.mark.parametrize("mixer,activation,residual",
+                             [("learned", "gelu", True), ("pooling", "relu", False)])
+    @pytest.mark.parametrize("chunks", ["below", "one", "several"])
+    @pytest.mark.parametrize("n", [7, 20])
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_every_chunking_matches_the_oracles(self, monkeypatch, row_worker, worker, n,
+                                                chunks, mixer, activation, residual):
+        monkeypatch.setattr(nc, "_row_worker", row_worker if worker else None)
+        r = {"below": self.CHUNK // (2 * n), "one": self.CHUNK // n,
+             "several": 3 * self.CHUNK // n + 2}[chunks]
+        arrays, times, pads = block_arrays(np.random.default_rng(61), r=r, n=n,
+                                           k=len(BLOCK_MIXERS[mixer][1]))
+        self.assert_matches_both_oracles(arrays, times, pads, mixer, activation, residual,
+                                         BLOCK_ALL)
+
+    def test_chunks_hold_whole_blocks(self, monkeypatch, row_worker):
+        monkeypatch.setattr(nc, "_row_worker", row_worker)
+        n, r = 7, 3 * self.CHUNK // 7 + 2
+        spans = []
+        row_passes = nc._row_passes
+
+        def recorded(m, fn):
+            spans.append((m, getattr(fn, "block", 1)))
+            row_passes(m, fn)
+
+        monkeypatch.setattr(nc, "_row_passes", recorded)
+        arrays, times, pads = block_arrays(np.random.default_rng(62), r=r, n=n, k=9)
+        run_block(fused_block, arrays, times, pads, "learned", "gelu", True, BLOCK_ALL)
+        assert spans == [(r * n, n), (r * n, n)]  # one forward pass, one backward pass
+
+    def test_concurrent_blocks_give_the_single_caller_bits(self, monkeypatch, row_worker):
+        monkeypatch.setattr(nc, "_row_worker", row_worker)
+        arrays, times, pads = block_arrays(np.random.default_rng(64),
+                                           r=3 * self.CHUNK // 7 + 2, n=7, k=9)
+        args = (arrays, times, pads, "learned", "gelu", True, BLOCK_ALL)
+        want_out, _, _, want_grads = run_block(fused_block, *args)
+        failures = []
+
+        def caller():
+            for _ in range(3):
+                out, _, _, grads = run_block(fused_block, *args)
+                if not (np.array_equal(out, want_out)
+                        and all(np.array_equal(grads[k], want_grads[k]) for k in grads)):
+                    failures.append(out)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
+
+    @pytest.mark.parametrize("leaves", [BLOCK_ALL, ()])
+    def test_the_worker_calls_no_public_function(self, monkeypatch, row_worker, leaves):
+        """Row functions run on the worker thread; the public ops, the tape and
+        the tracer that wraps them are single-threaded."""
+        monkeypatch.setattr(nc, "_row_worker", row_worker)
+        caller = threading.get_ident()
+        calls, row_threads = [], set()
+
+        def recorder(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (nc, mx):
+            for name, fn in list(vars(module).items()):
+                if (not name.startswith("_") and inspect.isfunction(fn)
+                        and fn.__module__ == module.__name__):
+                    monkeypatch.setattr(module, name, recorder(f"{module.__name__}.{name}", fn))
+        monkeypatch.setattr(nc.Tape, "record", recorder("Tape.record", nc.Tape.record))
+        ffn_rows = mx._ffn_rows
+
+        def slow_rows(*args, **kwargs):
+            row_threads.add(threading.get_ident())
+            time.sleep(1e-3)  # long enough that the worker takes chunks too
+            return ffn_rows(*args, **kwargs)
+
+        monkeypatch.setattr(mx, "_ffn_rows", slow_rows)
+        arrays, times, pads = block_arrays(np.random.default_rng(63), r=3 * self.CHUNK // 7 + 2,
+                                           n=7, k=9)
+        run_block(fused_block, arrays, times, pads, "learned", "gelu", True, leaves)
+        assert len(row_threads) == 2
+        assert "tempomix.mixers.token_block" in {name for name, _ in calls}
+        assert {thread for _, thread in calls} == {caller}
 
 
 class TestTokenMix:

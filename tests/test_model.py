@@ -301,12 +301,12 @@ class TestBatchedAssemblyOracle:
         keys = list(dict.fromkeys(k for u, v, t in pairs for k in ((u, t), (v, t))))
         seen = []
 
-        def spy(tokens, times, pads, *args):
-            seen.append((times, pads))
-            return mixed(tokens, times, pads, *args)
+        def spy(tokens, times, *args, pad_lens=None, **kwargs):
+            seen.append((times, pad_lens))
+            return block(tokens, times, *args, pad_lens=pad_lens, **kwargs)
 
-        mixed = mx.adaptive_mix_batched
-        monkeypatch.setattr(md.mx, "adaptive_mix_batched", spy)
+        block = mx.token_block
+        monkeypatch.setattr(md.mx, "token_block", spy)
         gathers = record_gathers(monkeypatch)
         tape = RecordingTape()
         md._batched_reprs(md.bind(params, tape, trainable=True), store, keys)
@@ -396,13 +396,13 @@ class TestInputTables:
         stream, store, cfg, params, pairs = oracle_fixture(42)
         keys, _, _ = md._key_index([((u, t), (v, t)) for u, v, t in pairs])
         seen = []
-        mixed = mx.adaptive_mix_batched
+        block = mx.token_block
 
-        def spy(tokens, *args):
+        def spy(tokens, *args, **kwargs):
             seen.append(tokens.data.copy())
-            return mixed(tokens, *args)
+            return block(tokens, *args, **kwargs)
 
-        monkeypatch.setattr(md.mx, "adaptive_mix_batched", spy)
+        monkeypatch.setattr(md.mx, "token_block", spy)
         md._batched_reprs(md.bind(params, nc.Tape(), trainable=True), store, keys)
         pad_slots = pad_slots_of(store, keys, cfg.n_max)
         assert pad_slots.any() and (~pad_slots).any()
