@@ -17,14 +17,15 @@ single-sequence calls are :func:`adaptive_mix` and :func:`attention_mix`);
 pooling is the adaptive kernel with flat order weights, and :func:`mlp_mix`
 runs on the blocks side by side (``numcore.blocks_to_cols``).
 
-The adaptive mixer, attention and the channel mixer are fused
-differentiable operations: their backward passes are derived analytically
-and registered on the tape. The adaptive mixer keeps per-layer work at
-O(N * K * d) instead of materializing N x N mixing matrices. With the
-channel mixer on, an adaptive or pooling layer's whole block (mix, residual,
-channel mixer) is one tape op whose row work runs in chunks of whole blocks
-on two threads; it shares its kernel bodies with :func:`adaptive_mix_batched`
-and :func:`channel_mix`.
+The adaptive mixer, attention and the block are fused differentiable
+operations: their backward passes are derived analytically and registered on
+the tape. The adaptive mixer keeps per-layer work at O(N * K * d) instead of
+materializing N x N mixing matrices. With the channel mixer on, every
+layer's residual and channel mixer are one tape op whose row work runs in
+chunks of whole blocks on two threads. An adaptive or pooling layer's mix
+runs inside those chunks, sharing its kernel bodies with
+:func:`adaptive_mix_batched`; attention and the MLP run their mix whole and
+hand its output to the op.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "mlp_mix",
     "attention_mix",
     "attention_mix_batched",
-    "channel_mix",
     "token_mix",
     "token_block",
 ]
@@ -441,18 +441,11 @@ def _channel_flops(m: int, d: int, params: ChannelParams, activation: str,
     shapes = [v.data.shape for v in (p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)]
     want_shapes = [(1, d), (1, d), (d, hidden), (1, hidden), (hidden, d_out), (1, d_out)]
     if shapes != want_shapes or (residual and d_out != d):
-        raise ShapeError(f"channel_mix: parameter shapes {shapes} do not fit {m}x{d} input")
+        raise ShapeError(f"channel mixer: parameter shapes {shapes} do not fit {m}x{d} input")
     per_elem = nc._FLOPS_PER_ELEMENT
     return (per_elem["layer_norm"] * m * d + 2 * m * hidden * (d + d_out)
             + (1 + per_elem[activation]) * m * hidden
             + (2 if residual else 1) * m * d_out)
-
-
-def _ffn_buffers(m: int, params: ChannelParams, gelu: bool):
-    """Empty (pre, act, cdf) rows for the backward to read; cdf is None for ReLU."""
-    hidden = params.w1.data.shape[1]
-    return (np.empty((m, hidden)), np.empty((m, hidden)),
-            np.empty((m, hidden)) if gelu else None)
 
 
 def _rows_of(arrays, lo: int, hi: int):
@@ -465,7 +458,7 @@ def _ffn_rows(z: np.ndarray, x: np.ndarray | None, params: ChannelParams, gelu: 
               f: np.ndarray, keep=None) -> None:
     """One row range of the channel mixer after its LayerNorm, written into
     ``f``: act(z @ W1 + b1) @ W2 + b2, plus ``x`` unless None. ``keep`` is None
-    or the range's (pre, act, cdf) rows of :func:`_ffn_buffers` to fill."""
+    or the range's (pre, act, cdf) rows to fill; cdf is None for ReLU."""
     pre, act, cdf = keep if keep is not None else (None, None, None)
     pre = np.matmul(z, params.w1.data, out=pre)
     pre += params.b1.data
@@ -480,127 +473,64 @@ def _ffn_rows(z: np.ndarray, x: np.ndarray | None, params: ChannelParams, gelu: 
         f += x
 
 
-def _ffn_back_rows(g: np.ndarray, params: ChannelParams, keep) -> np.ndarray:
-    """The pre-activation gradient of one row range given its output gradient
-    ``g``, written over the range's ``act`` rows of ``keep`` and returned."""
-    pre, act, cdf = keep
-    gact = g @ params.w2.data.T
-    if cdf is None:
-        return nc._relu_grad(gact, pre, out=act)
-    return nc._gelu_grad(gact, pre, cdf, out=act)
+def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int, channel: ChannelParams,
+               activation: str, residual: bool) -> Value:
+    """One layer's residual and channel mixer, after its token mix, as one tape op.
 
-
-def channel_mix(h: Value, params: ChannelParams, activation: str = "gelu",
-                residual: bool = True) -> Value:
-    """Feed-forward over layer-normed input, plus residual unless ablated.
-
-    One fused op: LayerNorm -> W1 + b1 -> activation -> W2 + b2 (-> + h).
-    It does the arithmetic of the same chain of tape ops, in the same order,
-    so output, gradients and flop tally match it bit for bit. The backward
-    reuses the forward's LayerNorm statistics, pre-activation and GELU cdf;
-    without gradients nothing is kept.
-
-    The per-row passes after the LayerNorm (in the backward, ``g @ W2.T`` and
-    the activation gradient) run over row chunks on two cores
-    (``numcore._row_passes``). The weight- and bias-gradient reductions,
-    ``gpre @ W1.T`` and the LayerNorm backward run whole, so every sum keeps
-    its order.
+    ``mixed`` is either an adaptive (or pooling) layer's :class:`_Mixing`,
+    whose mix then runs inside the op, or the output of a token mixer that
+    ran whole (attention, the token-axis MLP). The op does the arithmetic of
+    the chain mix -> ``numcore.add`` (the residual, unless ablated) ->
+    LayerNorm -> feed-forward (plus the residual), in the same order, so
+    output, gradients and flop tally match it bit for bit. One row pass
+    (``numcore._row_passes``, chunks of whole blocks of ``n`` rows) runs,
+    chunk by chunk, the mix if it is an adaptive one, the residual, the
+    LayerNorm and the feed-forward with its residual. The backward is one
+    pass over the same chunks: ``g @ W2.T``, the activation gradient,
+    ``gpre @ W1.T``, the LayerNorm's input gradient and the residual, then
+    either the adaptive mix's input gradient and per-offset products, or a
+    write into the one gradient that ``mixed`` and the residual's ``tokens``
+    get, as the chain's ``add`` gives them. The sums over rows (weights,
+    biases, LayerNorm gain and bias, order logits and fusion) run whole,
+    before or after the pass, so every sum keeps its order. The small ops of
+    the mix and the LayerNorm, which hold the GIL, overlap with the other
+    thread's GEMMs and erf, which release it.
     """
-    p = params
-    inputs = (h, p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
-    tape = nc._same_tape(*inputs)
-    m, d = h.data.shape
-    tape.flops += _channel_flops(m, d, p, activation, residual)
-
-    want = any(v.want_grad for v in inputs)
-    x = h.data
-    gelu = activation == "gelu"
-    # LayerNorm runs whole: split, its many small row-statistics calls would
-    # mostly pass the GIL back and forth between the two threads
-    z, xn, inv_std = nc._layer_norm(x, p.ln_gain.data, p.ln_bias.data)
-    f = np.empty((m, p.w2.data.shape[1]))
-    keep = _ffn_buffers(m, p, gelu) if want else None
-
-    def forward_rows(lo, hi):
-        _ffn_rows(z[lo:hi], x[lo:hi] if residual else None, p, gelu, f[lo:hi],
-                  _rows_of(keep, lo, hi))
-
-    nc._row_passes(m, forward_rows)
-    out = Value(f, tape, want)
-    if not want:
-        return out
-    act = keep[1]
-
-    def back():
-        g = out.grad
-        if g is None:
-            return
-        if residual:
-            nc.accumulate_grad(h, g)
-        if p.b2.want_grad:
-            nc.accumulate_grad(p.b2, g.sum(axis=0, keepdims=True))
-        if p.w2.want_grad:
-            nc.accumulate_grad(p.w2, act.T @ g)
-        if not any(v.want_grad for v in inputs[:5]):
-            return
-        # the step runs once: act becomes gpre
-        nc._row_passes(m, lambda lo, hi: _ffn_back_rows(g[lo:hi], p, _rows_of(keep, lo, hi)))
-        gpre = act
-        if p.b1.want_grad:
-            nc.accumulate_grad(p.b1, gpre.sum(axis=0, keepdims=True))
-        need_z = h.want_grad or p.ln_gain.want_grad or p.ln_bias.want_grad
-        gz = gpre @ p.w1.data.T if need_z else None
-        if p.w1.want_grad:
-            nc.accumulate_grad(p.w1, z.T @ gpre)
-        if need_z:
-            nc._layer_norm_back(gz, h, p.ln_gain, p.ln_bias, xn, inv_std)
-    tape.record(back)
-    return out
-
-
-def _mix_block(tokens: Value, times: np.ndarray, pad_lens, offsets, order_logits: Value,
-               fusion: Union[Value, float], channel: ChannelParams, activation: str,
-               residual: bool) -> Value:
-    """One adaptive (or pooling) layer and its channel mixer as one tape op.
-
-    It does the arithmetic of the chain :func:`adaptive_mix_batched` ->
-    ``numcore.add`` (the residual, unless ablated) -> :func:`channel_mix`, in
-    the same order, so output, gradients and flop tally match it bit for bit.
-    The mixing weights are computed whole. Then one row pass
-    (``numcore._row_passes``, chunks of whole blocks) runs, chunk by chunk,
-    the mix, the residual, the LayerNorm and the feed-forward with its
-    residual. The backward is one pass over the same chunks: ``g @ W2.T``,
-    the activation gradient, ``gpre @ W1.T``, the LayerNorm's input gradient,
-    the residual, the mix's input gradient and its per-offset products. The
-    sums over rows (weights, biases, LayerNorm gain and bias, order logits
-    and fusion) run whole, before or after the pass, so every sum keeps its
-    order. The small ops of the mix and the LayerNorm, which hold the GIL,
-    overlap with the other thread's GEMMs and erf, which release it.
-    """
-    mix = _mixing(tokens, times, pad_lens, offsets, order_logits, fusion)
+    mix = mixed if isinstance(mixed, _Mixing) else None
     p = channel
     params = (p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
-    tape = nc._same_tape(tokens, *params)
+    operands = (tokens,) if mix is not None else (tokens, mixed)
+    tape = nc._same_tape(*operands, *params)
     m, d = tokens.data.shape
-    _, r, n = mix.alpha.shape
-    tape.flops += (mix.flops + (m * d if residual else 0)
+    if mix is None and (mixed.data.shape != (m, d) or m % n):
+        raise ShapeError(f"token_block: a mix of shape {mixed.data.shape} does not fit "
+                         f"{m}x{d} tokens in blocks of {n}")
+    tape.flops += ((0 if mix is None else mix.flops) + (m * d if residual else 0)
                    + _channel_flops(m, d, p, activation, residual))
 
-    mixed_learns = mix.learns(tokens)
-    want = mixed_learns or any(v.want_grad for v in params)
+    # whether the LayerNorm's input (mix plus residual) wants a gradient
+    h_learns = (mixed.want_grad or residual and tokens.want_grad if mix is None
+                else mix.learns(tokens))
+    want = h_learns or any(v.want_grad for v in params)
     x = tokens.data
-    x3 = x.reshape(r, n, d)
+    x3 = x.reshape(-1, n, d)
     gain, bias = p.ln_gain.data, p.ln_bias.data
     gelu = activation == "gelu"
     f = np.empty((m, p.w2.data.shape[1]))
-    keep = _ffn_buffers(m, p, gelu) if want else None
-    if want:  # what the backward reads, besides keep
+    keep = None
+    if want:  # what the backward reads
+        hidden = p.w1.data.shape[1]
+        keep = (np.empty((m, hidden)), np.empty((m, hidden)),
+                np.empty((m, hidden)) if gelu else None)
         z, xn, inv_std = np.empty((m, d)), np.empty((m, d)), np.empty((m, 1))
 
     def forward_rows(lo, hi):
-        h = _mix_rows(x3, mix, lo // n, hi // n).reshape(hi - lo, d)
-        if residual:
-            h += x[lo:hi]
+        if mix is None:
+            h = mixed.data[lo:hi] + x[lo:hi] if residual else mixed.data[lo:hi]
+        else:
+            h = _mix_rows(x3, mix, lo // n, hi // n).reshape(hi - lo, d)
+            if residual:
+                h += x[lo:hi]
         z_r, xn_r, inv_std_r = nc._layer_norm(h, gain, bias)
         if want:
             z[lo:hi], xn[lo:hi], inv_std[lo:hi] = z_r, xn_r, inv_std_r
@@ -621,27 +551,36 @@ def _mix_block(tokens: Value, times: np.ndarray, pad_lens, offsets, order_logits
             nc.accumulate_grad(p.b2, g.sum(axis=0, keepdims=True))
         if p.w2.want_grad:
             nc.accumulate_grad(p.w2, act.T @ g)
-        if not (mixed_learns or any(v.want_grad for v in params[:4])):
+        if not (h_learns or any(v.want_grad for v in params[:4])):
             return
-        need_z = mixed_learns or p.ln_gain.want_grad or p.ln_bias.want_grad
+        need_z = h_learns or p.ln_gain.want_grad or p.ln_bias.want_grad
         gz = np.empty((m, d)) if p.ln_gain.want_grad or p.ln_bias.want_grad else None
-        dalpha = mix.dalpha_buffer()
-        # the chain adds the residual's gradient to what tokens already hold,
-        # then the mix's: each chunk does both, into a new array
-        prev = tokens.grad
-        token_grad = np.empty((m, d)) if tokens.want_grad else None
+        if mix is None:
+            gh_all = np.empty((m, d)) if h_learns else None
+            dalpha = token_grad = None
+        else:
+            # the chain adds the residual's gradient to what tokens already
+            # hold, then the mix's: each chunk does both, into a new array
+            gh_all, dalpha, prev = None, mix.dalpha_buffer(), tokens.grad
+            token_grad = np.empty((m, d)) if tokens.want_grad else None
 
         def backward_rows(lo, hi):  # the step runs once: act becomes gpre
             rows = slice(lo, hi)
-            gpre = _ffn_back_rows(g[rows], p, _rows_of(keep, lo, hi))
+            pre, act_r, cdf = _rows_of(keep, lo, hi)
+            gact = g[rows] @ p.w2.data.T
+            gpre = (nc._relu_grad(gact, pre, out=act_r) if cdf is None
+                    else nc._gelu_grad(gact, pre, cdf, out=act_r))
             if not need_z:
                 return
             gz_r = np.matmul(gpre, p.w1.data.T, out=None if gz is None else gz[rows])
-            if not mixed_learns:
+            if not h_learns:
                 return
-            gh = nc._layer_norm_back_rows(gz_r, gain, xn[rows], inv_std[rows])
+            gh = nc._layer_norm_back_rows(gz_r, gain, xn[rows], inv_std[rows],
+                                          out=None if gh_all is None else gh_all[rows])
             if residual:
                 gh += g[rows]
+            if mix is None:
+                return
             dh = _mix_back_rows(gh.reshape(-1, n, d), x3, mix, lo // n, hi // n,
                                 token_grad is not None, dalpha)
             if dh is None:
@@ -663,9 +602,14 @@ def _mix_block(tokens: Value, times: np.ndarray, pad_lens, offsets, order_logits
             nc.accumulate_grad(p.w1, z.T @ gpre)
         if gz is not None:
             nc._layer_norm_back(gz, None, p.ln_gain, p.ln_bias, xn, inv_std)
+        if gh_all is not None:  # the chain's add: tokens, then the mix
+            if residual:
+                nc.accumulate_grad(tokens, gh_all)
+            nc.accumulate_grad(mixed, gh_all)
         if token_grad is not None:
             tokens.grad = token_grad
-        mix.accumulate_grads(dalpha)
+        if mix is not None:
+            mix.accumulate_grads(dalpha)
     tape.record(back)
     return out
 
@@ -722,15 +666,15 @@ def token_block(tokens: Value, times, mixer: MixerLayer, channel: ChannelParams,
                 use_channel_mixer: bool = True, pad_lens=None) -> Value:
     """One full block: residual around :func:`token_mix`, then the channel mixer.
 
-    With the channel mixer on, an adaptive or pooling layer runs the whole
-    block as one fused op (:func:`_mix_block`), bit-identical to the chain.
+    With the channel mixer on, the residual and the channel mixer are one tape
+    op (:func:`_mix_block`), bit-identical to the chain of ops; an adaptive or
+    pooling layer's mix runs inside it, any other mixer's output feeds it.
     """
-    adaptive = _adaptive_args(tokens, mixer) if use_channel_mixer else None
-    if adaptive is not None:
-        times, pad_lens = _blocks(times, pad_lens)
-        return _mix_block(tokens, times, pad_lens, *adaptive, channel, activation, residual)
-    mixed = token_mix(tokens, times, mixer, activation, pad_lens)
-    h = nc.add(tokens, mixed) if residual else mixed
-    if use_channel_mixer:
-        h = channel_mix(h, channel, activation, residual)
-    return h
+    if not use_channel_mixer:
+        mixed = token_mix(tokens, times, mixer, activation, pad_lens)
+        return nc.add(tokens, mixed) if residual else mixed
+    times, pad_lens = _blocks(times, pad_lens)
+    adaptive = _adaptive_args(tokens, mixer)
+    mixed = (_mixing(tokens, times, pad_lens, *adaptive) if adaptive is not None
+             else token_mix(tokens, times, mixer, activation, pad_lens))
+    return _mix_block(tokens, mixed, times.shape[1], channel, activation, residual)

@@ -323,11 +323,11 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def _layer_norm_back_rows(g: np.ndarray, gain: np.ndarray, xn: np.ndarray,
-                          inv_std: np.ndarray) -> np.ndarray:
+                          inv_std: np.ndarray, out=None) -> np.ndarray:
     """The input gradient of :func:`_layer_norm`, row by row."""
     gx = g * gain
-    return inv_std * (gx - gx.mean(axis=1, keepdims=True)
-                      - xn * (gx * xn).mean(axis=1, keepdims=True))
+    return np.multiply(inv_std, gx - gx.mean(axis=1, keepdims=True)
+                       - xn * (gx * xn).mean(axis=1, keepdims=True), out=out)
 
 
 def _layer_norm_back(g: np.ndarray, a: Value | None, gain: Value, bias: Value,

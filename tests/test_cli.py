@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -173,6 +176,32 @@ class TestRowWorker:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         docs = [json.loads((tmp_path / run / "metrics.json").read_text()) for run in "ab"]
         assert strip_timing(docs[0]) == strip_timing(docs[1])
+
+
+    def test_checkpoints_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """``main`` holds OpenBLAS to one thread from its start, so a GEMM over a
+        K whose sum OpenBLAS blocks by its thread count gives the same bits
+        under any OPENBLAS_NUM_THREADS. Here each batch of 25 queries scores
+        75 distinct keys of 8 token rows, so every layer's weight gradients
+        sum over K = 600 rows, a K at which one and two threads differ."""
+        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one core: main leaves OpenBLAS its thread count")
+        # this process runs main in other tests, which pins OpenBLAS as well
+        if not nc._blas_to_one_thread():
+            pytest.skip("no bundled OpenBLAS to hold to one thread")
+        synth = json.dumps({"n_src": 20, "n_dst": 20, "n_events": 400, "pattern": "periodic"})
+        argv = ["train", "--synthetic", synth, "--dim", "32", "--time-dim", "8",
+                "--spans", "2,4", "--n-max", "8", "--epochs", "1", "--batch-size", "25",
+                "--lr", "0.003", "--patience", "1", "--seed", "0"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = "import sys; from tempomix.cli import main; sys.exit(main(sys.argv[1:]))"
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-c", run, *argv, "--out", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True)
+        for name in ("checkpoint.json", "loss_curve.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 class TestEvalCommand:

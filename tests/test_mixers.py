@@ -611,15 +611,36 @@ def zero_channel(tape, d, hidden=None):
         w2=tape.constant(np.zeros((hidden, d))), b2=tape.constant(np.zeros((1, d))))
 
 
+# the mixers whose output is computed whole and handed to the block op
+MIXED_MIXERS = ["attention", "mlp"]
+MIXER_PARAMS = {"attention": ("wq", "wk", "wv", "wo"), "mlp": ("tw1", "tb1", "tw2", "tb2")}
+MIXER_LAYERS = {"attention": mx.AttentionLayer, "mlp": mx.MlpLayer}
+
+
+def zero_mixer(tape, mixer, n, d):
+    """An attention or token-axis MLP mixer over blocks of n rows whose output
+    is all zero."""
+    if mixer == "attention":
+        weights = [np.ones((d, d))] * 3 + [np.zeros((d, d))]
+    else:
+        weights = [np.ones((5, n)), np.ones((5, 1)), np.zeros((n, 5)), np.zeros((n, 1))]
+    return MIXER_LAYERS[mixer](*(tape.constant(w) for w in weights))
+
+
 class TestChannelMix:
-    def test_zero_ffn_is_identity(self):
+    """The channel mixer of a token block behind an all-zero token mix."""
+
+    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
+    def test_zero_ffn_is_identity(self, mixer):
         rng = np.random.default_rng(12)
         h = rng.normal(size=(3, 4))
         tape = nc.Tape()
-        out = mx.channel_mix(const(tape, h), zero_channel(tape, 4))
+        out = mx.token_block(const(tape, h), np.arange(3.0), zero_mixer(tape, mixer, 3, 4),
+                             zero_channel(tape, 4))
         np.testing.assert_array_equal(out.data, h)
 
-    def test_hand_evaluated_fixture(self):
+    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
+    def test_hand_evaluated_fixture(self, mixer):
         x = np.array([[0.5, -1.0]])
         gain, bias = np.array([[2.0, 0.5]]), np.array([[0.1, -0.2]])
         w1 = np.array([[0.3, -0.2, 0.5], [0.8, 0.1, -0.4]])
@@ -636,19 +657,22 @@ class TestChannelMix:
 
         tape = nc.Tape()
         params = mx.ChannelParams(*(tape.constant(a) for a in (gain, bias, w1, b1, w2, b2)))
-        out = mx.channel_mix(const(tape, x), params)
+        out = mx.token_block(const(tape, x), np.arange(1.0), zero_mixer(tape, mixer, 1, 2),
+                             params)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_without_residual_zero_ffn_gives_zero(self):
+    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
+    def test_without_residual_zero_ffn_gives_zero(self, mixer):
         tape = nc.Tape()
-        out = mx.channel_mix(const(tape, np.ones((2, 3))), zero_channel(tape, 3),
+        out = mx.token_block(const(tape, np.ones((2, 3))), np.arange(2.0),
+                             zero_mixer(tape, mixer, 2, 3), zero_channel(tape, 3),
                              residual=False)
         np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
 
 
 def reference_channel_mix(h, params, activation="gelu", residual=True):
     """The channel mixer composed from tape primitives: the oracle for the
-    fused op behind ``mixers.channel_mix``."""
+    channel mixer inside ``mixers.token_block``."""
     act = {"gelu": nc.gelu, "relu": nc.relu}[activation]
     z = nc.layer_norm_rows(h, params.ln_gain, params.ln_bias)
     f = act(nc.add(nc.matmul(z, params.w1), params.b1))
@@ -670,63 +694,227 @@ def channel_arrays(rng, m=6, d=4, hidden=7):
     return arrays
 
 
-def run_channel(mix, arrays, activation, residual, leaves):
-    """Output, tape flops and leaf gradients of one channel mix under a loss
-    that also reads ``h`` directly, so ``h`` gathers gradient from two ops."""
+def add_mixer_arrays(rng, arrays, mixer, n):
+    """Draw an attention or token-axis MLP mixer's parameters into ``arrays``."""
+    d = arrays["h"].shape[1]
+    shapes = {"attention": [(d, d)] * 4, "mlp": [(5, n), (5, 1), (n, 5), (n, 1)]}[mixer]
+    for name, shape in zip(MIXER_PARAMS[mixer], shapes):
+        arrays[name] = rng.normal(size=shape)
+
+
+def mixed_arrays(rng, mixer, r=2, n=3, d=4, hidden=7):
+    """``channel_arrays`` for R blocks of n rows, an attention or token-axis MLP
+    mixer's parameters, times and pad lengths. The MLP mixes the first two
+    rows of each block to constant rows (their w2 rows zero, b2 0 and 0.7), so
+    the all-zero and the constant row of ``h`` reach the LayerNorm as such."""
+    arrays = channel_arrays(rng, m=r * n, d=d, hidden=hidden)
+    add_mixer_arrays(rng, arrays, mixer, n)
+    if mixer == "mlp":
+        arrays["tw2"][:2] = 0.0
+        arrays["tb2"][:2] = [[0.0], [0.7]]
+    return arrays, np.tile(np.arange(float(n)), (r, 1)), np.arange(r) % n
+
+
+def block_arrays(rng, r, n, mixer, d=4, hidden=9):
+    """Tokens, times and pad lengths of R padded blocks, plus mixer and channel
+    parameters. Some blocks have no history (pad n - 1), some no padding;
+    padding rows are zero in even blocks (as in training), random in odd."""
+    arrays = channel_arrays(rng, m=r * n, d=d, hidden=hidden)
+    pads = rng.integers(0, n, size=r)
+    pads[:3] = [n - 1, 0, n - 1][:r]
+    times = np.sort(rng.uniform(0, 9, size=(r, n)), axis=1)
+    h3 = arrays["h"].reshape(r, n, d)
+    for b, pad in enumerate(pads):
+        times[b, :pad] = times[b, pad]
+        if b % 2 == 0:
+            h3[b, :pad] = 0.0
+    kind, offsets, _ = BLOCK_MIXERS[mixer]
+    if kind in MIXER_PARAMS:
+        add_mixer_arrays(rng, arrays, kind, n)
+    else:
+        arrays["order"] = rng.normal(size=(1, len(offsets)))
+        arrays["fuse_raw"] = rng.normal(size=(1, 1))
+    return arrays, times, pads
+
+
+def adaptive_args(tokens, layer):
+    """(offsets, order logits, fusion) of an adaptive layer, or of a pooling one
+    as the truncated mean: flat order logits at fusion 1."""
+    if isinstance(layer, mx.PoolingLayer):
+        flat = tokens.tape.constant(np.zeros((1, layer.window)))
+        return np.arange(layer.window), flat, 1.0
+    return layer.offsets, layer.order_logits, layer.fusion
+
+
+def fused_block(tokens, times, pads, layer, params, activation, residual):
+    return mx.token_block(tokens, times, layer, params, activation, residual, pad_lens=pads)
+
+
+def token_mix_only(tokens, times, pads, layer, params, activation, residual):
+    return mx.token_mix(tokens, times, layer, activation, pads)
+
+
+def composed_block(tokens, times, pads, layer, params, activation, residual):
+    """The chain the block op stands for: the batched token-mixer kernel, the
+    residual add, the channel mixer from tape primitives."""
+    if isinstance(layer, mx.AttentionLayer):
+        mixed = mx.attention_mix_batched(tokens, pads, layer)
+    elif isinstance(layer, mx.MlpLayer):
+        side_by_side = nc.blocks_to_cols(tokens, times.shape[1])
+        mixed = nc.cols_to_blocks(mx.mlp_mix(side_by_side, layer, activation),
+                                  tokens.data.shape[1])
+    else:
+        mixed = mx.adaptive_mix_batched(tokens, times, pads, *adaptive_args(tokens, layer))
+    h = nc.add(tokens, mixed) if residual else mixed
+    return reference_channel_mix(h, params, activation, residual)
+
+
+def reference_block(tokens, times, pads, layer, params, activation, residual):
+    """An adaptive or pooling block from the per-sequence oracles of both kernels."""
+    mixed = reference_adaptive_mix(tokens, times, *adaptive_args(tokens, layer), pads)
+    h = nc.add(tokens, mixed) if residual else mixed
+    return reference_channel_mix(h, params, activation, residual)
+
+
+# (mixer kind, offsets, fixed fusion or None for a learned one)
+BLOCK_MIXERS = {
+    "learned": ("adaptive", np.arange(9), None),
+    "no_lp": ("adaptive", np.array([2, 3, 4]), 0.0),
+    "no_rt": ("adaptive", np.arange(1, 6), 1.0),
+    "pooling": ("pooling", np.arange(3), None),
+    "attention": ("attention", None, None),
+    "mlp": ("mlp", None, None),
+}
+ADAPTIVE_MIXERS = ["learned", "no_lp", "no_rt", "pooling"]
+# "mixer" stands for all of an attention or MLP mixer's parameters
+BLOCK_ALL = ("h", "order", "fuse_raw", "mixer") + CHANNEL_NAMES
+MIXED_ALL = ("h", "mixer") + CHANNEL_NAMES
+MIXED_LEAVES = [MIXED_ALL, ("h",), ("mixer",), ("w2", "b2"), ("ln_gain", "w1"), ()]
+
+
+def run_block(block, arrays, times, pads, mixer, activation, residual, leaves):
+    """Output, tape flops and steps, and leaf gradients of one token block under
+    a loss that also reads the tokens directly, so they gather gradient from
+    two ops."""
+    kind, offsets, fixed = BLOCK_MIXERS[mixer]
     tape = nc.Tape()
-    v = {name: (tape.leaf if name in leaves else tape.constant)(a) for name, a in arrays.items()}
-    out = mix(v["h"], mx.ChannelParams(*(v[name] for name in CHANNEL_NAMES)),
-              activation, residual)
-    flops = tape.flops
-    mixer_steps = len(tape._steps)
+    learned = [name for name in arrays
+               if name in leaves or "mixer" in leaves and name in MIXER_PARAMS.get(kind, ())]
+    v = {name: (tape.leaf if name in learned else tape.constant)(a)
+         for name, a in arrays.items()}
+    if kind == "adaptive":
+        fusion = nc.sigmoid(v["fuse_raw"]) if fixed is None else fixed
+        layer = mx.AdaptiveLayer(offsets=offsets, order_logits=v["order"], fusion=fusion)
+    elif kind == "pooling":
+        layer = mx.PoolingLayer(window=len(offsets))
+    else:
+        layer = MIXER_LAYERS[kind](*(v[name] for name in MIXER_PARAMS[kind]))
+    params = mx.ChannelParams(*(v[name] for name in CHANNEL_NAMES))
+    flops, steps = tape.flops, len(tape._steps)
+    out = block(v["h"], times, pads, layer, params, activation, residual)
+    flops, steps = tape.flops - flops, len(tape._steps) - steps
     side = tape.constant(np.linspace(-1.0, 1.0, arrays["h"].shape[1])[:, None])
     loss = nc.add(nc.sum_all(nc.gelu(out)), nc.sum_all(nc.matmul(v["h"], side)))
     nc.backward(tape, loss)
-    return out.data, flops, mixer_steps, {name: v[name].grad for name in leaves}
+    return out.data, flops, steps, {name: v[name].grad for name in learned}
 
 
-class TestFusedChannelMix:
-    ALL = ("h",) + CHANNEL_NAMES
+def assert_same_run(run, want, label):
+    """Two ``run_block`` results agree bit for bit in output, flops and gradients."""
+    out, flops, _, grads = run
+    want_out, want_flops, _, want_grads = want
+    assert flops == want_flops, label
+    np.testing.assert_array_equal(out, want_out, err_msg=label)
+    assert grads.keys() == want_grads.keys(), label
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], want_grads[name], err_msg=f"{label}: {name}")
 
+
+def assert_matches_the_oracles(arrays, times, pads, mixer, activation, residual, leaves):
+    """The block is one tape step after its token mix (none for an adaptive or
+    pooling layer, whose mix runs inside it), and bit for bit the chain of
+    kernels and, for an adaptive or pooling layer, the per-sequence oracles."""
+    args = (arrays, times, pads, mixer, activation, residual, leaves)
+    run = run_block(fused_block, *args)
+    whole_mix = BLOCK_MIXERS[mixer][0] in MIXER_PARAMS
+    mix_steps = run_block(token_mix_only, *args)[2] if whole_mix else 0
+    for oracle in (composed_block,) if whole_mix else (composed_block, reference_block):
+        want = run_block(oracle, *args)
+        assert run[2] == mix_steps + min(1, want[2]), oracle.__name__  # one step, not a chain
+        assert_same_run(run, want, oracle.__name__)
+
+
+class TestMixedBlock:
+    """Attention and the token-axis MLP mix whole and hand their output to one
+    block op for the residual and the channel mixer: bit for bit the chain
+    ``attention_mix_batched`` or ``mlp_mix`` -> ``add`` -> channel mixer."""
+
+    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
     @pytest.mark.parametrize("residual", [True, False])
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
-    @pytest.mark.parametrize("leaves", [ALL, ("h",), ("w2", "b2"), ("ln_gain", "w1"), ()])
-    def test_bit_identical_to_the_tape_chain(self, activation, residual, leaves):
-        arrays = channel_arrays(np.random.default_rng(50))
-        out, flops, _, grads = run_channel(mx.channel_mix, arrays, activation, residual,
-                                           leaves)
-        want_out, want_flops, _, want_grads = run_channel(reference_channel_mix, arrays,
-                                                          activation, residual, leaves)
-        assert flops == want_flops
-        np.testing.assert_array_equal(out, want_out)
-        for name in leaves:
-            np.testing.assert_array_equal(grads[name], want_grads[name], err_msg=name)
+    @pytest.mark.parametrize("leaves", MIXED_LEAVES)
+    def test_bit_identical_to_the_tape_chain(self, activation, residual, leaves, mixer):
+        arrays, times, pads = mixed_arrays(np.random.default_rng(50), mixer)
+        assert_matches_the_oracles(arrays, times, pads, mixer, activation, residual, leaves)
 
-    @pytest.mark.parametrize("leaves,steps", [(ALL, 1), ((), 0)])
-    def test_one_tape_step_and_none_without_gradients(self, leaves, steps):
-        arrays = channel_arrays(np.random.default_rng(51))
-        assert run_channel(mx.channel_mix, arrays, "gelu", True, leaves)[2] == steps
+    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
+    @pytest.mark.parametrize("leaves,steps", [(MIXED_ALL, 1), ((), 0)])
+    def test_one_tape_step_and_none_without_gradients(self, leaves, steps, mixer):
+        arrays, times, pads = mixed_arrays(np.random.default_rng(51), mixer)
+        args = (arrays, times, pads, mixer, "gelu", True, leaves)
+        mix_steps = run_block(token_mix_only, *args)[2]
+        assert run_block(fused_block, *args)[2] == mix_steps + steps
 
+    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
     @pytest.mark.parametrize("residual", [True, False])
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
-    def test_gradients_match_finite_differences(self, activation, residual):
-        arrays = channel_arrays(np.random.default_rng(52), m=4, d=3, hidden=5)
-        arrays["h"] = np.random.default_rng(53).normal(size=(4, 3))
+    def test_gradients_match_finite_differences(self, activation, residual, mixer):
+        arrays, times, pads = mixed_arrays(np.random.default_rng(52), mixer, r=2, n=2, d=3,
+                                           hidden=5)
+        rng = np.random.default_rng(53)
+        for name in ("h",) + MIXER_PARAMS[mixer]:  # no constant rows here
+            arrays[name] = rng.normal(size=arrays[name].shape)
+        fixed = {}
+        if mixer == "mlp" and not residual:
+            # without the residual the LayerNorm cancels tb2, which shifts whole
+            # rows: its gradient is 0 and finite differences see only noise
+            fixed["tb2"] = arrays.pop("tb2")
 
         def f(p):
+            p = {**p, **{name: p["h"].tape.constant(a) for name, a in fixed.items()}}
+            layer = MIXER_LAYERS[mixer](*(p[name] for name in MIXER_PARAMS[mixer]))
             params = mx.ChannelParams(*(p[name] for name in CHANNEL_NAMES))
-            return nc.sum_all(nc.gelu(mx.channel_mix(p["h"], params, activation, residual)))
+            return nc.sum_all(nc.gelu(mx.token_block(p["h"], times, layer, params, activation,
+                                                     residual, pad_lens=pads)))
 
         report = nc.grad_check(f, arrays, h=1e-5)
         assert report.max_rel_error <= 1e-4
 
-    def test_mismatched_parameters_rejected(self):
+    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
+    def test_mismatched_parameters_rejected(self, mixer):
         tape = nc.Tape()
         params = zero_channel(tape, 3)
         with pytest.raises(nc.ShapeError):
-            mx.channel_mix(const(tape, np.ones((2, 4))), params)
+            mx.token_block(const(tape, np.ones((2, 4))), np.arange(2.0),
+                           zero_mixer(tape, mixer, 2, 4), params)
         with pytest.raises(nc.ConfigError):
-            mx.channel_mix(const(tape, np.ones((2, 3))), params, activation="tanh")
+            mx.token_block(const(tape, np.ones((2, 3))), np.arange(2.0),
+                           zero_mixer(tape, mixer, 2, 3), params, activation="tanh")
+
+    def test_a_mix_of_another_shape_or_tape_rejected(self):
+        tape = nc.Tape()
+        tokens, params = const(tape, np.ones((6, 3))), zero_channel(tape, 3)
+        for shape, n in (((6, 2), 3), ((3, 3), 3), ((6, 3), 4)):
+            with pytest.raises(nc.ShapeError):
+                mx._mix_block(tokens, const(tape, np.ones(shape)), n, params, "gelu", True)
+        with pytest.raises(nc.ContractError):
+            mx._mix_block(tokens, const(nc.Tape(), np.ones((6, 3))), 3, params, "gelu", True)
+        # attention whose output projection changes the width
+        wide = mx.AttentionLayer(*(const(tape, np.ones((3, 3))) for _ in range(3)),
+                                 const(tape, np.ones((3, 2))))
+        with pytest.raises(nc.ShapeError):
+            mx.token_block(tokens, np.zeros((2, 3)), wide, zero_channel(tape, 2),
+                           residual=False)
 
 
 @pytest.fixture(scope="module")
@@ -738,28 +926,29 @@ def row_worker():
 
 
 class TestRowPasses:
-    """The channel mixer's row passes give the same bits with the worker off
-    and on, and the worker is one thread for the life of the process."""
+    """The block op's row passes give the same bits with the worker off and
+    on, and the worker is one thread for the life of the process."""
 
     CHUNK = nc._ROW_CHUNK
+    N = 8  # rows per block; every row count below is a multiple
 
-    @pytest.mark.parametrize("m", [CHUNK // 2, CHUNK, 3 * CHUNK + 17])
+    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
+    @pytest.mark.parametrize("m", [CHUNK // 2, CHUNK, 3 * CHUNK + 3 * N])
     @pytest.mark.parametrize("residual", [True, False])
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
-    @pytest.mark.parametrize("leaves", [TestFusedChannelMix.ALL, ("h",), ("w2", "b2"),
-                                        ("ln_gain", "w1"), ()])
+    @pytest.mark.parametrize("leaves", MIXED_LEAVES)
     def test_worker_off_and_on_agree_bit_for_bit(self, monkeypatch, row_worker, m,
-                                                 activation, residual, leaves):
-        arrays = channel_arrays(np.random.default_rng(54), m=m)
+                                                 activation, residual, leaves, mixer):
+        arrays, times, pads = mixed_arrays(np.random.default_rng(54), mixer, r=m // self.N,
+                                           n=self.N)
+        args = (arrays, times, pads, mixer, activation, residual, leaves)
         runs = []
         for worker in (None, row_worker):
             monkeypatch.setattr(nc, "_row_worker", worker)
-            runs.append(run_channel(mx.channel_mix, arrays, activation, residual, leaves))
-        (out, flops, steps, grads), (out_on, flops_on, steps_on, grads_on) = runs
-        assert (flops, steps) == (flops_on, steps_on)
-        np.testing.assert_array_equal(out_on, out)
-        for name in leaves:
-            np.testing.assert_array_equal(grads_on[name], grads[name], err_msg=name)
+            runs.append(run_block(fused_block, *args))
+        assert runs[0][2] == runs[1][2]
+        assert_same_run(runs[1], runs[0], "worker on")
+        assert_same_run(runs[0], run_block(composed_block, *args), "chain")
 
     @pytest.mark.parametrize("m", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17, 8 * CHUNK - 1])
     def test_chunks_cover_each_row_once_and_are_never_short(self, monkeypatch, row_worker,
@@ -852,14 +1041,16 @@ class TestRowPasses:
         del out, rows
         assert alive() is None
 
-    def test_the_worker_is_made_once_not_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
+    def test_the_worker_is_made_once_not_per_call(self, monkeypatch, mixer):
         monkeypatch.setattr(nc, "_row_worker", None)
         monkeypatch.setattr(nc, "_blas_to_one_thread", lambda: True)
         monkeypatch.setattr(nc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        arrays = channel_arrays(np.random.default_rng(55), m=2 * self.CHUNK + 1)
+        arrays, times, pads = mixed_arrays(np.random.default_rng(55), mixer,
+                                           r=2 * self.CHUNK // self.N + 1, n=self.N)
 
         def call():
-            run_channel(mx.channel_mix, arrays, "gelu", True, TestFusedChannelMix.ALL)
+            run_block(fused_block, arrays, times, pads, mixer, "gelu", True, MIXED_ALL)
 
         nc._start_row_worker()
         worker = nc._row_worker
@@ -897,118 +1088,27 @@ class TestRowPasses:
         assert threading.active_count() == threads
 
 
-def block_arrays(rng, r, n, k, d=4, hidden=9):
-    """Tokens, times and pad lengths of R padded blocks, plus mixer and channel
-    parameters. Some blocks have no history (pad n - 1), some no padding;
-    padding rows are zero in even blocks (as in training), random in odd."""
-    arrays = channel_arrays(rng, m=r * n, d=d, hidden=hidden)
-    pads = rng.integers(0, n, size=r)
-    pads[:3] = [n - 1, 0, n - 1][:r]
-    times = np.sort(rng.uniform(0, 9, size=(r, n)), axis=1)
-    h3 = arrays["h"].reshape(r, n, d)
-    for b, pad in enumerate(pads):
-        times[b, :pad] = times[b, pad]
-        if b % 2 == 0:
-            h3[b, :pad] = 0.0
-    arrays["order"] = rng.normal(size=(1, k))
-    arrays["fuse_raw"] = rng.normal(size=(1, 1))
-    return arrays, times, pads
-
-
-def fused_block(tokens, times, pads, kind, offsets, order, fusion, params, activation,
-                residual):
-    if kind == "pooling":
-        mixer = mx.PoolingLayer(window=len(offsets))
-    else:
-        mixer = mx.AdaptiveLayer(offsets=offsets, order_logits=order, fusion=fusion)
-    return mx.token_block(tokens, times, mixer, params, activation, residual, pad_lens=pads)
-
-
-def composed_block(tokens, times, pads, kind, offsets, order, fusion, params, activation,
-                   residual):
-    """The chain the fused block stands for: batched adaptive kernel, residual
-    add, fused channel mixer."""
-    if kind == "pooling":
-        order, fusion = tokens.tape.constant(np.zeros((1, len(offsets)))), 1.0
-    mixed = mx.adaptive_mix_batched(tokens, times, pads, offsets, order, fusion)
-    h = nc.add(tokens, mixed) if residual else mixed
-    return mx.channel_mix(h, params, activation, residual)
-
-
-def reference_block(tokens, times, pads, kind, offsets, order, fusion, params, activation,
-                    residual):
-    """The block from the per-sequence oracles of both kernels."""
-    if kind == "pooling":
-        order, fusion = tokens.tape.constant(np.zeros((1, len(offsets)))), 1.0
-    mixed = reference_adaptive_mix(tokens, times, offsets, order, fusion, pads)
-    h = nc.add(tokens, mixed) if residual else mixed
-    return reference_channel_mix(h, params, activation, residual)
-
-
-# (mixer kind, offsets, fixed fusion or None for a learned one)
-BLOCK_MIXERS = {
-    "learned": ("adaptive", np.arange(9), None),
-    "no_lp": ("adaptive", np.array([2, 3, 4]), 0.0),
-    "no_rt": ("adaptive", np.arange(1, 6), 1.0),
-    "pooling": ("pooling", np.arange(3), None),
-}
-BLOCK_ALL = ("h", "order", "fuse_raw") + CHANNEL_NAMES
-
-
-def run_block(block, arrays, times, pads, mixer, activation, residual, leaves):
-    """Output, tape flops and steps, and leaf gradients of one token block under
-    a loss that also reads the tokens directly, so they gather gradient from
-    two ops."""
-    kind, offsets, fixed = BLOCK_MIXERS[mixer]
-    tape = nc.Tape()
-    v = {name: (tape.leaf if name in leaves else tape.constant)(a) for name, a in arrays.items()}
-    fusion = nc.sigmoid(v["fuse_raw"]) if fixed is None else fixed
-    params = mx.ChannelParams(*(v[name] for name in CHANNEL_NAMES))
-    flops, steps = tape.flops, len(tape._steps)
-    out = block(v["h"], times, pads, kind, offsets, v["order"], fusion, params, activation,
-                residual)
-    flops, steps = tape.flops - flops, len(tape._steps) - steps
-    side = tape.constant(np.linspace(-1.0, 1.0, arrays["h"].shape[1])[:, None])
-    loss = nc.add(nc.sum_all(nc.gelu(out)), nc.sum_all(nc.matmul(v["h"], side)))
-    nc.backward(tape, loss)
-    return out.data, flops, steps, {name: v[name].grad for name in leaves}
-
 
 class TestFusedTokenBlock:
-    """An adaptive or pooling layer with the channel mixer is one fused op, bit
-    for bit the chain of kernels and the per-sequence oracles, worker off and
-    on, whatever rows its chunks get."""
+    """A layer's residual and channel mixer are one op, with an adaptive or
+    pooling layer's mix inside it, bit for bit the chain of kernels and the
+    per-sequence oracles, worker off and on, whatever rows its chunks get."""
 
     CHUNK = nc._ROW_CHUNK
 
-    def assert_matches_both_oracles(self, arrays, times, pads, mixer, activation, residual,
-                                    leaves):
-        out, flops, steps, grads = run_block(fused_block, arrays, times, pads, mixer,
-                                             activation, residual, leaves)
-        for oracle in (composed_block, reference_block):
-            want_out, want_flops, want_steps, want_grads = run_block(
-                oracle, arrays, times, pads, mixer, activation, residual, leaves)
-            assert steps == min(1, want_steps), oracle.__name__  # one step, not a chain
-            assert flops == want_flops, oracle.__name__
-            np.testing.assert_array_equal(out, want_out, err_msg=oracle.__name__)
-            for name in leaves:
-                np.testing.assert_array_equal(grads[name], want_grads[name],
-                                              err_msg=f"{oracle.__name__}: {name}")
-
     @pytest.mark.parametrize("leaves", [BLOCK_ALL, ("h",), ("order", "fuse_raw"),
                                         ("w2", "b2"), ("ln_gain", "w1"), ()])
-    @pytest.mark.parametrize("mixer", list(BLOCK_MIXERS))
+    @pytest.mark.parametrize("mixer", ADAPTIVE_MIXERS)
     @pytest.mark.parametrize("residual", [True, False])
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
     def test_bit_identical_to_the_chain_and_the_oracles(self, activation, residual, mixer,
                                                         leaves):
-        arrays, times, pads = block_arrays(np.random.default_rng(60), r=9, n=7,
-                                           k=len(BLOCK_MIXERS[mixer][1]))
-        self.assert_matches_both_oracles(arrays, times, pads, mixer, activation, residual,
-                                         leaves)
+        arrays, times, pads = block_arrays(np.random.default_rng(60), r=9, n=7, mixer=mixer)
+        assert_matches_the_oracles(arrays, times, pads, mixer, activation, residual, leaves)
 
     @pytest.mark.parametrize("mixer,activation,residual",
-                             [("learned", "gelu", True), ("pooling", "relu", False)])
+                             [("learned", "gelu", True), ("pooling", "relu", False),
+                              ("attention", "gelu", True), ("mlp", "relu", False)])
     @pytest.mark.parametrize("chunks", ["below", "one", "several"])
     @pytest.mark.parametrize("n", [7, 20])
     @pytest.mark.parametrize("worker", [False, True])
@@ -1017,12 +1117,11 @@ class TestFusedTokenBlock:
         monkeypatch.setattr(nc, "_row_worker", row_worker if worker else None)
         r = {"below": self.CHUNK // (2 * n), "one": self.CHUNK // n,
              "several": 3 * self.CHUNK // n + 2}[chunks]
-        arrays, times, pads = block_arrays(np.random.default_rng(61), r=r, n=n,
-                                           k=len(BLOCK_MIXERS[mixer][1]))
-        self.assert_matches_both_oracles(arrays, times, pads, mixer, activation, residual,
-                                         BLOCK_ALL)
+        arrays, times, pads = block_arrays(np.random.default_rng(61), r=r, n=n, mixer=mixer)
+        assert_matches_the_oracles(arrays, times, pads, mixer, activation, residual, BLOCK_ALL)
 
-    def test_chunks_hold_whole_blocks(self, monkeypatch, row_worker):
+    @pytest.mark.parametrize("mixer", ["learned", "attention", "mlp"])
+    def test_chunks_hold_whole_blocks(self, monkeypatch, row_worker, mixer):
         monkeypatch.setattr(nc, "_row_worker", row_worker)
         n, r = 7, 3 * self.CHUNK // 7 + 2
         spans = []
@@ -1033,14 +1132,14 @@ class TestFusedTokenBlock:
             row_passes(m, fn)
 
         monkeypatch.setattr(nc, "_row_passes", recorded)
-        arrays, times, pads = block_arrays(np.random.default_rng(62), r=r, n=n, k=9)
-        run_block(fused_block, arrays, times, pads, "learned", "gelu", True, BLOCK_ALL)
+        arrays, times, pads = block_arrays(np.random.default_rng(62), r=r, n=n, mixer=mixer)
+        run_block(fused_block, arrays, times, pads, mixer, "gelu", True, BLOCK_ALL)
         assert spans == [(r * n, n), (r * n, n)]  # one forward pass, one backward pass
 
     def test_concurrent_blocks_give_the_single_caller_bits(self, monkeypatch, row_worker):
         monkeypatch.setattr(nc, "_row_worker", row_worker)
         arrays, times, pads = block_arrays(np.random.default_rng(64),
-                                           r=3 * self.CHUNK // 7 + 2, n=7, k=9)
+                                           r=3 * self.CHUNK // 7 + 2, n=7, mixer="learned")
         args = (arrays, times, pads, "learned", "gelu", True, BLOCK_ALL)
         want_out, _, _, want_grads = run_block(fused_block, *args)
         failures = []
@@ -1065,8 +1164,9 @@ class TestFusedTokenBlock:
         assert not any(t.is_alive() for t in threads)
         assert not failures
 
+    @pytest.mark.parametrize("mixer", ["learned", "attention", "mlp"])
     @pytest.mark.parametrize("leaves", [BLOCK_ALL, ()])
-    def test_the_worker_calls_no_public_function(self, monkeypatch, row_worker, leaves):
+    def test_the_worker_calls_no_public_function(self, monkeypatch, row_worker, leaves, mixer):
         """Row functions run on the worker thread; the public ops, the tape and
         the tracer that wraps them are single-threaded."""
         monkeypatch.setattr(nc, "_row_worker", row_worker)
@@ -1094,8 +1194,8 @@ class TestFusedTokenBlock:
 
         monkeypatch.setattr(mx, "_ffn_rows", slow_rows)
         arrays, times, pads = block_arrays(np.random.default_rng(63), r=3 * self.CHUNK // 7 + 2,
-                                           n=7, k=9)
-        run_block(fused_block, arrays, times, pads, "learned", "gelu", True, leaves)
+                                           n=7, mixer=mixer)
+        run_block(fused_block, arrays, times, pads, mixer, "gelu", True, leaves)
         assert len(row_threads) == 2
         assert "tempomix.mixers.token_block" in {name for name, _ in calls}
         assert {thread for _, thread in calls} == {caller}

@@ -8,6 +8,7 @@ from tempomix import model as md
 from tempomix import numcore as nc
 from tempomix import tgraph as tg
 from tempomix.encoders import embed_neighbors, time_encode_rows
+from test_mixers import reference_channel_mix
 
 
 def toy_graph(n_events=6, seed=0, edge_dim=3, node_dim=2, n_nodes=5):
@@ -229,8 +230,8 @@ def reference_reprs(bound, store, keys, tables=None):
         mixed = mx.adaptive_mix_batched(tokens, times, pads, mixer.offsets,
                                         mixer.order_logits, mixer.fusion)
         h = mixed if cfg.no_resnet else nc.add(tokens, mixed)
-        tokens = h if cfg.no_cm else mx.channel_mix(h, channel, cfg.activation,
-                                                    residual=not cfg.no_resnet)
+        tokens = h if cfg.no_cm else reference_channel_mix(h, channel, cfg.activation,
+                                                           residual=not cfg.no_resnet)
     return nc.mean_rows_blocks(tokens, cfg.n_max, pads)
 
 
