@@ -7,25 +7,25 @@ they read bound parameter Values and return a new Value.
 
 Every mixer runs through one dispatch, :func:`token_mix`, and every layer
 is one :func:`token_block` (residual around the token mixer, then the
-channel mixer). Training and scoring run them on a padded batch: R sequences
-of n rows stacked into one (R*n) x d matrix, each left-padded. The reference
-path ``model.node_repr`` runs them on one sequence, and ``tempomix bench``
-times :func:`token_mix`, so it measures the kernels that training runs.
-The adaptive mixer and attention have batched kernels
-(:func:`adaptive_mix_batched`, :func:`attention_mix_batched`; their
+channel mixer, if the layer has one). Training and scoring run them on a
+padded batch: R sequences of n rows stacked into one (R*n) x d matrix, each
+left-padded. The reference path ``model.node_repr`` runs them on one
+sequence, and ``tempomix bench`` times :func:`token_mix`, so it measures the
+kernels that training runs. The adaptive mixer and attention have batched
+kernels (:func:`adaptive_mix_batched`, :func:`attention_mix_batched`; their
 single-sequence calls are :func:`adaptive_mix` and :func:`attention_mix`);
 pooling is the adaptive kernel with flat order weights, and :func:`mlp_mix`
 runs on the blocks side by side (``numcore.blocks_to_cols``).
 
-The adaptive mixer, attention and the block are fused differentiable
-operations: their backward passes are derived analytically and registered on
-the tape. The adaptive mixer keeps per-layer work at O(N * K * d) instead of
-materializing N x N mixing matrices. With the channel mixer on, every
-layer's residual and channel mixer are one tape op whose row work runs in
-chunks of whole blocks on two threads. An adaptive or pooling layer's mix
-runs inside those chunks, sharing its kernel bodies with
-:func:`adaptive_mix_batched`; attention and the MLP run their mix whole and
-hand its output to the op.
+Attention and the block are fused differentiable operations: their backward
+passes are derived analytically and registered on the tape. Every layer's
+residual and channel mixer are one tape op, the block op, whose row work
+runs in chunks of whole blocks on two threads; a layer without a channel
+mixer is the same op without it. An adaptive or pooling layer's mix runs
+inside those chunks, and :func:`adaptive_mix_batched` is the block op with
+neither residual nor channel mixer. The adaptive mix keeps per-layer work
+at O(N * K * d) instead of materializing N x N mixing matrices. Attention
+and the MLP run their mix whole and hand its output to the op.
 """
 
 from __future__ import annotations
@@ -312,29 +312,11 @@ def adaptive_mix_batched(tokens: Value, times, pad_lens, offsets,
     ``tokens`` stacks R sequences of ``n`` rows each into an (R*n) x d matrix;
     block r's first ``pad_lens[r]`` rows are padding. Offsets never reach into
     the padding and padded rows pass through unchanged, so each block matches
-    the mixer run on its unpadded sequence alone.
+    the mixer run on its unpadded sequence alone. This is the block op with
+    neither residual nor channel mixer (:func:`_mix_block`).
     """
     mix = _mixing(tokens, times, pad_lens, offsets, order_logits, fusion)
-    tape = tokens.tape
-    tape.flops += mix.flops
-    rows, d = tokens.data.shape
-    _, r, n = mix.alpha.shape
-    h3 = tokens.data.reshape(r, n, d)
-    want = mix.learns(tokens)
-    out = Value(_mix_rows(h3, mix, 0, r).reshape(rows, d), tape, want)
-    if want:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            dalpha = mix.dalpha_buffer()
-            dh = _mix_back_rows(g.reshape(r, n, d), h3, mix, 0, r, tokens.want_grad,
-                                dalpha)
-            if dh is not None:
-                nc.accumulate_grad(tokens, dh.reshape(rows, d))
-            mix.accumulate_grads(dalpha)
-        tape.record(back)
-    return out
+    return _mix_block(tokens, mix, mix.covered.shape[1], None, None, residual=False)
 
 
 def mlp_mix(tokens: Value, params: MlpLayer, activation: str = "gelu") -> Value:
@@ -473,32 +455,35 @@ def _ffn_rows(z: np.ndarray, x: np.ndarray | None, params: ChannelParams, gelu: 
         f += x
 
 
-def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int, channel: ChannelParams,
-               activation: str, residual: bool) -> Value:
+def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
+               channel: ChannelParams | None, activation: str | None,
+               residual: bool) -> Value:
     """One layer's residual and channel mixer, after its token mix, as one tape op.
 
     ``mixed`` is either an adaptive (or pooling) layer's :class:`_Mixing`,
     whose mix then runs inside the op, or the output of a token mixer that
-    ran whole (attention, the token-axis MLP). The op does the arithmetic of
-    the chain mix -> ``numcore.add`` (the residual, unless ablated) ->
-    LayerNorm -> feed-forward (plus the residual), in the same order, so
-    output, gradients and flop tally match it bit for bit. One row pass
-    (``numcore._row_passes``, chunks of whole blocks of ``n`` rows) runs,
+    ran whole (attention, the token-axis MLP). ``channel`` None is the layer
+    without a channel mixer (``activation`` is then unused). The op does the
+    arithmetic of the chain mix -> ``numcore.add`` (the residual, unless
+    ablated) -> LayerNorm -> feed-forward (plus the residual), in the same
+    order, so output, gradients and flop tally match it bit for bit. One row
+    pass (``numcore._row_passes``, chunks of whole blocks of ``n`` rows) runs,
     chunk by chunk, the mix if it is an adaptive one, the residual, the
     LayerNorm and the feed-forward with its residual. The backward is one
     pass over the same chunks: ``g @ W2.T``, the activation gradient,
-    ``gpre @ W1.T``, the LayerNorm's input gradient and the residual, then
-    either the adaptive mix's input gradient and per-offset products, or a
-    write into the one gradient that ``mixed`` and the residual's ``tokens``
-    get, as the chain's ``add`` gives them. The sums over rows (weights,
-    biases, LayerNorm gain and bias, order logits and fusion) run whole,
-    before or after the pass, so every sum keeps its order. The small ops of
-    the mix and the LayerNorm, which hold the GIL, overlap with the other
-    thread's GEMMs and erf, which release it.
+    ``gpre @ W1.T``, the LayerNorm's input gradient and the residual (or,
+    without a channel mixer, just the output gradient), then either the
+    adaptive mix's input gradient and per-offset products, or a write into
+    the one gradient that ``mixed`` and the residual's ``tokens`` get, as the
+    chain's ``add`` gives them. The sums over rows (weights, biases,
+    LayerNorm gain and bias, order logits and fusion) run whole, before or
+    after the pass, so every sum keeps its order. The small ops of the mix
+    and the LayerNorm, which hold the GIL, overlap with the other thread's
+    GEMMs and erf, which release it.
     """
     mix = mixed if isinstance(mixed, _Mixing) else None
     p = channel
-    params = (p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
+    params = () if p is None else (p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
     operands = (tokens,) if mix is not None else (tokens, mixed)
     tape = nc._same_tape(*operands, *params)
     m, d = tokens.data.shape
@@ -506,7 +491,7 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int, channel: Cha
         raise ShapeError(f"token_block: a mix of shape {mixed.data.shape} does not fit "
                          f"{m}x{d} tokens in blocks of {n}")
     tape.flops += ((0 if mix is None else mix.flops) + (m * d if residual else 0)
-                   + _channel_flops(m, d, p, activation, residual))
+                   + (0 if p is None else _channel_flops(m, d, p, activation, residual)))
 
     # whether the LayerNorm's input (mix plus residual) wants a gradient
     h_learns = (mixed.want_grad or residual and tokens.want_grad if mix is None
@@ -514,11 +499,10 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int, channel: Cha
     want = h_learns or any(v.want_grad for v in params)
     x = tokens.data
     x3 = x.reshape(-1, n, d)
-    gain, bias = p.ln_gain.data, p.ln_bias.data
     gelu = activation == "gelu"
-    f = np.empty((m, p.w2.data.shape[1]))
+    f = np.empty((m, d if p is None else p.w2.data.shape[1]))
     keep = None
-    if want:  # what the backward reads
+    if want and p is not None:  # what the backward reads
         hidden = p.w1.data.shape[1]
         keep = (np.empty((m, hidden)), np.empty((m, hidden)),
                 np.empty((m, hidden)) if gelu else None)
@@ -531,32 +515,36 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int, channel: Cha
             h = _mix_rows(x3, mix, lo // n, hi // n).reshape(hi - lo, d)
             if residual:
                 h += x[lo:hi]
-        z_r, xn_r, inv_std_r = nc._layer_norm(h, gain, bias)
-        if want:
+        if p is None:
+            f[lo:hi] = h
+            return
+        z_r, xn_r, inv_std_r = nc._layer_norm(h, p.ln_gain.data, p.ln_bias.data)
+        if keep is not None:
             z[lo:hi], xn[lo:hi], inv_std[lo:hi] = z_r, xn_r, inv_std_r
         _ffn_rows(z_r, h if residual else None, p, gelu, f[lo:hi], _rows_of(keep, lo, hi))
 
-    forward_rows.block = n
-    nc._row_passes(m, forward_rows)
+    nc._row_passes(m, forward_rows, block=n)
     out = Value(f, tape, want)
     if not want:
         return out
-    act = keep[1]
 
     def back():
         g = out.grad
         if g is None:
             return
-        if p.b2.want_grad:
-            nc.accumulate_grad(p.b2, g.sum(axis=0, keepdims=True))
-        if p.w2.want_grad:
-            nc.accumulate_grad(p.w2, act.T @ g)
-        if not (h_learns or any(v.want_grad for v in params[:4])):
-            return
-        need_z = h_learns or p.ln_gain.want_grad or p.ln_bias.want_grad
-        gz = np.empty((m, d)) if p.ln_gain.want_grad or p.ln_bias.want_grad else None
+        gz = None
+        if p is not None:
+            if p.b2.want_grad:
+                nc.accumulate_grad(p.b2, g.sum(axis=0, keepdims=True))
+            if p.w2.want_grad:
+                nc.accumulate_grad(p.w2, keep[1].T @ g)
+            if not (h_learns or any(v.want_grad for v in params[:4])):
+                return
+            if p.ln_gain.want_grad or p.ln_bias.want_grad:
+                gz = np.empty((m, d))
+        need_z = h_learns or gz is not None
         if mix is None:
-            gh_all = np.empty((m, d)) if h_learns else None
+            gh_all = (g if p is None else np.empty((m, d))) if h_learns else None
             dalpha = token_grad = None
         else:
             # the chain adds the residual's gradient to what tokens already
@@ -566,19 +554,22 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int, channel: Cha
 
         def backward_rows(lo, hi):  # the step runs once: act becomes gpre
             rows = slice(lo, hi)
-            pre, act_r, cdf = _rows_of(keep, lo, hi)
-            gact = g[rows] @ p.w2.data.T
-            gpre = (nc._relu_grad(gact, pre, out=act_r) if cdf is None
-                    else nc._gelu_grad(gact, pre, cdf, out=act_r))
-            if not need_z:
-                return
-            gz_r = np.matmul(gpre, p.w1.data.T, out=None if gz is None else gz[rows])
-            if not h_learns:
-                return
-            gh = nc._layer_norm_back_rows(gz_r, gain, xn[rows], inv_std[rows],
-                                          out=None if gh_all is None else gh_all[rows])
-            if residual:
-                gh += g[rows]
+            if p is None:
+                gh = g[rows]
+            else:
+                pre, act_r, cdf = _rows_of(keep, lo, hi)
+                gact = g[rows] @ p.w2.data.T
+                gpre = (nc._relu_grad(gact, pre, out=act_r) if cdf is None
+                        else nc._gelu_grad(gact, pre, cdf, out=act_r))
+                if not need_z:
+                    return
+                gz_r = np.matmul(gpre, p.w1.data.T, out=None if gz is None else gz[rows])
+                if not h_learns:
+                    return
+                gh = nc._layer_norm_back_rows(gz_r, p.ln_gain.data, xn[rows], inv_std[rows],
+                                              out=None if gh_all is None else gh_all[rows])
+                if residual:
+                    gh += g[rows]
             if mix is None:
                 return
             dh = _mix_back_rows(gh.reshape(-1, n, d), x3, mix, lo // n, hi // n,
@@ -593,15 +584,16 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int, channel: Cha
             else:
                 np.add(base, dh.reshape(-1, d), out=token_grad[rows])
 
-        backward_rows.block = n
-        nc._row_passes(m, backward_rows)
-        gpre = act
-        if p.b1.want_grad:
-            nc.accumulate_grad(p.b1, gpre.sum(axis=0, keepdims=True))
-        if p.w1.want_grad:
-            nc.accumulate_grad(p.w1, z.T @ gpre)
-        if gz is not None:
-            nc._layer_norm_back(gz, None, p.ln_gain, p.ln_bias, xn, inv_std)
+        if p is not None or mix is not None:  # else g is the gradient both get
+            nc._row_passes(m, backward_rows, block=n)
+        if p is not None:
+            gpre = keep[1]
+            if p.b1.want_grad:
+                nc.accumulate_grad(p.b1, gpre.sum(axis=0, keepdims=True))
+            if p.w1.want_grad:
+                nc.accumulate_grad(p.w1, z.T @ gpre)
+            if gz is not None:
+                nc._layer_norm_back(gz, None, p.ln_gain, p.ln_bias, xn, inv_std)
         if gh_all is not None:  # the chain's add: tokens, then the mix
             if residual:
                 nc.accumulate_grad(tokens, gh_all)
@@ -661,18 +653,15 @@ def token_mix(tokens: Value, times, mixer: MixerLayer, activation: str = "gelu",
     raise ConfigError(f"unknown mixer layer type {type(mixer).__name__}")
 
 
-def token_block(tokens: Value, times, mixer: MixerLayer, channel: ChannelParams,
-                activation: str = "gelu", residual: bool = True,
-                use_channel_mixer: bool = True, pad_lens=None) -> Value:
-    """One full block: residual around :func:`token_mix`, then the channel mixer.
+def token_block(tokens: Value, times, mixer: MixerLayer, channel: ChannelParams | None,
+                activation: str = "gelu", residual: bool = True, pad_lens=None) -> Value:
+    """One full block: residual around :func:`token_mix`, then the channel
+    mixer, unless ``channel`` is None.
 
-    With the channel mixer on, the residual and the channel mixer are one tape
-    op (:func:`_mix_block`), bit-identical to the chain of ops; an adaptive or
-    pooling layer's mix runs inside it, any other mixer's output feeds it.
+    The residual and the channel mixer are one tape op (:func:`_mix_block`),
+    bit-identical to the chain of ops; an adaptive or pooling layer's mix runs
+    inside it, any other mixer's output feeds it.
     """
-    if not use_channel_mixer:
-        mixed = token_mix(tokens, times, mixer, activation, pad_lens)
-        return nc.add(tokens, mixed) if residual else mixed
     times, pad_lens = _blocks(times, pad_lens)
     adaptive = _adaptive_args(tokens, mixer)
     mixed = (_mixing(tokens, times, pad_lens, *adaptive) if adaptive is not None

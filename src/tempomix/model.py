@@ -184,7 +184,7 @@ class BoundModel:
             else:
                 mixer = mx.AttentionLayer(values[f"layer{i}.wq"], values[f"layer{i}.wk"],
                                           values[f"layer{i}.wv"], values[f"layer{i}.wo"])
-            channel = mx.ChannelParams(
+            channel = None if config.no_cm else mx.ChannelParams(
                 values[f"layer{i}.ln_gain"], values[f"layer{i}.ln_bias"],
                 values[f"layer{i}.ff_w1"], values[f"layer{i}.ff_b1"],
                 values[f"layer{i}.ff_w2"], values[f"layer{i}.ff_b2"])
@@ -219,8 +219,7 @@ def node_repr_value(bound: BoundModel, store: TemporalStore, node: int, t: float
     for mixer, channel in bound.layers:
         tokens = mx.token_block(tokens, times, mixer, channel,
                                 activation=cfg.activation,
-                                residual=not cfg.no_resnet,
-                                use_channel_mixer=not cfg.no_cm)
+                                residual=not cfg.no_resnet)
     return nc.mean_rows(tokens)
 
 
@@ -367,8 +366,7 @@ def _batched_reprs(bound: BoundModel, store: TemporalStore,
     for mixer, channel in bound.layers:
         tokens = mx.token_block(tokens, times, mixer, channel,
                                 activation=cfg.activation,
-                                residual=not cfg.no_resnet,
-                                use_channel_mixer=not cfg.no_cm, pad_lens=pads)
+                                residual=not cfg.no_resnet, pad_lens=pads)
     if cfg.mixer == "mlp":
         pads = np.zeros_like(pads)
     return nc.mean_rows_blocks(tokens, n, pads)

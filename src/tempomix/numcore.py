@@ -409,9 +409,11 @@ def _blas_to_one_thread() -> bool:
     threads leave the second core to the row worker; False if not found.
 
     The whole GEMMs then take OpenBLAS's single-thread path, which blocks the
-    sum over K differently from its threaded one for some K above 512:
-    a weight gradient over that many rows can differ in the last bits from a
-    run with several BLAS threads, and equals one with OPENBLAS_NUM_THREADS=1.
+    sum over K differently from its threaded one for some K, not only large
+    ones: a weight gradient ``A.T @ B`` over K = 400, 490-508, 513 or 600 rows
+    can differ in the last bits from a run with several BLAS threads, while
+    K = 128-384, 512 or 1024 agree. It equals a run with
+    OPENBLAS_NUM_THREADS=1.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*.so*")):
@@ -444,16 +446,14 @@ def _drain(fn: Callable[[int, int], None], chunks) -> None:
         fn(lo, hi)
 
 
-def _row_passes(m: int, fn: Callable[[int, int], None]) -> None:
+def _row_passes(m: int, fn: Callable[[int, int], None], block: int = 1) -> None:
     """Run ``fn(lo, hi)`` over row ranges that cover ``range(m)`` exactly once,
-    each bound a multiple of ``fn.block`` if ``fn`` has that attribute (which
-    must divide ``m``; one row otherwise): ceil(m / _ROW_CHUNK) chunks of
-    near-equal numbers of blocks that the caller and the row worker take from
-    one list iterator, fewer where a chunk would fall below _ROW_CHUNK / 2
-    rows, or one call ``fn(0, m)`` for at most one chunk or without a worker.
-    A second caller's chunks queue behind the first's on the worker while it
-    drains them itself."""
-    block = getattr(fn, "block", 1)
+    each bound a multiple of ``block`` (which must divide ``m``):
+    ceil(m / _ROW_CHUNK) chunks of near-equal numbers of blocks that the
+    caller and the row worker take from one list iterator, fewer where a
+    chunk would fall below _ROW_CHUNK / 2 rows, or one call ``fn(0, m)`` for
+    at most one chunk or without a worker. A second caller's chunks queue
+    behind the first's on the worker while it drains them itself."""
     blocks = m // block
     k = min(-(-m // _ROW_CHUNK), blocks // -(-(_ROW_CHUNK // 2) // block))
     worker = _row_worker

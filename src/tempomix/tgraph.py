@@ -12,7 +12,6 @@ safe to share across threads.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -405,10 +404,6 @@ class SyntheticSpec:
         if unknown:
             raise SpecError(f"unknown synthetic spec keys: {sorted(unknown)}")
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SyntheticSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> EventStream:

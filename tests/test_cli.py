@@ -160,9 +160,9 @@ class TestRowWorker:
         rows = []
         row_passes = nc._row_passes
 
-        def counted(m, fn):
+        def counted(m, fn, block=1):
             rows.append(m)
-            row_passes(m, fn)
+            row_passes(m, fn, block=block)
 
         monkeypatch.setattr(nc, "_row_passes", counted)
         monkeypatch.setattr(nc, "_start_row_worker", lambda: None)

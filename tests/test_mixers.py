@@ -769,6 +769,22 @@ def composed_block(tokens, times, pads, layer, params, activation, residual):
     return reference_channel_mix(h, params, activation, residual)
 
 
+def bare_block(tokens, times, pads, layer, params, activation, residual):
+    """The block without a channel mixer."""
+    return fused_block(tokens, times, pads, layer, None, activation, residual)
+
+
+def bare_chain(tokens, times, pads, layer, params, activation, residual):
+    """The chain a block without a channel mixer stands for: the token mix
+    (an adaptive or pooling layer's from the per-sequence oracle), then the
+    residual add."""
+    if isinstance(layer, (mx.AdaptiveLayer, mx.PoolingLayer)):
+        mixed = reference_adaptive_mix(tokens, times, *adaptive_args(tokens, layer), pads)
+    else:
+        mixed = mx.token_mix(tokens, times, layer, activation, pads)
+    return nc.add(tokens, mixed) if residual else mixed
+
+
 def reference_block(tokens, times, pads, layer, params, activation, residual):
     """An adaptive or pooling block from the per-sequence oracles of both kernels."""
     mixed = reference_adaptive_mix(tokens, times, *adaptive_args(tokens, layer), pads)
@@ -790,6 +806,7 @@ ADAPTIVE_MIXERS = ["learned", "no_lp", "no_rt", "pooling"]
 BLOCK_ALL = ("h", "order", "fuse_raw", "mixer") + CHANNEL_NAMES
 MIXED_ALL = ("h", "mixer") + CHANNEL_NAMES
 MIXED_LEAVES = [MIXED_ALL, ("h",), ("mixer",), ("w2", "b2"), ("ln_gain", "w1"), ()]
+BLOCK_LEAVES = [BLOCK_ALL, ("h",), ("order", "fuse_raw"), ("w2", "b2"), ("ln_gain", "w1"), ()]
 
 
 def run_block(block, arrays, times, pads, mixer, activation, residual, leaves):
@@ -830,15 +847,22 @@ def assert_same_run(run, want, label):
         np.testing.assert_array_equal(grads[name], want_grads[name], err_msg=f"{label}: {name}")
 
 
-def assert_matches_the_oracles(arrays, times, pads, mixer, activation, residual, leaves):
+def assert_matches_the_oracles(arrays, times, pads, mixer, activation, residual, leaves,
+                               block=fused_block):
     """The block is one tape step after its token mix (none for an adaptive or
     pooling layer, whose mix runs inside it), and bit for bit the chain of
-    kernels and, for an adaptive or pooling layer, the per-sequence oracles."""
+    kernels and, for an adaptive or pooling layer, the per-sequence oracles;
+    ``bare_block``, the block without a channel mixer, is checked against
+    ``bare_chain``."""
     args = (arrays, times, pads, mixer, activation, residual, leaves)
-    run = run_block(fused_block, *args)
+    run = run_block(block, *args)
     whole_mix = BLOCK_MIXERS[mixer][0] in MIXER_PARAMS
     mix_steps = run_block(token_mix_only, *args)[2] if whole_mix else 0
-    for oracle in (composed_block,) if whole_mix else (composed_block, reference_block):
+    if block is bare_block:
+        oracles = (bare_chain,)
+    else:
+        oracles = (composed_block,) if whole_mix else (composed_block, reference_block)
+    for oracle in oracles:
         want = run_block(oracle, *args)
         assert run[2] == mix_steps + min(1, want[2]), oracle.__name__  # one step, not a chain
         assert_same_run(run, want, oracle.__name__)
@@ -963,9 +987,10 @@ class TestRowPasses:
                 seen[lo:hi] += 1
                 spans.append((lo, hi))
 
-            if block is not None:
-                rows.block = block
-            nc._row_passes(rows_m, rows)
+            if block is None:  # the default: blocks of one row
+                nc._row_passes(rows_m, rows)
+            else:
+                nc._row_passes(rows_m, rows, block=block)
             assert np.all(seen == 1)
             sizes = [hi - lo for lo, hi in spans]
             step = block or 1
@@ -1096,8 +1121,7 @@ class TestFusedTokenBlock:
 
     CHUNK = nc._ROW_CHUNK
 
-    @pytest.mark.parametrize("leaves", [BLOCK_ALL, ("h",), ("order", "fuse_raw"),
-                                        ("w2", "b2"), ("ln_gain", "w1"), ()])
+    @pytest.mark.parametrize("leaves", BLOCK_LEAVES)
     @pytest.mark.parametrize("mixer", ADAPTIVE_MIXERS)
     @pytest.mark.parametrize("residual", [True, False])
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
@@ -1127,9 +1151,9 @@ class TestFusedTokenBlock:
         spans = []
         row_passes = nc._row_passes
 
-        def recorded(m, fn):
-            spans.append((m, getattr(fn, "block", 1)))
-            row_passes(m, fn)
+        def recorded(m, fn, block=1):
+            spans.append((m, block))
+            row_passes(m, fn, block=block)
 
         monkeypatch.setattr(nc, "_row_passes", recorded)
         arrays, times, pads = block_arrays(np.random.default_rng(62), r=r, n=n, mixer=mixer)
@@ -1201,6 +1225,36 @@ class TestFusedTokenBlock:
         assert {thread for _, thread in calls} == {caller}
 
 
+class TestBlockWithoutChannelMixer:
+    """``channel=None`` is the layer without a channel mixer: the same block
+    op, one tape step after the whole mix of attention or the MLP and one step
+    in all for an adaptive or pooling layer, bit for bit the token mix and
+    the residual ``add``, worker off and on."""
+
+    CHUNK = nc._ROW_CHUNK
+
+    @pytest.mark.parametrize("leaves", BLOCK_LEAVES + [("mixer",)])
+    @pytest.mark.parametrize("mixer", list(BLOCK_MIXERS))
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_bit_identical_to_the_mix_and_add(self, residual, mixer, leaves):
+        arrays, times, pads = block_arrays(np.random.default_rng(65), r=9, n=7, mixer=mixer)
+        assert_matches_the_oracles(arrays, times, pads, mixer, "gelu", residual, leaves,
+                                   block=bare_block)
+
+    @pytest.mark.parametrize("mixer", list(BLOCK_MIXERS))
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("chunks", ["below", "several"])
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_every_chunking_matches_the_mix_and_add(self, monkeypatch, row_worker, worker,
+                                                   chunks, residual, mixer):
+        monkeypatch.setattr(nc, "_row_worker", row_worker if worker else None)
+        n = 7
+        r = {"below": self.CHUNK // (2 * n), "several": 3 * self.CHUNK // n + 2}[chunks]
+        arrays, times, pads = block_arrays(np.random.default_rng(66), r=r, n=n, mixer=mixer)
+        assert_matches_the_oracles(arrays, times, pads, mixer, "gelu", residual, BLOCK_ALL,
+                                   block=bare_block)
+
+
 class TestTokenMix:
     def test_unknown_layer_type_rejected(self):
         tape = nc.Tape()
@@ -1225,16 +1279,15 @@ class TestTokenBlock:
         tape = nc.Tape()
         tokens = const(tape, h)
         mixer = mx.PoolingLayer(window=2)
-        out = mx.token_block(tokens, np.arange(4.0), mixer, zero_channel(tape, 2),
-                             use_channel_mixer=False)
+        out = mx.token_block(tokens, np.arange(4.0), mixer, None)
         np.testing.assert_allclose(out.data, h + reference_pooling_mix(h, 2))
 
     def test_no_residual_no_channel_mixer_returns_pure_mix(self):
         rng = np.random.default_rng(15)
         h = rng.normal(size=(4, 2))
         tape = nc.Tape()
-        out = mx.token_block(const(tape, h), np.arange(4.0), mx.PoolingLayer(window=2),
-                             zero_channel(tape, 2), residual=False, use_channel_mixer=False)
+        out = mx.token_block(const(tape, h), np.arange(4.0), mx.PoolingLayer(window=2), None,
+                             residual=False)
         np.testing.assert_allclose(out.data, reference_pooling_mix(h, 2))
 
 
