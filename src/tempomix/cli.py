@@ -137,29 +137,53 @@ def _load_spec_file(path: str) -> dict:
     return doc
 
 
+def _json_typed(where: str, value, annotation: str):
+    """``value`` if its JSON type fits a field annotated ``annotation`` (only
+    true or false fits a bool, an integer also fits a float, and a list of
+    integers fits a tuple), else a usage error."""
+    kind = {"int": int, "float": (int, float), "str": str, "bool": bool, "tuple": list, "dict": dict}
+    if (not isinstance(value, kind[annotation])
+            or isinstance(value, bool) != (annotation == "bool")
+            or annotation == "tuple" and not all(type(x) is int for x in value)):
+        raise UsageError(f"{where}: expected {annotation}, got {value!r}")
+    return value
+
+
+def _spec_config(section: str, cls, kw: dict):
+    """``cls(**kw)`` for a config dataclass ``cls``; a key that names none of
+    its fields, or a value that does not fit its field, is a usage error."""
+    fields = cls.__dataclass_fields__
+    for key, value in _json_typed(section, kw, "dict").items():
+        if key not in fields:
+            raise UsageError(f"unknown {section} key {key!r}")
+        _json_typed(f"{section} {key!r}", value, fields[key].type)
+    return cls(**kw)
+
+
 def resolve_run_spec(args) -> RunSpec:
     """Merge defaults, spec file, and flags (flags win)."""
     doc = _load_spec_file(args.config) if args.config else {}
-    model_kw = dict(doc.get("model", {}))
-    train_kw = dict(doc.get("train", {}))
-    data = doc.get("data", {})
+    model_kw = dict(_json_typed("'model'", doc.get("model", {}), "dict"))
+    train_kw = dict(_json_typed("'train'", doc.get("train", {}), "dict"))
+    data = _json_typed("'data'", doc.get("data", {}), "dict")
     spec = RunSpec()
     if "path" in data:
-        spec.data_path = data["path"]
-    spec.bipartite = bool(data.get("bipartite", False))
+        spec.data_path = _json_typed("data 'path'", data["path"], "str")
+    spec.bipartite = _json_typed("data 'bipartite'", data.get("bipartite", False), "bool")
     if "synthetic" in data:
-        spec.synthetic = tg.SyntheticSpec.from_dict(data["synthetic"])
-        spec.synthetic_seed = int(data.get("seed", 0))
+        spec.synthetic = _spec_config("synthetic spec", tg.SyntheticSpec, data["synthetic"])
+        spec.synthetic_seed = _json_typed("data 'seed'", data.get("seed", 0), "int")
     if "out" in doc:
-        spec.out_dir = Path(doc["out"])
-    spec.runs = int(doc.get("runs", 1))
+        spec.out_dir = Path(_json_typed("'out'", doc["out"], "str"))
+    spec.runs = _json_typed("'runs'", doc.get("runs", 1), "int")
 
     if getattr(args, "dataset", None) and getattr(args, "synthetic", None):
         raise UsageError("--dataset and --synthetic are mutually exclusive")
     if getattr(args, "dataset", None):
         spec.data_path, spec.synthetic = args.dataset, None
     if getattr(args, "synthetic", None):
-        spec.synthetic = tg.SyntheticSpec.from_dict(json.loads(args.synthetic))
+        spec.synthetic = _spec_config("synthetic spec", tg.SyntheticSpec,
+                                      json.loads(args.synthetic))
         spec.data_path, spec.bipartite = None, False
     for name in ("mixer", "dim", "time_dim", "n_max"):
         flag = getattr(args, name, None)
@@ -181,8 +205,8 @@ def resolve_run_spec(args) -> RunSpec:
     if getattr(args, "runs", None):
         spec.runs = args.runs
 
-    spec.model = md.ModelConfig.from_dict(model_kw)
-    spec.train = te.TrainConfig(**train_kw)
+    spec.model = _spec_config("model config", md.ModelConfig, model_kw)
+    spec.train = _spec_config("train config", te.TrainConfig, train_kw)
     spec.validate()
     return spec
 
@@ -198,10 +222,7 @@ def _run_training(spec: RunSpec) -> tuple[list[dict], list[md.ModelParams]]:
     stream = spec.load_stream()
     reports, params_list = [], []
     for run_idx in range(spec.runs):
-        cfg = te.TrainConfig(epochs=spec.train.epochs, lr=spec.train.lr,
-                             batch_size=spec.train.batch_size,
-                             patience=spec.train.patience,
-                             seed=spec.train.seed + run_idx)
+        cfg = replace(spec.train, seed=spec.train.seed + run_idx)
         _log(f"run {run_idx}: seed={cfg.seed}")
         params, report = te.train(stream, spec.model, cfg)
         doc = report.to_dict()
@@ -262,13 +283,8 @@ def cmd_ablate(args) -> int:
     base = spec.model.to_dict()
     results = {}
     for variant, overrides in ABLATION_VARIANTS.items():
-        cfg_dict = dict(base)
-        cfg_dict.update(overrides)
-        cfg_dict.update({k: False for k in ("no_lp", "no_rt", "no_resnet", "no_cm")
-                         if k not in overrides})
-        if "activation" not in overrides:
-            cfg_dict["activation"] = base["activation"]
-        variant_spec = replace(spec, model=md.ModelConfig.from_dict(cfg_dict))
+        flags = {**dict.fromkeys(("no_lp", "no_rt", "no_resnet", "no_cm"), False), **overrides}
+        variant_spec = replace(spec, model=replace(spec.model, **flags))
         _log(f"ablation variant: {variant}")
         reports, params_list = _run_training(variant_spec)
         md.save_checkpoint(params_list[0], spec.out_dir / f"checkpoint_{variant}.json")

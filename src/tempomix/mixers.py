@@ -12,10 +12,10 @@ padded batch: R sequences of n rows stacked into one (R*n) x d matrix, each
 left-padded. The reference path ``model.node_repr`` runs them on one
 sequence, and ``tempomix bench`` times :func:`token_mix`, so it measures the
 kernels that training runs. The adaptive mixer and attention have batched
-kernels (:func:`adaptive_mix_batched`, :func:`attention_mix_batched`; their
-single-sequence calls are :func:`adaptive_mix` and :func:`attention_mix`);
-pooling is the adaptive kernel with flat order weights, and :func:`mlp_mix`
-runs on the blocks side by side (``numcore.blocks_to_cols``).
+kernels (:func:`adaptive_mix_batched`, whose single-sequence call is
+:func:`adaptive_mix`, and :func:`attention_mix_batched`); pooling is the
+adaptive kernel with flat order weights, and :func:`mlp_mix` runs on the
+blocks side by side (``numcore.blocks_to_cols``).
 
 Attention and the block are fused differentiable operations: their backward
 passes are derived analytically and registered on the tape. Every layer's
@@ -48,7 +48,6 @@ __all__ = [
     "adaptive_mix",
     "adaptive_mix_batched",
     "mlp_mix",
-    "attention_mix",
     "attention_mix_batched",
     "token_mix",
     "token_block",
@@ -331,17 +330,12 @@ def mlp_mix(tokens: Value, params: MlpLayer, activation: str = "gelu") -> Value:
     return nc.add(nc.matmul(params.w2, hidden), params.b2)
 
 
-def attention_mix(tokens: Value, params: AttentionLayer) -> Value:
-    """Single-head scaled dot-product attention with output projection."""
-    return attention_mix_batched(tokens, [0], params)
-
-
 def attention_mix_batched(tokens: Value, pad_lens, params: AttentionLayer) -> Value:
     """Single-head attention within each of R equally padded blocks.
 
     ``tokens`` stacks R blocks of ``n`` rows into an (R*n) x d matrix; block
     r's first ``pad_lens[r]`` rows are padding and are masked out as keys, so
-    each real row matches :func:`attention_mix` on its block's real rows.
+    each real row matches its block's real rows run alone.
     The projections are plain matmuls over all rows; the per-block scores,
     key mask, softmax and weighted sum are one fused op.
     """
@@ -415,8 +409,7 @@ def _channel_flops(m: int, d: int, params: ChannelParams, activation: str,
                    residual: bool) -> int:
     """Check a channel mixer's activation and parameters against an m x d input;
     returns the flop tally of its chain of tape ops."""
-    if activation not in ("gelu", "relu"):
-        raise ConfigError(f"unknown activation {activation!r}")
+    _activation(activation)  # rejects an unknown one
     p = params
     hidden = p.w1.data.shape[1]
     d_out = p.w2.data.shape[1]
@@ -463,7 +456,8 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
     ``mixed`` is either an adaptive (or pooling) layer's :class:`_Mixing`,
     whose mix then runs inside the op, or the output of a token mixer that
     ran whole (attention, the token-axis MLP). ``channel`` None is the layer
-    without a channel mixer (``activation`` is then unused). The op does the
+    without a channel mixer (``activation`` is then unused); without the
+    residual too, a mix that ran whole comes back as it is. The op does the
     arithmetic of the chain mix -> ``numcore.add`` (the residual, unless
     ablated) -> LayerNorm -> feed-forward (plus the residual), in the same
     order, so output, gradients and flop tally match it bit for bit. One row
@@ -490,6 +484,8 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
     if mix is None and (mixed.data.shape != (m, d) or m % n):
         raise ShapeError(f"token_block: a mix of shape {mixed.data.shape} does not fit "
                          f"{m}x{d} tokens in blocks of {n}")
+    if mix is None and p is None and not residual:
+        return mixed  # nothing to add to a mix that ran whole
     tape.flops += ((0 if mix is None else mix.flops) + (m * d if residual else 0)
                    + (0 if p is None else _channel_flops(m, d, p, activation, residual)))
 
@@ -592,8 +588,10 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
                 nc.accumulate_grad(p.b1, gpre.sum(axis=0, keepdims=True))
             if p.w1.want_grad:
                 nc.accumulate_grad(p.w1, z.T @ gpre)
-            if gz is not None:
-                nc._layer_norm_back(gz, None, p.ln_gain, p.ln_bias, xn, inv_std)
+            if p.ln_gain.want_grad:
+                nc.accumulate_grad(p.ln_gain, (gz * xn).sum(axis=0, keepdims=True))
+            if p.ln_bias.want_grad:
+                nc.accumulate_grad(p.ln_bias, gz.sum(axis=0, keepdims=True))
         if gh_all is not None:  # the chain's add: tokens, then the mix
             if residual:
                 nc.accumulate_grad(tokens, gh_all)

@@ -22,7 +22,6 @@ from .numcore import ConfigError, ContractError, Tape, Value
 from .tgraph import TemporalStore
 
 __all__ = [
-    "PROB_CLAMP",
     "ModelConfig",
     "ModelParams",
     "BoundModel",
@@ -32,15 +31,12 @@ __all__ = [
     "node_repr",
     "predict_link_value",
     "predict_link",
-    "bce_loss",
     "batch_loss",
     "score_pairs",
     "effective_fusions",
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-PROB_CLAMP = 1e-12  # bce_loss clamps probabilities to [PROB_CLAMP, 1-PROB_CLAMP] before logs
 
 MIXERS = ("adaptive", "pooling", "mlp", "attention")
 ACTIVATIONS = ("gelu", "relu")
@@ -249,17 +245,6 @@ def predict_link(z_u: np.ndarray, z_v: np.ndarray, params: ModelParams) -> float
     zu = tape.constant(np.asarray(z_u, dtype=np.float64).reshape(1, -1))
     zv = tape.constant(np.asarray(z_v, dtype=np.float64).reshape(1, -1))
     return float(predict_link_value(bound, zu, zv).data[0, 0])
-
-
-def bce_loss(pos_probs: Sequence[float], neg_probs: Sequence[float]) -> float:
-    """Summed binary cross-entropy on probabilities (clamped before logs)."""
-    pos = np.asarray(pos_probs, dtype=np.float64)
-    neg = np.asarray(neg_probs, dtype=np.float64)
-    if pos.size == 0 and neg.size == 0:
-        raise ContractError("bce_loss: need at least one probability")
-    pos = np.clip(pos, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    neg = np.clip(neg, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-(np.log(pos).sum() + np.log(1.0 - neg).sum()))
 
 
 def _windows(store: TemporalStore, keys: Sequence[tuple[int, float]],

@@ -33,20 +33,15 @@ __all__ = [
     "accumulate_grad",
     "matmul",
     "add",
-    "scale",
     "concat_cols",
     "concat_rows",
     "gather_rows",
     "mean_rows_blocks",
     "blocks_to_cols",
     "cols_to_blocks",
-    "transpose",
-    "softmax_rows",
-    "layer_norm_rows",
     "gelu",
     "relu",
     "mean_rows",
-    "sum_all",
     "sigmoid",
     "bce_with_logits",
     "backward",
@@ -166,10 +161,6 @@ def _same_tape(*vals: Value) -> Tape:
     return t
 
 
-def _out(tape: Tape, data: np.ndarray, want_grad: bool) -> Value:
-    return Value(data, tape, want_grad)
-
-
 # ---------------------------------------------------------------------------
 # Forward primitives
 # ---------------------------------------------------------------------------
@@ -181,7 +172,7 @@ def matmul(a: Value, b: Value) -> Value:
     if k != k2:
         raise ShapeError(f"matmul: inner dimensions differ for shapes {a.data.shape} and {b.data.shape}")
     t.flops += 2 * m * k * n
-    out = _out(t, a.data @ b.data, a.want_grad or b.want_grad)
+    out = Value(a.data @ b.data, t, a.want_grad or b.want_grad)
     if out.want_grad:
         def back():
             g = out.grad
@@ -204,7 +195,7 @@ def add(a: Value, b: Value) -> Value:
     if (mb, nb) != (m, n) and not row_bcast and not col_bcast:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} are not compatible")
     t.flops += m * n
-    out = _out(t, a.data + b.data, a.want_grad or b.want_grad)
+    out = Value(a.data + b.data, t, a.want_grad or b.want_grad)
     if out.want_grad:
         def back():
             g = out.grad
@@ -223,25 +214,12 @@ def add(a: Value, b: Value) -> Value:
     return out
 
 
-def scale(a: Value, c: float) -> Value:
-    t = a.tape
-    c = float(c)
-    t.flops += a.data.size
-    out = _out(t, a.data * c, a.want_grad)
-    if out.want_grad:
-        def back():
-            if out.grad is not None:
-                accumulate_grad(a, out.grad * c)
-        t.record(back)
-    return out
-
-
 def concat_cols(a: Value, b: Value) -> Value:
     t = _same_tape(a, b)
     if a.data.shape[0] != b.data.shape[0]:
         raise ShapeError(f"concat_cols: row counts differ for shapes {a.data.shape} and {b.data.shape}")
     na = a.data.shape[1]
-    out = _out(t, np.hstack([a.data, b.data]), a.want_grad or b.want_grad)
+    out = Value(np.hstack([a.data, b.data]), t, a.want_grad or b.want_grad)
     if out.want_grad:
         def back():
             g = out.grad
@@ -265,7 +243,7 @@ def concat_rows(vals: Sequence[Value]) -> Value:
         if v.data.shape[1] != ncols:
             raise ShapeError(
                 f"concat_rows: column counts differ for shapes {vals[0].data.shape} and {v.data.shape}")
-    out = _out(t, np.vstack([v.data for v in vals]), any(v.want_grad for v in vals))
+    out = Value(np.vstack([v.data for v in vals]), t, any(v.want_grad for v in vals))
     if out.want_grad:
         row_counts = [v.data.shape[0] for v in vals]
         def back():
@@ -277,34 +255,6 @@ def concat_rows(vals: Sequence[Value]) -> Value:
                 if v.want_grad:
                     accumulate_grad(v, g[lo:lo + r])
                 lo += r
-        t.record(back)
-    return out
-
-
-def transpose(a: Value) -> Value:
-    t = a.tape
-    out = _out(t, a.data.T.copy(), a.want_grad)
-    if out.want_grad:
-        def back():
-            if out.grad is not None:
-                accumulate_grad(a, out.grad.T)
-        t.record(back)
-    return out
-
-
-def softmax_rows(a: Value) -> Value:
-    t = a.tape
-    x = a.data
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    s = e / e.sum(axis=1, keepdims=True)
-    t.flops += 5 * x.size
-    out = _out(t, s, a.want_grad)
-    if out.want_grad:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            accumulate_grad(a, s * (g - (g * s).sum(axis=1, keepdims=True)))
         t.record(back)
     return out
 
@@ -328,36 +278,6 @@ def _layer_norm_back_rows(g: np.ndarray, gain: np.ndarray, xn: np.ndarray,
     gx = g * gain
     return np.multiply(inv_std, gx - gx.mean(axis=1, keepdims=True)
                        - xn * (gx * xn).mean(axis=1, keepdims=True), out=out)
-
-
-def _layer_norm_back(g: np.ndarray, a: Value | None, gain: Value, bias: Value,
-                     xn: np.ndarray, inv_std: np.ndarray) -> None:
-    """Accumulate the gradients of :func:`_layer_norm` given its output gradient;
-    with ``a`` None only gain's and bias's, whose sums over rows run whole."""
-    if gain.want_grad:
-        accumulate_grad(gain, (g * xn).sum(axis=0, keepdims=True))
-    if bias.want_grad:
-        accumulate_grad(bias, g.sum(axis=0, keepdims=True))
-    if a is not None and a.want_grad:
-        accumulate_grad(a, _layer_norm_back_rows(g, gain.data, xn, inv_std))
-
-
-def layer_norm_rows(a: Value, gain: Value, bias: Value) -> Value:
-    """Per-row normalization with population variance, then affine gain/bias."""
-    t = _same_tape(a, gain, bias)
-    m, n = a.data.shape
-    if gain.data.shape != (1, n) or bias.data.shape != (1, n):
-        raise ShapeError(
-            f"layer_norm_rows: gain/bias must be 1x{n}, got {gain.data.shape} and {bias.data.shape}")
-    z, xn, inv_std = _layer_norm(a.data, gain.data, bias.data)
-    t.flops += _FLOPS_PER_ELEMENT["layer_norm"] * z.size
-    out = _out(t, z, a.want_grad or gain.want_grad or bias.want_grad)
-    if out.want_grad:
-        def back():
-            if out.grad is not None:
-                _layer_norm_back(out.grad, a, gain, bias, xn, inv_std)
-        t.record(back)
-    return out
 
 
 def _gelu_cdf(x: np.ndarray, out=None) -> np.ndarray:
@@ -483,7 +403,7 @@ def gelu(a: Value) -> Value:
     x = a.data
     cdf = _gelu_cdf(x)
     t.flops += _FLOPS_PER_ELEMENT["gelu"] * x.size
-    out = _out(t, x * cdf, a.want_grad)
+    out = Value(x * cdf, t, a.want_grad)
     if out.want_grad:
         def back():
             if out.grad is not None:
@@ -496,7 +416,7 @@ def relu(a: Value) -> Value:
     t = a.tape
     x = a.data
     t.flops += _FLOPS_PER_ELEMENT["relu"] * x.size
-    out = _out(t, _relu(x), a.want_grad)
+    out = Value(_relu(x), t, a.want_grad)
     if out.want_grad:
         def back():
             if out.grad is not None:
@@ -510,27 +430,13 @@ def mean_rows(a: Value) -> Value:
     t = a.tape
     m = a.data.shape[0]
     t.flops += a.data.size
-    out = _out(t, a.data.mean(axis=0, keepdims=True), a.want_grad)
+    out = Value(a.data.mean(axis=0, keepdims=True), t, a.want_grad)
     if out.want_grad:
         def back():
             g = out.grad
             if g is None:
                 return
             accumulate_grad(a, np.broadcast_to(g / m, a.data.shape).copy())
-        t.record(back)
-    return out
-
-
-def sum_all(a: Value) -> Value:
-    t = a.tape
-    t.flops += a.data.size
-    out = _out(t, np.array([[a.data.sum()]]), a.want_grad)
-    if out.want_grad:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            accumulate_grad(a, np.full(a.data.shape, g[0, 0]))
         t.record(back)
     return out
 
@@ -544,7 +450,7 @@ def gather_rows(a: Value, indices) -> Value:
         raise ContractError("gather_rows: index out of range")
     t = a.tape
     t.flops += idx.size * a.data.shape[1]
-    out = _out(t, a.data[idx], a.want_grad)
+    out = Value(a.data[idx], t, a.want_grad)
     if out.want_grad:
         def back():
             g = out.grad
@@ -576,7 +482,7 @@ def mean_rows_blocks(a: Value, block_len: int, pad_lens) -> Value:
     counts = (block_len - pads).astype(np.float64)[:, None]
     out_data = (h3 * mask[:, :, None]).sum(axis=1) / counts
     t.flops += 2 * rows * cols
-    out = _out(t, out_data, a.want_grad)
+    out = Value(out_data, t, a.want_grad)
     if out.want_grad:
         def back():
             g = out.grad
@@ -619,7 +525,7 @@ def cols_to_blocks(a: Value, width: int) -> Value:
 
 def _regroup(a: Value, data: np.ndarray, undo: Callable[[np.ndarray], np.ndarray]) -> Value:
     """A pure re-layout of ``a``; the backward applies the inverse layout."""
-    out = _out(a.tape, data, a.want_grad)
+    out = Value(data, a.tape, a.want_grad)
     if out.want_grad:
         def back():
             if out.grad is not None:
@@ -641,7 +547,7 @@ def sigmoid(a: Value) -> Value:
     t = a.tape
     s = _stable_sigmoid(a.data)
     t.flops += 4 * a.data.size
-    out = _out(t, s, a.want_grad)
+    out = Value(s, t, a.want_grad)
     if out.want_grad:
         def back():
             if out.grad is not None:
@@ -666,8 +572,8 @@ def bce_with_logits(logits: Value, labels) -> Value:
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ContractError("bce_with_logits: labels must be 0 or 1")
     t.flops += 4 * z.size
-    out = _out(t, np.array([[np.logaddexp(0.0, (1.0 - 2.0 * y) * z).sum()]]),
-               logits.want_grad)
+    out = Value(np.array([[np.logaddexp(0.0, (1.0 - 2.0 * y) * z).sum()]]), t,
+                logits.want_grad)
     if out.want_grad:
         def back():
             g = out.grad

@@ -331,3 +331,24 @@ class TestBipartiteRunSpec:
                                              "bipartite": True}}))
         assert main(["train", "--config", str(spec), "--out", str(tmp_path)]) == 2
         assert "bipartite" in capsys.readouterr().err
+
+
+class TestSpecContentErrors:
+    """Spec content that no config takes is a usage error (exit 2) naming the
+    key, found before any training, as an unknown model key is."""
+
+    @pytest.mark.parametrize("section,content,key", [
+        ("train", {"bogus": 3}, "bogus"),
+        ("data", {"synthetic": json.loads(SYNTH), "seed": "x"}, "seed"),
+        ("model", {"dim": "8"}, "dim"),
+        ("model", {"no_cm": "false"}, "no_cm"),
+        ("model", 3, "model"),
+    ])
+    def test_exits_two_and_names_the_key(self, tmp_path, capsys, section, content, key):
+        spec = tmp_path / "run.json"
+        spec.write_text(json.dumps({"data": {"synthetic": json.loads(SYNTH)},
+                                    section: content}))
+        assert main(["train", "--config", str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert not (tmp_path / "out" / "metrics.json").exists()

@@ -13,6 +13,8 @@ import pytest
 
 from tempomix import mixers as mx
 from tempomix import numcore as nc
+from oracles import (reference_adaptive_mix, reference_attention, reference_channel_mix,
+                     reference_pooling_mix, sum_all)
 
 
 def const(tape, a):
@@ -33,102 +35,6 @@ def run_pooling(tokens, window):
     ``PoolingLayer``."""
     times = np.arange(float(tokens.data.shape[0]))
     return mx.token_mix(tokens, times, mx.PoolingLayer(window=window))
-
-
-def reference_pooling_mix(h, window):
-    """Mean over the most recent ``window`` rows of ``h``, truncated at the
-    start, by prefix sums: the oracle for the shipped pooling path."""
-    n, d = h.shape
-    cs = np.vstack([np.zeros((1, d)), np.cumsum(h, axis=0)])
-    hi = np.arange(1, n + 1)
-    lo = np.maximum(0, hi - window)
-    return (cs[hi] - cs[lo]) / (hi - lo)[:, None]
-
-
-def masked_softmax_rows(scores):
-    """Softmax over the last axis treating -inf entries as absent; rows with
-    no finite entry come out all zero."""
-    m = scores.max(axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(scores - m)
-    s = e.sum(axis=-1, keepdims=True)
-    return e / np.where(s > 0.0, s, 1.0)
-
-
-def reference_adaptive_mix(tokens, times, offsets, order_logits, fusion, pad_lens=None):
-    """The per-sequence adaptive kernel, one sequence at a time: the oracle for
-    ``mixers.adaptive_mix``, the single-block call of the batched kernel.
-
-    With 2-D ``times`` (R x n), ``tokens`` stacks R blocks of n rows, block
-    r's first ``pad_lens[r]`` rows padding (none by default): each block's
-    real rows run alone, its padding passes through, and the order-logit and
-    fusion gradients sum over the rows of all blocks at once."""
-    times = np.atleast_2d(np.asarray(times, dtype=np.float64))
-    r, n = times.shape
-    pads = np.zeros(r, dtype=np.int64) if pad_lens is None else np.asarray(pad_lens)
-    h3 = tokens.data.reshape(r, n, -1)
-    d = h3.shape[2]
-    offsets = np.asarray(offsets, dtype=np.int64)
-    k = len(offsets)
-    tape = tokens.tape
-    fusion_is_value = isinstance(fusion, nc.Value)
-    fuse = float(fusion.data[0, 0]) if fusion_is_value else float(fusion)
-    # weights over every block's rows, zero on padding and invalid offsets
-    theta, order_w = np.zeros((r, n, k)), np.zeros((r, n, k))
-    covered = np.zeros((r, n), dtype=bool)
-    nz = 0
-    for b, pad in enumerate(pads):
-        m, t = n - pad, times[b, pad:]
-        valid = offsets[None, :] <= np.arange(m)[:, None]
-        covered[b, pad:] = valid.any(axis=1)
-        gaps = np.full((m, k), np.inf)
-        for j, p in enumerate(offsets):
-            if p < m:
-                gaps[p:, j] = t[p:] - t[: m - p]
-        theta[b, pad:] = masked_softmax_rows(-gaps)
-        order_w[b, pad:] = masked_softmax_rows(
-            np.where(valid, order_logits.data[0][None, :], -np.inf))
-        nz += int(valid.sum())
-    alpha = fuse * order_w + (1.0 - fuse) * theta
-
-    out3 = h3.copy()  # padding and rows without a valid offset pass through
-    for b, pad in enumerate(pads):
-        h, m = h3[b, pad:], n - pad
-        mixed = np.zeros_like(h)
-        for j, p in enumerate(offsets):
-            if p < m:
-                mixed[p:] += alpha[b, pad + p:, j:j + 1] * h[: m - p]
-        out3[b, pad:][covered[b, pad:]] = mixed[covered[b, pad:]]
-    tape.flops += 2 * nz * d + 10 * nz + int((~covered).sum()) * d
-
-    want = tokens.want_grad or order_logits.want_grad or (fusion_is_value and fusion.want_grad)
-    out = nc.Value(out3.reshape(r * n, d), tape, want)
-    if want:
-        def back():
-            g3 = out.grad.reshape(r, n, d)
-            dalpha = np.zeros((r, n, k))
-            dh3 = g3.copy()  # padding passes the gradient through
-            for b, pad in enumerate(pads):
-                h, g, m = h3[b, pad:], g3[b, pad:], n - pad
-                dh = np.zeros_like(h)
-                for j, p in enumerate(offsets):
-                    if p < m:
-                        dh[: m - p] += alpha[b, pad + p:, j:j + 1] * g[p:]
-                        dalpha[b, pad + p:, j] = (g[p:] * h[: m - p]).sum(axis=1)
-                uncovered = ~covered[b, pad:]
-                dh[uncovered] += g[uncovered]
-                dh3[b, pad:] = dh
-            if tokens.want_grad:
-                nc.accumulate_grad(tokens, dh3.reshape(r * n, d))
-            if order_logits.want_grad and fuse != 0.0:
-                go = fuse * dalpha
-                ds = order_w * (go - (go * order_w).sum(axis=2, keepdims=True))
-                nc.accumulate_grad(order_logits, ds.sum(axis=(0, 1)).reshape(1, k))
-            if fusion_is_value and fusion.want_grad:
-                dfuse = float((dalpha * (order_w - theta)).sum())
-                nc.accumulate_grad(fusion, np.array([[dfuse]]))
-        tape.record(back)
-    return out
 
 
 class TestOffsetSchedule:
@@ -252,7 +158,7 @@ class TestAdaptiveMix:
         def f(p):
             fusion = nc.sigmoid(p["fuse_raw"])
             mixed = mx.adaptive_mix(p["h"], times, offsets, p["order"], fusion)
-            return nc.sum_all(nc.gelu(mixed))
+            return sum_all(nc.gelu(mixed))
 
         params = {
             "h": rng.normal(size=(7, 3)),
@@ -277,7 +183,7 @@ class TestAdaptiveMix:
             v = {name: tape.leaf(a) for name, a in arrays.items()}
             out = mix(v["h"], times, offsets, v["order"], nc.sigmoid(v["fuse_raw"]))
             flops = tape.flops
-            nc.backward(tape, nc.sum_all(nc.gelu(nc.matmul(out, v["w"]))))
+            nc.backward(tape, sum_all(nc.gelu(nc.matmul(out, v["w"]))))
             return out.data, flops, {name: val.grad for name, val in v.items()}
 
         out, flops, grads = run(mx.adaptive_mix)
@@ -323,7 +229,7 @@ class TestAdaptiveMix:
         def f(p):
             fusion = nc.sigmoid(p["fuse_raw"])
             mixed = mx.adaptive_mix_batched(p["h"], times, pads, offsets, p["order"], fusion)
-            return nc.sum_all(nc.gelu(mixed))
+            return sum_all(nc.gelu(mixed))
 
         params = {
             "h": rng.normal(size=(2 * n, 3)),
@@ -376,7 +282,7 @@ class TestPoolingMix:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         report = nc.grad_check(
-            lambda p: nc.sum_all(nc.gelu(run_pooling(p["h"], 3))),
+            lambda p: sum_all(nc.gelu(run_pooling(p["h"], 3))),
             {"h": rng.normal(size=(6, 2))}, h=1e-5)
         assert report.max_rel_error <= 1e-4
 
@@ -444,7 +350,7 @@ class TestAttentionMix:
     def test_single_token_identity_projections(self):
         tape = nc.Tape()
         h = np.array([[0.3, -1.2]])
-        out = mx.attention_mix(const(tape, h), self.identity_params(tape, 2))
+        out = mx.attention_mix_batched(const(tape, h), [0], self.identity_params(tape, 2))
         np.testing.assert_allclose(out.data, h)
 
     def test_identical_tokens_identical_rows(self):
@@ -453,7 +359,7 @@ class TestAttentionMix:
         rng = np.random.default_rng(9)
         params = mx.AttentionLayer(*(tape.constant(rng.normal(size=(2, 2)))
                                      for _ in range(4)))
-        out = mx.attention_mix(const(tape, h), params)
+        out = mx.attention_mix_batched(const(tape, h), [0], params)
         np.testing.assert_allclose(out.data[0], out.data[1])
 
     def test_row_weights_sum_to_one(self):
@@ -473,8 +379,8 @@ class TestAttentionMix:
         tape = nc.Tape()
         params = mx.AttentionLayer(*(tape.constant(rng.normal(size=(3, 3)))
                                      for _ in range(4)))
-        a = mx.attention_mix(const(tape, h), params).data
-        b = mx.attention_mix(const(tape, h[perm]), params).data
+        a = mx.attention_mix_batched(const(tape, h), [0], params).data
+        b = mx.attention_mix_batched(const(tape, h[perm]), [0], params).data
         np.testing.assert_allclose(b, a[perm], atol=1e-12)
 
         times = np.arange(5.0)
@@ -485,17 +391,6 @@ class TestAttentionMix:
         pool_a = run_pooling(const(tape2, h), 2).data
         pool_b = run_pooling(const(tape2, h[perm]), 2).data
         assert not np.allclose(pool_b, pool_a[perm])
-
-
-def reference_attention(tokens, params):
-    """Single-head attention composed from tape primitives: the oracle for the
-    fused kernel behind ``mixers.attention_mix``."""
-    q = nc.matmul(tokens, params.wq)
-    k = nc.matmul(tokens, params.wk)
-    v = nc.matmul(tokens, params.wv)
-    d_k = params.wq.data.shape[1]
-    weights = nc.softmax_rows(nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(d_k)))
-    return nc.matmul(nc.matmul(weights, v), params.wo)
 
 
 def attention_inputs(rng, r, n, d):
@@ -512,7 +407,8 @@ class TestBatchedAttention:
         rng = np.random.default_rng(30)
         tape, tokens, params = attention_inputs(rng, 3, 7, 4)
         want = reference_attention(tokens, params).data
-        np.testing.assert_allclose(mx.attention_mix(tokens, params).data, want, atol=1e-12)
+        np.testing.assert_allclose(mx.attention_mix_batched(tokens, [0], params).data, want,
+                                   atol=1e-12)
         blocks = mx.attention_mix_batched(tokens, [0, 0, 0], params).data.reshape(3, 7, 4)
         for b in range(3):
             rows = tape.constant(tokens.data[7 * b:7 * b + 7])
@@ -535,7 +431,10 @@ class TestBatchedAttention:
             attend(tokens, params)
             return tape.flops
 
-        assert flops(mx.attention_mix) == flops(reference_attention)
+        def one_block(tokens, params):
+            return mx.attention_mix_batched(tokens, [0], params)
+
+        assert flops(one_block) == flops(reference_attention)
 
     def test_gradients_match_finite_differences_with_mixed_pads(self):
         rng = np.random.default_rng(33)
@@ -543,7 +442,7 @@ class TestBatchedAttention:
 
         def f(p):
             params = mx.AttentionLayer(p["wq"], p["wk"], p["wv"], p["wo"])
-            return nc.sum_all(nc.gelu(mx.attention_mix_batched(p["h"], self.PADS, params)))
+            return sum_all(nc.gelu(mx.attention_mix_batched(p["h"], self.PADS, params)))
 
         params = {name: rng.normal(size=(d, d)) for name in ("wq", "wk", "wv", "wo")}
         params["h"] = rng.normal(size=(len(self.PADS) * n, d))
@@ -576,7 +475,7 @@ class TestBlockRegroup:
             # within each block, so a wrong permutation cannot cancel out
             side = nc.matmul(p["m"], nc.blocks_to_cols(p["x"], 3))
             back = nc.cols_to_blocks(nc.gelu(side), 2)
-            return nc.sum_all(nc.matmul(nc.gelu(back), p["w"]))
+            return sum_all(nc.matmul(nc.gelu(back), p["w"]))
 
         params = {"x": rng.normal(size=(12, 2)), "m": mix, "w": rng.normal(size=(2, 3))}
         report = nc.grad_check(f, params, h=1e-5)
@@ -668,16 +567,6 @@ class TestChannelMix:
                              zero_mixer(tape, mixer, 2, 3), zero_channel(tape, 3),
                              residual=False)
         np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
-
-
-def reference_channel_mix(h, params, activation="gelu", residual=True):
-    """The channel mixer composed from tape primitives: the oracle for the
-    channel mixer inside ``mixers.token_block``."""
-    act = {"gelu": nc.gelu, "relu": nc.relu}[activation]
-    z = nc.layer_norm_rows(h, params.ln_gain, params.ln_bias)
-    f = act(nc.add(nc.matmul(z, params.w1), params.b1))
-    f = nc.add(nc.matmul(f, params.w2), params.b2)
-    return nc.add(h, f) if residual else f
 
 
 CHANNEL_NAMES = ("ln_gain", "ln_bias", "w1", "b1", "w2", "b2")
@@ -831,7 +720,7 @@ def run_block(block, arrays, times, pads, mixer, activation, residual, leaves):
     out = block(v["h"], times, pads, layer, params, activation, residual)
     flops, steps = tape.flops - flops, len(tape._steps) - steps
     side = tape.constant(np.linspace(-1.0, 1.0, arrays["h"].shape[1])[:, None])
-    loss = nc.add(nc.sum_all(nc.gelu(out)), nc.sum_all(nc.matmul(v["h"], side)))
+    loss = nc.add(sum_all(nc.gelu(out)), sum_all(nc.matmul(v["h"], side)))
     nc.backward(tape, loss)
     return out.data, flops, steps, {name: v[name].grad for name in learned}
 
@@ -853,7 +742,8 @@ def assert_matches_the_oracles(arrays, times, pads, mixer, activation, residual,
     pooling layer, whose mix runs inside it), and bit for bit the chain of
     kernels and, for an adaptive or pooling layer, the per-sequence oracles;
     ``bare_block``, the block without a channel mixer, is checked against
-    ``bare_chain``."""
+    ``bare_chain``. Without the residual either, a mix that ran whole is the
+    block: no step after the mix."""
     args = (arrays, times, pads, mixer, activation, residual, leaves)
     run = run_block(block, *args)
     whole_mix = BLOCK_MIXERS[mixer][0] in MIXER_PARAMS
@@ -862,9 +752,11 @@ def assert_matches_the_oracles(arrays, times, pads, mixer, activation, residual,
         oracles = (bare_chain,)
     else:
         oracles = (composed_block,) if whole_mix else (composed_block, reference_block)
+    bare_mix = block is bare_block and whole_mix and not residual
     for oracle in oracles:
         want = run_block(oracle, *args)
-        assert run[2] == mix_steps + min(1, want[2]), oracle.__name__  # one step, not a chain
+        block_steps = 0 if bare_mix else min(1, want[2])  # one step, not a chain
+        assert run[2] == mix_steps + block_steps, oracle.__name__
         assert_same_run(run, want, oracle.__name__)
 
 
@@ -908,7 +800,7 @@ class TestMixedBlock:
             p = {**p, **{name: p["h"].tape.constant(a) for name, a in fixed.items()}}
             layer = MIXER_LAYERS[mixer](*(p[name] for name in MIXER_PARAMS[mixer]))
             params = mx.ChannelParams(*(p[name] for name in CHANNEL_NAMES))
-            return nc.sum_all(nc.gelu(mx.token_block(p["h"], times, layer, params, activation,
+            return sum_all(nc.gelu(mx.token_block(p["h"], times, layer, params, activation,
                                                      residual, pad_lens=pads)))
 
         report = nc.grad_check(f, arrays, h=1e-5)
@@ -1227,11 +1119,22 @@ class TestFusedTokenBlock:
 
 class TestBlockWithoutChannelMixer:
     """``channel=None`` is the layer without a channel mixer: the same block
-    op, one tape step after the whole mix of attention or the MLP and one step
-    in all for an adaptive or pooling layer, bit for bit the token mix and
-    the residual ``add``, worker off and on."""
+    op, one tape step after the whole mix of attention or the MLP (none, and
+    the mix itself, without the residual) and one step in all for an adaptive
+    or pooling layer, bit for bit the token mix and the residual ``add``,
+    worker off and on."""
 
     CHUNK = nc._ROW_CHUNK
+
+    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
+    def test_without_the_residual_a_whole_mix_comes_back_as_it_is(self, mixer):
+        tape = nc.Tape()
+        tokens = tape.leaf(np.random.default_rng(67).normal(size=(6, 3)))
+        times = np.zeros((2, 3))
+        mixed = mx.token_mix(tokens, times, zero_mixer(tape, mixer, 3, 3))
+        steps = len(tape._steps)
+        assert mx._mix_block(tokens, mixed, 3, None, None, residual=False) is mixed
+        assert len(tape._steps) == steps
 
     @pytest.mark.parametrize("leaves", BLOCK_LEAVES + [("mixer",)])
     @pytest.mark.parametrize("mixer", list(BLOCK_MIXERS))

@@ -8,7 +8,7 @@ from tempomix import model as md
 from tempomix import numcore as nc
 from tempomix import tgraph as tg
 from tempomix.encoders import embed_neighbors, time_encode_rows
-from test_mixers import reference_channel_mix
+from oracles import bce_loss, reference_channel_mix
 
 
 def toy_graph(n_events=6, seed=0, edge_dim=3, node_dim=2, n_nodes=5):
@@ -132,18 +132,18 @@ class TestPredictLink:
 
 class TestBceLoss:
     def test_half_half(self):
-        assert md.bce_loss([0.5], [0.5]) == pytest.approx(2 * np.log(2), abs=1e-6)
+        assert bce_loss([0.5], [0.5]) == pytest.approx(2 * np.log(2), abs=1e-6)
 
     def test_perfect_predictions_vanish_from_above(self):
-        loss = md.bce_loss([1.0 - 1e-9], [1e-9])
+        loss = bce_loss([1.0 - 1e-9], [1e-9])
         assert 0.0 < loss < 1e-8
 
     def test_inverse_e_contributes_one(self):
-        assert md.bce_loss([1.0 / np.e], []) == pytest.approx(1.0, abs=1e-12)
+        assert bce_loss([1.0 / np.e], []) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(nc.ContractError):
-            md.bce_loss([], [])
+            bce_loss([], [])
 
     def test_batch_loss_equals_the_spec_on_scored_pairs(self):
         stream, store, cfg, params, pairs = oracle_fixture(35)
@@ -151,7 +151,7 @@ class TestBceLoss:
         pos = md.score_pairs(params, store, [(u, v, t) for u, v, _, t in queries])
         neg = md.score_pairs(params, store, [(u, n, t) for u, _, n, t in queries])
         loss = md.batch_loss(md.bind(params, nc.Tape()), store, queries)
-        assert loss.data[0, 0] == pytest.approx(md.bce_loss(pos, neg), rel=1e-12)
+        assert loss.data[0, 0] == pytest.approx(bce_loss(pos, neg), rel=1e-12)
 
 
 class TestFullModelGradients:

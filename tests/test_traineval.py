@@ -7,6 +7,7 @@ from tempomix import model as md
 from tempomix import numcore as nc
 from tempomix import tgraph as tg
 from tempomix import traineval as te
+from oracles import scale
 
 
 # --- independent brute-force oracles -------------------------------------
@@ -199,7 +200,7 @@ class TestTrain:
         stream, cfg = tiny_setup(n_events=200)
         real = md.batch_loss
         monkeypatch.setattr(md, "batch_loss",
-                            lambda *args: nc.scale(real(*args), np.nan))
+                            lambda *args: scale(real(*args), np.nan))
         tcfg = te.TrainConfig(epochs=1, lr=1e-3, batch_size=50, patience=5, seed=3)
         with pytest.raises(nc.NonFiniteError, match=r"loss nan at optimizer step 1 \(epoch 0\)"):
             te.train(stream, cfg, tcfg)
