@@ -149,6 +149,14 @@ def _json_typed(where: str, value, annotation: str):
     return value
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value; anything else is a usage error."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+
+
 def _spec_config(section: str, cls, kw: dict):
     """``cls(**kw)`` for a config dataclass ``cls``; a key that names none of
     its fields, or a value that does not fit its field, is a usage error."""
@@ -190,7 +198,7 @@ def resolve_run_spec(args) -> RunSpec:
         if flag is not None:
             model_kw[name] = flag
     if getattr(args, "spans", None):
-        model_kw["spans"] = [int(x) for x in args.spans.split(",")]
+        model_kw["spans"] = _int_list("--spans", args.spans)
     for flag in ("no_lp", "no_rt", "no_resnet", "no_cm"):
         if getattr(args, flag, False):
             model_kw[flag] = True
@@ -202,7 +210,7 @@ def resolve_run_spec(args) -> RunSpec:
             train_kw[name] = flag
     if getattr(args, "out", None):
         spec.out_dir = Path(args.out)
-    if getattr(args, "runs", None):
+    if getattr(args, "runs", None) is not None:
         spec.runs = args.runs
 
     spec.model = _spec_config("model config", md.ModelConfig, model_kw)
@@ -320,29 +328,28 @@ def cmd_ablate(args) -> int:
 # --- mixer scaling benchmark ----------------------------------------------
 
 
-def _bench_forward(mixer: str, n: int, dim: int, kernel: int,
-                   rng: np.random.Generator):
-    """One token-mixer forward on fresh constants; returns (tape_flops, wall_ns)."""
+def _bench_config(mixer: str, n: int, dim: int, kernel: int) -> md.ModelConfig:
+    """The one-layer model whose token mixer ``bench`` times at length ``n``:
+    ``kernel`` offsets (the pooling window), N = n_max; a config no model
+    takes is a usage error."""
+    try:
+        return md.ModelConfig(dim=dim, spans=(kernel,), mixer=mixer, n_max=n)
+    except nc.ConfigError as exc:
+        raise UsageError(f"bench {mixer} at N={n}, dim {dim}, {kernel} offsets: {exc}") from exc
+
+
+def _bench_forward(config: md.ModelConfig, seed: int, rng: np.random.Generator):
+    """One forward of the first layer's token mixer, as ``init_params`` and
+    ``bind`` build it, on fresh tokens; returns (the flops the mix adds to the
+    tape, wall_ns)."""
     tape = nc.Tape()
-    tokens = tape.constant(rng.normal(size=(n, dim)))
-    if mixer == "adaptive":
-        offsets = np.arange(kernel)
-        layer = mx.AdaptiveLayer(offsets, tape.constant(np.zeros((1, offsets.size))), 0.5)
-    elif mixer == "pooling":
-        layer = mx.PoolingLayer(window=kernel)
-    elif mixer == "mlp":
-        hidden = int(np.ceil(md.MLP_TOKEN_RATIO * n))
-        layer = mx.MlpLayer(tape.constant(rng.normal(size=(hidden, n))),
-                            tape.constant(np.zeros((hidden, 1))),
-                            tape.constant(rng.normal(size=(n, hidden))),
-                            tape.constant(np.zeros((n, 1))))
-    else:
-        layer = mx.AttentionLayer(*(tape.constant(rng.normal(size=(dim, dim)))
-                                    for _ in range(4)))
-    times = np.arange(float(n))
+    mixer, _ = md.bind(md.init_params(config, 0, 0, seed), tape, trainable=False).layers[0]
+    tokens = tape.constant(rng.normal(size=(config.n_max, config.dim)))
+    times = np.arange(float(config.n_max))
+    flops = tape.flops
     start = time.perf_counter_ns()
-    mx.token_mix(tokens, times, layer)
-    return tape.flops, time.perf_counter_ns() - start
+    mx.token_mix(tokens, times, mixer, config.activation)
+    return tape.flops - flops, time.perf_counter_ns() - start
 
 
 def _fit_slope(ns, values) -> float:
@@ -363,19 +370,17 @@ def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0) -> dict:
         raise UsageError("sequence lengths must be ascending")
     if repeats < 1:
         raise UsageError("repeats must be at least 1")
-    unknown = [m for m in mixer_kinds if m not in md.MIXERS]
-    if unknown:
-        raise UsageError(f"unknown mixers {unknown}; choose from {md.MIXERS}")
+    configs = {(mixer, n): _bench_config(mixer, n, dim, kernel)  # all before measuring
+               for mixer in mixer_kinds for n in lengths}
     rng = np.random.default_rng(seed)
     out = {}
     for mixer in mixer_kinds:
         points = []
         for n in lengths:
-            _bench_forward(mixer, n, dim, kernel, rng)  # warmup
-            ops = None
+            _bench_forward(configs[mixer, n], seed, rng)  # warmup
             walls = []
             for _ in range(repeats):
-                ops, wall = _bench_forward(mixer, n, dim, kernel, rng)
+                ops, wall = _bench_forward(configs[mixer, n], seed, rng)
                 walls.append(wall)
             points.append({"n": n, "ops": int(ops),
                            "median_ns": int(np.median(walls))})
@@ -390,7 +395,7 @@ def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0) -> dict:
 def cmd_bench(args) -> int:
     out_dir = Path(args.out or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    lengths = [int(x) for x in args.lengths.split(",")]
+    lengths = _int_list("--lengths", args.lengths)
     mixer_kinds = [m.strip() for m in args.mixers.split(",")]
     results = run_bench(lengths, mixer_kinds, args.repeats, dim=args.dim,
                         kernel=args.kernel, seed=args.seed or 0)

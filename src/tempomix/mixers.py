@@ -5,27 +5,28 @@ attention), the hierarchical offset schedule that widens the lookback window
 with depth, and the per-token channel mixer. All layer functions are pure:
 they read bound parameter Values and return a new Value.
 
-Every mixer runs through one dispatch, :func:`token_mix`, and every layer
-is one :func:`token_block` (residual around the token mixer, then the
-channel mixer, if the layer has one). Training and scoring run them on a
-padded batch: R sequences of n rows stacked into one (R*n) x d matrix, each
-left-padded. The reference path ``model.node_repr`` runs them on one
-sequence, and ``tempomix bench`` times :func:`token_mix`, so it measures the
-kernels that training runs. The adaptive mixer and attention have batched
-kernels (:func:`adaptive_mix_batched`, whose single-sequence call is
-:func:`adaptive_mix`, and :func:`attention_mix_batched`); pooling is the
-adaptive kernel with flat order weights, and :func:`mlp_mix` runs on the
-blocks side by side (``numcore.blocks_to_cols``).
+Every layer is one :func:`token_block` (residual around the token mixer,
+then the channel mixer, if the layer has one), the one place a mixer kind
+meets its kernel; :func:`token_mix` is that block with neither. Training
+and scoring run them on a padded batch: R sequences of n rows stacked into
+one (R*n) x d matrix, each left-padded. The reference path
+``model.node_repr`` runs them on one sequence, and ``tempomix bench`` times
+:func:`token_mix` on the first layer that ``model.bind`` builds, so it
+measures the kernels that training runs. The adaptive mixer computes its
+weights whole, once per call (:func:`adaptive_mix` runs it on one
+sequence); pooling is the adaptive kernel with flat order weights;
+attention has a batched kernel (:func:`attention_mix_batched`), and
+:func:`mlp_mix` runs on the blocks side by side (``numcore.blocks_to_cols``).
 
 Attention and the block are fused differentiable operations: their backward
 passes are derived analytically and registered on the tape. Every layer's
 residual and channel mixer are one tape op, the block op, whose row work
 runs in chunks of whole blocks on two threads; a layer without a channel
 mixer is the same op without it. An adaptive or pooling layer's mix runs
-inside those chunks, and :func:`adaptive_mix_batched` is the block op with
-neither residual nor channel mixer. The adaptive mix keeps per-layer work
-at O(N * K * d) instead of materializing N x N mixing matrices. Attention
-and the MLP run their mix whole and hand its output to the op.
+inside those chunks, also with neither residual nor channel mixer. The
+adaptive mix keeps per-layer work at O(N * K * d) instead of materializing
+N x N mixing matrices. Attention and the MLP run their mix whole and hand
+its output to the op.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "AttentionLayer",
     "ChannelParams",
     "adaptive_mix",
-    "adaptive_mix_batched",
     "mlp_mix",
     "attention_mix_batched",
     "token_mix",
@@ -297,25 +297,9 @@ def adaptive_mix(tokens: Value, times, offsets, order_logits: Value,
     Row i becomes sum_p alpha_p * tokens[i-p] over valid offsets (i-p >= 0),
     where alpha blends a softmax over learned order logits with a softmax
     over negative time gaps. Rows whose window is entirely out of range pass
-    through unchanged. This is the single-block call of
-    :func:`adaptive_mix_batched`.
+    through unchanged. This is :func:`token_mix` of an :class:`AdaptiveLayer`.
     """
-    times = np.asarray(times, dtype=np.float64)[None]
-    return adaptive_mix_batched(tokens, times, [0], offsets, order_logits, fusion)
-
-
-def adaptive_mix_batched(tokens: Value, times, pad_lens, offsets,
-                         order_logits: Value, fusion: Union[Value, float]) -> Value:
-    """Adaptive mixing over a batch of equally padded sequences.
-
-    ``tokens`` stacks R sequences of ``n`` rows each into an (R*n) x d matrix;
-    block r's first ``pad_lens[r]`` rows are padding. Offsets never reach into
-    the padding and padded rows pass through unchanged, so each block matches
-    the mixer run on its unpadded sequence alone. This is the block op with
-    neither residual nor channel mixer (:func:`_mix_block`).
-    """
-    mix = _mixing(tokens, times, pad_lens, offsets, order_logits, fusion)
-    return _mix_block(tokens, mix, mix.covered.shape[1], None, None, residual=False)
+    return token_mix(tokens, times, AdaptiveLayer(offsets, order_logits, fusion))
 
 
 def mlp_mix(tokens: Value, params: MlpLayer, activation: str = "gelu") -> Value:
@@ -607,61 +591,46 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
 MixerLayer = Union[AdaptiveLayer, PoolingLayer, MlpLayer, AttentionLayer]
 
 
-def _blocks(times, pad_lens):
-    """``times`` as R x n blocks and their pad lengths (none by default)."""
-    times = np.atleast_2d(np.asarray(times, dtype=np.float64))
-    if pad_lens is None:
-        pad_lens = np.zeros(len(times), dtype=np.int64)
-    return times, pad_lens
-
-
-def _adaptive_args(tokens: Value, mixer: MixerLayer):
-    """(offsets, order logits, fusion) of an adaptive or pooling layer, else None."""
-    if isinstance(mixer, AdaptiveLayer):
-        return mixer.offsets, mixer.order_logits, mixer.fusion
-    if isinstance(mixer, PoolingLayer):
-        # flat order logits at fusion 1 weigh the valid part of the window
-        # uniformly: the truncated mean
-        flat = tokens.tape.constant(np.zeros((1, mixer.window)))
-        return np.arange(mixer.window), flat, 1.0
-    return None
-
-
-def token_mix(tokens: Value, times, mixer: MixerLayer, activation: str = "gelu",
-              pad_lens=None) -> Value:
-    """One layer's token mixer: the one place a mixer kind meets its kernel.
+def token_block(tokens: Value, times, mixer: MixerLayer, channel: ChannelParams | None,
+                activation: str = "gelu", residual: bool = True, pad_lens=None) -> Value:
+    """One full block: residual around the token mixer, then the channel
+    mixer, unless ``channel`` is None. The one place a mixer kind meets its
+    kernel.
 
     ``times`` of shape (n,) is one sequence of n token rows. Shape (R, n) is
     R blocks of n rows stacked into an (R*n) x d matrix, block r's first
     ``pad_lens[r]`` rows padding (none by default); each block's real rows
-    match the mixer run on them alone.
+    match the layer run on them alone. The residual and the channel mixer
+    are one tape op (:func:`_mix_block`), bit-identical to the chain of ops;
+    an adaptive or pooling layer's mix runs inside it, any other mixer's
+    output feeds it.
     """
-    times, pad_lens = _blocks(times, pad_lens)
-    adaptive = _adaptive_args(tokens, mixer)
-    if adaptive is not None:
-        return adaptive_mix_batched(tokens, times, pad_lens, *adaptive)
-    if isinstance(mixer, AttentionLayer):
-        return attention_mix_batched(tokens, pad_lens, mixer)
-    if isinstance(mixer, MlpLayer):
+    times = np.atleast_2d(np.asarray(times, dtype=np.float64))
+    pad_lens = np.zeros(len(times), dtype=np.int64) if pad_lens is None else pad_lens
+    n = times.shape[1]
+    if isinstance(mixer, AdaptiveLayer):
+        mixed = _mixing(tokens, times, pad_lens, mixer.offsets, mixer.order_logits,
+                        mixer.fusion)
+    elif isinstance(mixer, PoolingLayer):
+        # flat order logits at fusion 1 weigh the valid part of the window
+        # uniformly: the truncated mean
+        flat = tokens.tape.constant(np.zeros((1, mixer.window)))
+        mixed = _mixing(tokens, times, pad_lens, np.arange(mixer.window), flat, 1.0)
+    elif isinstance(mixer, AttentionLayer):
+        mixed = attention_mix_batched(tokens, pad_lens, mixer)
+    elif isinstance(mixer, MlpLayer):
         # the token-axis MLP sees every block as n rows; side by side, all
         # blocks go through one pair of matmuls
-        side_by_side = nc.blocks_to_cols(tokens, times.shape[1])
-        return nc.cols_to_blocks(mlp_mix(side_by_side, mixer, activation),
-                                 tokens.data.shape[1])
-    raise ConfigError(f"unknown mixer layer type {type(mixer).__name__}")
+        side_by_side = nc.blocks_to_cols(tokens, n)
+        mixed = nc.cols_to_blocks(mlp_mix(side_by_side, mixer, activation), tokens.data.shape[1])
+    else:
+        raise ConfigError(f"unknown mixer layer type {type(mixer).__name__}")
+    return _mix_block(tokens, mixed, n, channel, activation, residual)
 
 
-def token_block(tokens: Value, times, mixer: MixerLayer, channel: ChannelParams | None,
-                activation: str = "gelu", residual: bool = True, pad_lens=None) -> Value:
-    """One full block: residual around :func:`token_mix`, then the channel
-    mixer, unless ``channel`` is None.
-
-    The residual and the channel mixer are one tape op (:func:`_mix_block`),
-    bit-identical to the chain of ops; an adaptive or pooling layer's mix runs
-    inside it, any other mixer's output feeds it.
-    """
-    times, pad_lens = _blocks(times, pad_lens)
-    adaptive = _adaptive_args(tokens, mixer)
-    mixed = (_mixing(tokens, times, pad_lens, *adaptive) if adaptive is not None
-             else token_mix(tokens, times, mixer, activation, pad_lens))
-    return _mix_block(tokens, mixed, times.shape[1], channel, activation, residual)
+def token_mix(tokens: Value, times, mixer: MixerLayer, activation: str = "gelu",
+              pad_lens=None) -> Value:
+    """One layer's token mixer alone: :func:`token_block` with neither
+    channel mixer nor residual."""
+    return token_block(tokens, times, mixer, None, activation, residual=False,
+                       pad_lens=pad_lens)

@@ -352,3 +352,28 @@ class TestSpecContentErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
         assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+class TestFlagValueErrors:
+    """A flag value that no run or bench takes is a usage error (exit 2) found
+    before anything is trained, measured or written."""
+
+    @pytest.mark.parametrize("flags", [["--spans", "2,x"], ["--runs", "0"]])
+    def test_train_exits_two(self, tmp_path, capsys, flags):
+        rc = main(["train", "--synthetic", '{"n_events": 50}', *flags,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--lengths", "4,x,16"],
+                                       ["--dim", "0", "--mixers", "mlp"]])
+    def test_bench_exits_two(self, tmp_path, capsys, monkeypatch, flags):
+        def measured(*args):
+            raise AssertionError("a mixer was measured")
+
+        monkeypatch.setattr(cli, "_bench_forward", measured)
+        rc = main(["bench", *flags, "--repeats", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "bench.csv").exists()

@@ -207,8 +207,8 @@ class TestAdaptiveMix:
         fusion = 0.3
 
         tape = nc.Tape()
-        out = mx.adaptive_mix_batched(tape.constant(h3.reshape(3 * n, d)), times, pads,
-                                      offsets, tape.constant(logits), fusion)
+        layer = mx.AdaptiveLayer(offsets, tape.constant(logits), fusion)
+        out = mx.token_mix(tape.constant(h3.reshape(3 * n, d)), times, layer, pad_lens=pads)
         for b, pad in enumerate(pads):
             single = reference_adaptive_mix(tape.constant(h3[b, pad:]), times[b, pad:], offsets,
                                             tape.constant(logits), fusion)
@@ -228,7 +228,8 @@ class TestAdaptiveMix:
 
         def f(p):
             fusion = nc.sigmoid(p["fuse_raw"])
-            mixed = mx.adaptive_mix_batched(p["h"], times, pads, offsets, p["order"], fusion)
+            mixed = mx.token_mix(p["h"], times, mx.AdaptiveLayer(offsets, p["order"], fusion),
+                                 pad_lens=pads)
             return sum_all(nc.gelu(mixed))
 
         params = {
@@ -305,8 +306,8 @@ class TestPoolingMix:
         h = rng.normal(size=(3 * n, d))
         tape = nc.Tape()
         flat = tape.constant(np.zeros((1, window)))
-        out = mx.adaptive_mix_batched(tape.constant(h), times, pads, np.arange(window),
-                                      flat, 1.0).data.reshape(3, n, d)
+        layer = mx.AdaptiveLayer(np.arange(window), flat, 1.0)
+        out = mx.token_mix(tape.constant(h), times, layer, pad_lens=pads).data.reshape(3, n, d)
         for b, pad in enumerate(pads):
             rows = h.reshape(3, n, d)[b, pad:]
             np.testing.assert_allclose(out[b, pad:], reference_pooling_mix(rows, window),
@@ -653,7 +654,8 @@ def composed_block(tokens, times, pads, layer, params, activation, residual):
         mixed = nc.cols_to_blocks(mx.mlp_mix(side_by_side, layer, activation),
                                   tokens.data.shape[1])
     else:
-        mixed = mx.adaptive_mix_batched(tokens, times, pads, *adaptive_args(tokens, layer))
+        mixed = mx.token_mix(tokens, times, mx.AdaptiveLayer(*adaptive_args(tokens, layer)),
+                             pad_lens=pads)
     h = nc.add(tokens, mixed) if residual else mixed
     return reference_channel_mix(h, params, activation, residual)
 
@@ -1102,13 +1104,17 @@ class TestFusedTokenBlock:
                     monkeypatch.setattr(module, name, recorder(f"{module.__name__}.{name}", fn))
         monkeypatch.setattr(nc.Tape, "record", recorder("Tape.record", nc.Tape.record))
         ffn_rows = mx._ffn_rows
+        worker_in = threading.Event()
 
-        def slow_rows(*args, **kwargs):
+        def handshake_rows(*args, **kwargs):
             row_threads.add(threading.get_ident())
-            time.sleep(1e-3)  # long enough that the worker takes chunks too
+            if threading.get_ident() == caller:
+                worker_in.wait(timeout=30)  # hold the caller's chunk until the worker has one
+            else:
+                worker_in.set()
             return ffn_rows(*args, **kwargs)
 
-        monkeypatch.setattr(mx, "_ffn_rows", slow_rows)
+        monkeypatch.setattr(mx, "_ffn_rows", handshake_rows)
         arrays, times, pads = block_arrays(np.random.default_rng(63), r=3 * self.CHUNK // 7 + 2,
                                            n=7, mixer=mixer)
         run_block(fused_block, arrays, times, pads, mixer, "gelu", True, leaves)

@@ -227,8 +227,7 @@ def reference_reprs(bound, store, keys, tables=None):
     if ef_rows is not None:
         tokens = nc.add(tokens, nc.matmul(tape.constant(ef_rows), bound.encoder.w_edge))
     for mixer, channel in bound.layers:
-        mixed = mx.adaptive_mix_batched(tokens, times, pads, mixer.offsets,
-                                        mixer.order_logits, mixer.fusion)
+        mixed = mx.token_mix(tokens, times, mixer, pad_lens=pads)
         h = mixed if cfg.no_resnet else nc.add(tokens, mixed)
         tokens = h if cfg.no_cm else reference_channel_mix(h, channel, cfg.activation,
                                                            residual=not cfg.no_resnet)
