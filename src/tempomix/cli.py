@@ -271,6 +271,10 @@ def cmd_eval(args) -> int:
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     params = md.load_checkpoint(args.checkpoint)
     stream = spec.load_stream()
+    dims, stream_dims = (params.node_dim, params.edge_dim), (stream.node_dim, stream.edge_dim)
+    if dims != stream_dims:
+        raise nc.ContractError(f"checkpoint (node_dim, edge_dim) {dims} does not match "
+                               f"the stream's {stream_dims}")
     _, _, test_split = tg.chronological_split(stream, te.TRAIN_RATIO, te.VAL_RATIO)
     fit_len = len(stream) - len(test_split)
     candidates = stream.slice(0, fit_len).destinations()
@@ -366,8 +370,8 @@ def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0) -> dict:
     lengths = [int(n) for n in lengths]
     if len(lengths) < 3:
         raise UsageError("need at least 3 sequence lengths to fit a slope robustly")
-    if sorted(lengths) != lengths:
-        raise UsageError("sequence lengths must be ascending")
+    if any(a >= b for a, b in zip(lengths, lengths[1:])):
+        raise UsageError(f"sequence lengths must be strictly ascending, got {lengths}")
     if repeats < 1:
         raise UsageError("repeats must be at least 1")
     configs = {(mixer, n): _bench_config(mixer, n, dim, kernel)  # all before measuring
@@ -475,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="mixer scaling benchmark")
     p.add_argument("--lengths", default="256,1024,4096",
-                   help="ascending comma-separated sequence lengths (>=3)")
+                   help="strictly ascending comma-separated sequence lengths (>=3)")
     p.add_argument("--mixers", default="adaptive,attention",
                    help="comma-separated mixer kinds")
     p.add_argument("--repeats", type=int, default=3)

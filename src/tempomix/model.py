@@ -103,9 +103,12 @@ class ModelParams:
     edge_dim: int
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.config, self.node_dim, self.edge_dim,
-                           {k: v.copy() for k, v in self.tensors.items()})
+
+# each mixer kind's own tensors per layer, in the order its layer class takes them
+MIXER_TENSORS = {"adaptive": ("order", "fuse"), "pooling": (),
+                 "mlp": ("tw1", "tb1", "tw2", "tb2"), "attention": ("wq", "wk", "wv", "wo")}
+# the channel mixer's tensors per layer, in ``mixers.ChannelParams`` field order
+CHANNEL_TENSORS = ("ln_gain", "ln_bias", "ff_w1", "ff_b1", "ff_w2", "ff_b2")
 
 
 def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -114,41 +117,39 @@ def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.normal(scale=std, size=shape)
 
 
+def _tensor_table(config: ModelConfig, node_dim: int, edge_dim: int) -> dict[str, tuple]:
+    """Every tensor of a model as name -> (shape, initializer), in draw order;
+    the initializer is ``_glorot`` or a constant fill. ``init_params`` draws,
+    ``BoundModel`` binds and ``load_checkpoint`` checks these tensors. A
+    ``no_cm`` model keeps its channel-mixer tensors, which no op reads."""
+    d, n = config.dim, config.n_max
+    hidden = int(np.ceil(MLP_TOKEN_RATIO * n))
+    schedule = mx.OffsetSchedule(config.spans)
+    table = {"enc.node": ((node_dim, d), _glorot), "enc.edge": ((edge_dim, d), _glorot),
+             "enc.time": ((config.time_dim, d), _glorot)}
+    for i in range(config.num_layers):
+        layer = {"order": ((1, schedule.kernel_size(i + 1)), 0.0), "fuse": ((1, 1), 0.0),
+                 "tw1": ((hidden, n), _glorot), "tb1": ((hidden, 1), 0.0),
+                 "tw2": ((n, hidden), _glorot), "tb2": ((n, 1), 0.0),
+                 **dict.fromkeys(MIXER_TENSORS["attention"], ((d, d), _glorot)),
+                 "ln_gain": ((1, d), 1.0), "ln_bias": ((1, d), 0.0),
+                 "ff_w1": ((d, 4 * d), _glorot), "ff_b1": ((1, 4 * d), 0.0),
+                 "ff_w2": ((4 * d, d), _glorot), "ff_b2": ((1, d), 0.0)}
+        for name in MIXER_TENSORS[config.mixer] + CHANNEL_TENSORS:
+            table[f"layer{i}.{name}"] = layer[name]
+    table["pred.w1"] = ((2 * d, d), _glorot)
+    table["pred.b1"] = ((1, d), 0.0)
+    # zero final layer: an untrained model scores every pair at exactly 0.5
+    table["pred.w2"] = ((d, 1), 0.0)
+    table["pred.b2"] = ((1, 1), 0.0)
+    return table
+
+
 def init_params(config: ModelConfig, node_dim: int, edge_dim: int, seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)
-    d = config.dim
-    t = {
-        "enc.node": _glorot(rng, (node_dim, d)),
-        "enc.edge": _glorot(rng, (edge_dim, d)),
-        "enc.time": _glorot(rng, (config.time_dim, d)),
-    }
-    schedule = mx.OffsetSchedule(config.spans)
-    for i in range(config.num_layers):
-        if config.mixer == "adaptive":
-            k = schedule.kernel_size(i + 1)
-            t[f"layer{i}.order"] = np.zeros((1, k))
-            t[f"layer{i}.fuse"] = np.zeros((1, 1))
-        elif config.mixer == "attention":
-            for name in ("wq", "wk", "wv", "wo"):
-                t[f"layer{i}.{name}"] = _glorot(rng, (d, d))
-        elif config.mixer == "mlp":
-            hidden = int(np.ceil(MLP_TOKEN_RATIO * config.n_max))
-            t[f"layer{i}.tw1"] = _glorot(rng, (hidden, config.n_max))
-            t[f"layer{i}.tb1"] = np.zeros((hidden, 1))
-            t[f"layer{i}.tw2"] = _glorot(rng, (config.n_max, hidden))
-            t[f"layer{i}.tb2"] = np.zeros((config.n_max, 1))
-        t[f"layer{i}.ln_gain"] = np.ones((1, d))
-        t[f"layer{i}.ln_bias"] = np.zeros((1, d))
-        t[f"layer{i}.ff_w1"] = _glorot(rng, (d, 4 * d))
-        t[f"layer{i}.ff_b1"] = np.zeros((1, 4 * d))
-        t[f"layer{i}.ff_w2"] = _glorot(rng, (4 * d, d))
-        t[f"layer{i}.ff_b2"] = np.zeros((1, d))
-    t["pred.w1"] = _glorot(rng, (2 * d, d))
-    t["pred.b1"] = np.zeros((1, d))
-    # zero final layer: an untrained model scores every pair at exactly 0.5
-    t["pred.w2"] = np.zeros((d, 1))
-    t["pred.b2"] = np.zeros((1, 1))
-    return ModelParams(config, node_dim, edge_dim, t)
+    return ModelParams(config, node_dim, edge_dim, {
+        name: _glorot(rng, shape) if init is _glorot else np.full(shape, init)
+        for name, (shape, init) in _tensor_table(config, node_dim, edge_dim).items()})
 
 
 class BoundModel:
@@ -162,28 +163,23 @@ class BoundModel:
         schedule = mx.OffsetSchedule(config.spans)
         self.layers: list[tuple] = []
         for i in range(config.num_layers):
+            own = [values[f"layer{i}.{name}"] for name in MIXER_TENSORS[config.mixer]]
             if config.mixer == "adaptive":
+                order_logits, fuse = own
                 if config.no_lp:
                     fusion = 0.0
                 elif config.no_rt:
                     fusion = 1.0
                 else:
-                    fusion = nc.sigmoid(values[f"layer{i}.fuse"])
+                    fusion = nc.sigmoid(fuse)
                 mixer = mx.AdaptiveLayer(offsets=schedule.offsets(i + 1),
-                                         order_logits=values[f"layer{i}.order"],
-                                         fusion=fusion)
+                                         order_logits=order_logits, fusion=fusion)
             elif config.mixer == "pooling":
                 mixer = mx.PoolingLayer(window=schedule.kernel_size(i + 1))
-            elif config.mixer == "mlp":
-                mixer = mx.MlpLayer(values[f"layer{i}.tw1"], values[f"layer{i}.tb1"],
-                                    values[f"layer{i}.tw2"], values[f"layer{i}.tb2"])
             else:
-                mixer = mx.AttentionLayer(values[f"layer{i}.wq"], values[f"layer{i}.wk"],
-                                          values[f"layer{i}.wv"], values[f"layer{i}.wo"])
+                mixer = {"mlp": mx.MlpLayer, "attention": mx.AttentionLayer}[config.mixer](*own)
             channel = None if config.no_cm else mx.ChannelParams(
-                values[f"layer{i}.ln_gain"], values[f"layer{i}.ln_bias"],
-                values[f"layer{i}.ff_w1"], values[f"layer{i}.ff_b1"],
-                values[f"layer{i}.ff_w2"], values[f"layer{i}.ff_b2"])
+                *(values[f"layer{i}.{name}"] for name in CHANNEL_TENSORS))
             self.layers.append((mixer, channel))
         self.pred = (values["pred.w1"], values["pred.b1"],
                      values["pred.w2"], values["pred.b2"])
@@ -456,13 +452,32 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Parameters from a :func:`save_checkpoint` file, checked against the
+    tensor table of the file's config and dims: a missing field, a missing or
+    extra tensor, another shape or entry count, or a non-finite entry is a
+    ``ContractError`` that names the field or the tensor."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ContractError(f"unsupported checkpoint version {doc.get('format_version')}")
+    for key in ("config", "node_dim", "edge_dim", "tensors"):
+        if key not in doc:
+            raise ContractError(f"checkpoint has no {key!r} field")
     config = ModelConfig.from_dict(doc["config"])
+    node_dim, edge_dim = int(doc["node_dim"]), int(doc["edge_dim"])
+    table = _tensor_table(config, node_dim, edge_dim)
+    names = set(doc["tensors"])
+    if names != set(table):
+        raise ContractError(f"checkpoint tensors: missing {sorted(set(table) - names)}, "
+                            f"not in the model {sorted(names - set(table))}")
     tensors = {}
-    for name, spec in doc["tensors"].items():
-        arr = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        tensors[name] = arr
-    return ModelParams(config, int(doc["node_dim"]), int(doc["edge_dim"]), tensors)
+    for name, (shape, _) in table.items():
+        spec = doc["tensors"][name]
+        arr = np.array(spec["data"], dtype=np.float64)
+        if spec["shape"] != list(shape) or arr.size != np.prod(shape):
+            raise ContractError(f"checkpoint tensor {name!r} has shape {spec['shape']} and "
+                                f"{arr.size} entries, expected shape {list(shape)}")
+        if not np.isfinite(arr).all():
+            raise ContractError(f"checkpoint tensor {name!r} has non-finite entries")
+        tensors[name] = arr.reshape(shape)
+    return ModelParams(config, node_dim, edge_dim, tensors)

@@ -175,7 +175,7 @@ def fit(train_split: tg.EventStream, val_split: tg.EventStream,
     params = md.init_params(model_cfg, stream.node_dim, stream.edge_dim, train_cfg.seed)
     state = nc.adam_state(params.tensors, lr=train_cfg.lr)
 
-    best = params.copy()
+    best = params
     best_ap = -np.inf
     best_epoch = -1
     streak = 0
@@ -203,7 +203,7 @@ def fit(train_split: tg.EventStream, val_split: tg.EventStream,
         val_aps.append(ap)
         val_aucs.append(auc)
         if ap > best_ap:
-            best_ap, best_epoch, best = ap, epoch, params.copy()
+            best_ap, best_epoch, best = ap, epoch, params
             streak = 0
         else:
             streak += 1

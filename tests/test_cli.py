@@ -213,6 +213,64 @@ class TestEvalCommand:
         doc = json.loads((tmp_path / "eval.json").read_text())
         assert 0.0 <= doc["ap"] <= 1.0 and 0.0 <= doc["auc_roc"] <= 1.0
 
+    def test_feature_dims_other_than_the_streams_exit_two(self, tmp_path, capsys):
+        # FAST's stream has no node features and 10 one-hot edge features
+        cfg = md.ModelConfig(dim=8, time_dim=8, spans=(2,), n_max=5)
+        md.save_checkpoint(md.init_params(cfg, 0, 9, seed=0), tmp_path / "ckpt.json")
+        rc = main(["eval", str(tmp_path / "ckpt.json"), *FAST, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "(0, 9)" in err and "(0, 10)" in err
+        assert not (tmp_path / "eval.json").exists()
+
+
+def malform(doc: dict, case: str) -> str:
+    """Break checkpoint ``doc`` in the way ``case`` names; returns the name of
+    the tensor or field that it breaks."""
+    tensors = doc["tensors"]
+    w1 = tensors["layer0.ff_w1"]
+    if case == "missing":
+        del tensors["layer0.ff_w1"]
+    elif case == "extra":
+        tensors["layer0.bogus"] = {"shape": [1, 1], "data": [0.0]}
+        return "layer0.bogus"
+    elif case == "transposed":
+        rows, cols = w1["shape"]
+        w1["data"] = [w1["data"][r * cols + c] for c in range(cols) for r in range(rows)]
+        w1["shape"] = [cols, rows]
+    elif case == "short_data":
+        w1["data"].pop()
+    elif case == "one_d_shape":
+        tensors["pred.b2"]["shape"] = [1]
+        return "pred.b2"
+    elif case == "nan":
+        w1["data"][0] = float("nan")
+    elif case == "node_dim":
+        doc["node_dim"] = 5  # beside a 0-row enc.node
+        return "enc.node"
+    elif case == "no_config":
+        del doc["config"]
+        return "config"
+    return "layer0.ff_w1"
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint that differs from its config's tensor table is a usage
+    error (exit 2) that names the tensor or field, before anything is scored."""
+
+    @pytest.mark.parametrize("case", ["missing", "extra", "transposed", "short_data",
+                                      "one_d_shape", "nan", "node_dim", "no_config"])
+    def test_eval_exits_two_and_names_it(self, tmp_path, capsys, case):
+        cfg = md.ModelConfig(dim=8, time_dim=8, spans=(2,), n_max=5)
+        md.save_checkpoint(md.init_params(cfg, 0, 10, seed=0), tmp_path / "ckpt.json")
+        doc = json.loads((tmp_path / "ckpt.json").read_text())
+        name = malform(doc, case)
+        (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+        rc = main(["eval", str(tmp_path / "ckpt.json"), *FAST, "--out", str(tmp_path)])
+        assert rc == 2
+        assert repr(name) in capsys.readouterr().err
+        assert not (tmp_path / "eval.json").exists()
+
 
 class TestAblateCommand:
     def test_six_variants_with_pinned_fusion(self, tmp_path):
@@ -366,7 +424,8 @@ class TestFlagValueErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "metrics.json").exists()
 
-    @pytest.mark.parametrize("flags", [["--lengths", "4,x,16"],
+    @pytest.mark.parametrize("flags", [["--lengths", "4,x,16"], ["--lengths", "8,8,8"],
+                                       ["--lengths", "4,8,8"],
                                        ["--dim", "0", "--mixers", "mlp"]])
     def test_bench_exits_two(self, tmp_path, capsys, monkeypatch, flags):
         def measured(*args):

@@ -1,5 +1,7 @@
 """Tests for the end-to-end model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -573,9 +575,50 @@ class TestBatchedPath:
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
+ENC = ["enc.node", "enc.edge", "enc.time"]
+CHANNEL = ["ln_gain", "ln_bias", "ff_w1", "ff_b1", "ff_w2", "ff_b2"]
+PRED = ["pred.w1", "pred.b1", "pred.w2", "pred.b2"]
+
+
+def layer_names(*own):
+    return [f"layer{i}.{n}" for i in range(2) for n in [*own, *CHANNEL]]
+
+
+# per variant, the layer tensors' names in draw order and the sha256 of all
+# tensors' bytes, recorded with numpy 2.4.6: a change to the draw order or to
+# an initializer changes a digest. A no_cm model still draws its channel-mixer
+# tensors, so its digest is the default one.
+INIT_DRAWS = {
+    "adaptive": (layer_names("order", "fuse"),
+                 "52f0196a8a4b6f262ec0116f24fb40fd1ab20213389c904d7f4e5eb14d6e0762"),
+    "pooling": (layer_names(),
+                "ef4836a2b7e08bf13b0f1bb7e2de140e88619a32a93e2c05d89ffdf43ebfb546"),
+    "mlp": (layer_names("tw1", "tb1", "tw2", "tb2"),
+            "dc50ca1fcedeea9277c9504520b29565c52e43c5c3235312904e8b44cffce8ee"),
+    "attention": (layer_names("wq", "wk", "wv", "wo"),
+                  "5c7979fc77f1f9059a471676f76d43af86ba1ae5893b1a475cb68bc2382ff667"),
+    "adaptive-no_cm": (layer_names("order", "fuse"),
+                       "52f0196a8a4b6f262ec0116f24fb40fd1ab20213389c904d7f4e5eb14d6e0762"),
+}
+
+
+class TestInitDraws:
+    @pytest.mark.parametrize("variant", INIT_DRAWS)
+    def test_names_order_and_bytes_are_pinned(self, variant):
+        mixer, _, flag = variant.partition("-")
+        cfg = small_config(mixer=mixer, **({flag: True} if flag else {}))
+        params = md.init_params(cfg, 2, 3, seed=12)
+        names, digest = INIT_DRAWS[variant]
+        assert list(params.tensors) == ENC + names + PRED
+        data = b"".join(arr.tobytes() for arr in params.tensors.values())
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestCheckpoint:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        cfg = small_config()
+    @pytest.mark.parametrize("no_cm", [False, True])
+    @pytest.mark.parametrize("mixer", md.MIXERS)
+    def test_round_trip_is_bit_exact(self, tmp_path, mixer, no_cm):
+        cfg = small_config(mixer=mixer, no_cm=no_cm)
         params = md.init_params(cfg, 2, 3, seed=12)
         path = tmp_path / "ckpt.json"
         md.save_checkpoint(params, path)
