@@ -120,33 +120,13 @@ class RunSpec:
 
     def load_stream(self) -> tg.EventStream:
         if self.data_path is not None:
-            if not Path(self.data_path).exists():
-                raise UsageError(f"dataset file not found: {self.data_path}")
             return tg.ingest_csv(self.data_path, bipartite=self.bipartite)
         return tg.generate_synthetic(self.synthetic, self.synthetic_seed)
 
 
 def _load_spec_file(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {path}")
-    with open(p, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise UsageError(f"{path}: top-level JSON object expected")
-    return doc
-
-
-def _json_typed(where: str, value, annotation: str):
-    """``value`` if its JSON type fits a field annotated ``annotation`` (only
-    true or false fits a bool, an integer also fits a float, and a list of
-    integers fits a tuple), else a usage error."""
-    kind = {"int": int, "float": (int, float), "str": str, "bool": bool, "tuple": list, "dict": dict}
-    if (not isinstance(value, kind[annotation])
-            or isinstance(value, bool) != (annotation == "bool")
-            or annotation == "tuple" and not all(type(x) is int for x in value)):
-        raise UsageError(f"{where}: expected {annotation}, got {value!r}")
-    return value
+    with open(path, encoding="utf-8") as fh:
+        return nc.json_typed(path, json.load(fh), "dict")
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -157,41 +137,29 @@ def _int_list(flag: str, text: str) -> list[int]:
         raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from None
 
 
-def _spec_config(section: str, cls, kw: dict):
-    """``cls(**kw)`` for a config dataclass ``cls``; a key that names none of
-    its fields, or a value that does not fit its field, is a usage error."""
-    fields = cls.__dataclass_fields__
-    for key, value in _json_typed(section, kw, "dict").items():
-        if key not in fields:
-            raise UsageError(f"unknown {section} key {key!r}")
-        _json_typed(f"{section} {key!r}", value, fields[key].type)
-    return cls(**kw)
-
-
 def resolve_run_spec(args) -> RunSpec:
     """Merge defaults, spec file, and flags (flags win)."""
     doc = _load_spec_file(args.config) if args.config else {}
-    model_kw = dict(_json_typed("'model'", doc.get("model", {}), "dict"))
-    train_kw = dict(_json_typed("'train'", doc.get("train", {}), "dict"))
-    data = _json_typed("'data'", doc.get("data", {}), "dict")
+    model_kw = dict(nc.json_typed("'model'", doc.get("model", {}), "dict"))
+    train_kw = dict(nc.json_typed("'train'", doc.get("train", {}), "dict"))
+    data = nc.json_typed("'data'", doc.get("data", {}), "dict")
     spec = RunSpec()
     if "path" in data:
-        spec.data_path = _json_typed("data 'path'", data["path"], "str")
-    spec.bipartite = _json_typed("data 'bipartite'", data.get("bipartite", False), "bool")
+        spec.data_path = nc.json_typed("data 'path'", data["path"], "str")
+    spec.bipartite = nc.json_typed("data 'bipartite'", data.get("bipartite", False), "bool")
     if "synthetic" in data:
-        spec.synthetic = _spec_config("synthetic spec", tg.SyntheticSpec, data["synthetic"])
-        spec.synthetic_seed = _json_typed("data 'seed'", data.get("seed", 0), "int")
+        spec.synthetic = tg.SyntheticSpec.from_dict(data["synthetic"])
+        spec.synthetic_seed = nc.json_typed("data 'seed'", data.get("seed", 0), "int")
     if "out" in doc:
-        spec.out_dir = Path(_json_typed("'out'", doc["out"], "str"))
-    spec.runs = _json_typed("'runs'", doc.get("runs", 1), "int")
+        spec.out_dir = Path(nc.json_typed("'out'", doc["out"], "str"))
+    spec.runs = nc.json_typed("'runs'", doc.get("runs", 1), "int")
 
     if getattr(args, "dataset", None) and getattr(args, "synthetic", None):
         raise UsageError("--dataset and --synthetic are mutually exclusive")
     if getattr(args, "dataset", None):
         spec.data_path, spec.synthetic = args.dataset, None
     if getattr(args, "synthetic", None):
-        spec.synthetic = _spec_config("synthetic spec", tg.SyntheticSpec,
-                                      json.loads(args.synthetic))
+        spec.synthetic = tg.SyntheticSpec.from_dict(json.loads(args.synthetic))
         spec.data_path, spec.bipartite = None, False
     for name in ("mixer", "dim", "time_dim", "n_max"):
         flag = getattr(args, name, None)
@@ -213,8 +181,8 @@ def resolve_run_spec(args) -> RunSpec:
     if getattr(args, "runs", None) is not None:
         spec.runs = args.runs
 
-    spec.model = _spec_config("model config", md.ModelConfig, model_kw)
-    spec.train = _spec_config("train config", te.TrainConfig, train_kw)
+    spec.model = md.ModelConfig.from_dict(model_kw)
+    spec.train = nc.from_json(te.TrainConfig, train_kw, "train config")
     spec.validate()
     return spec
 
@@ -419,8 +387,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    if not Path(args.path).exists():
-        raise UsageError(f"dataset file not found: {args.path}")
     stream = tg.ingest_csv(args.path, bipartite=args.bipartite)
     if args.out:
         out_dir = Path(args.out)

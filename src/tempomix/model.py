@@ -75,6 +75,8 @@ class ModelConfig:
             raise ConfigError("dim, time_dim and n_max must be positive")
         if self.no_lp and self.no_rt:
             raise ConfigError("no_lp and no_rt are mutually exclusive")
+        if (self.no_lp or self.no_rt) and self.mixer != "adaptive":
+            raise ConfigError(f"no_lp/no_rt pin the adaptive fusion; {self.mixer!r} has none")
 
     @property
     def num_layers(self) -> int:
@@ -86,12 +88,8 @@ class ModelConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**dict(d))
+    def from_dict(cls, d) -> "ModelConfig":
+        return nc.from_json(cls, d, "model config")
 
 
 @dataclass
@@ -118,10 +116,13 @@ def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _tensor_table(config: ModelConfig, node_dim: int, edge_dim: int) -> dict[str, tuple]:
-    """Every tensor of a model as name -> (shape, initializer), in draw order;
-    the initializer is ``_glorot`` or a constant fill. ``init_params`` draws,
-    ``BoundModel`` binds and ``load_checkpoint`` checks these tensors. A
-    ``no_cm`` model keeps its channel-mixer tensors, which no op reads."""
+    """Every tensor that the config's forward reads, as name -> (shape,
+    initializer), in draw order; the initializer is ``_glorot`` or a constant
+    fill. ``init_params`` draws, ``BoundModel`` binds and ``load_checkpoint``
+    checks these. A part switched off holds none: ``no_cm`` drops the channel
+    mixer's tensors, pinned fusion ``fuse``, and ``no_lp`` ``order`` too."""
+    pinned = ("order", "fuse") if config.no_lp else ("fuse",) if config.no_rt else ()
+    unread = pinned + (CHANNEL_TENSORS if config.no_cm else ())
     d, n = config.dim, config.n_max
     hidden = int(np.ceil(MLP_TOKEN_RATIO * n))
     schedule = mx.OffsetSchedule(config.spans)
@@ -136,7 +137,8 @@ def _tensor_table(config: ModelConfig, node_dim: int, edge_dim: int) -> dict[str
                  "ff_w1": ((d, 4 * d), _glorot), "ff_b1": ((1, 4 * d), 0.0),
                  "ff_w2": ((4 * d, d), _glorot), "ff_b2": ((1, d), 0.0)}
         for name in MIXER_TENSORS[config.mixer] + CHANNEL_TENSORS:
-            table[f"layer{i}.{name}"] = layer[name]
+            if name not in unread:
+                table[f"layer{i}.{name}"] = layer[name]
     table["pred.w1"] = ((2 * d, d), _glorot)
     table["pred.b1"] = ((1, d), 0.0)
     # zero final layer: an untrained model scores every pair at exactly 0.5
@@ -163,23 +165,23 @@ class BoundModel:
         schedule = mx.OffsetSchedule(config.spans)
         self.layers: list[tuple] = []
         for i in range(config.num_layers):
-            own = [values[f"layer{i}.{name}"] for name in MIXER_TENSORS[config.mixer]]
+            at = f"layer{i}."
             if config.mixer == "adaptive":
-                order_logits, fuse = own
-                if config.no_lp:
-                    fusion = 0.0
-                elif config.no_rt:
-                    fusion = 1.0
-                else:
-                    fusion = nc.sigmoid(fuse)
+                # pinned fusion has no fuse tensor, and no_lp no order tensor
+                # either: flat order logits, weighed by 0, leave alpha = theta
+                order_logits = values.get(at + "order") or self.tape.constant(
+                    np.zeros((1, schedule.kernel_size(i + 1))))
+                fuse = values.get(at + "fuse")
+                fusion = float(config.no_rt) if fuse is None else nc.sigmoid(fuse)
                 mixer = mx.AdaptiveLayer(offsets=schedule.offsets(i + 1),
                                          order_logits=order_logits, fusion=fusion)
             elif config.mixer == "pooling":
                 mixer = mx.PoolingLayer(window=schedule.kernel_size(i + 1))
             else:
-                mixer = {"mlp": mx.MlpLayer, "attention": mx.AttentionLayer}[config.mixer](*own)
+                mixer = {"mlp": mx.MlpLayer, "attention": mx.AttentionLayer}[config.mixer](
+                    *(values[at + name] for name in MIXER_TENSORS[config.mixer]))
             channel = None if config.no_cm else mx.ChannelParams(
-                *(values[f"layer{i}.{name}"] for name in CHANNEL_TENSORS))
+                *(values[at + name] for name in CHANNEL_TENSORS))
             self.layers.append((mixer, channel))
         self.pred = (values["pred.w1"], values["pred.b1"],
                      values["pred.w2"], values["pred.b2"])
@@ -453,31 +455,31 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Parameters from a :func:`save_checkpoint` file, checked against the
-    tensor table of the file's config and dims: a missing field, a missing or
-    extra tensor, another shape or entry count, or a non-finite entry is a
-    ``ContractError`` that names the field or the tensor."""
+    tensor table of the file's config and dims: a missing or mistyped field, a
+    missing or extra tensor, another shape or entry count, or a non-finite
+    entry is a ``ConfigError`` or ``ContractError`` naming the field or tensor."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = nc.json_typed("checkpoint", json.load(fh), "dict")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ContractError(f"unsupported checkpoint version {doc.get('format_version')}")
-    for key in ("config", "node_dim", "edge_dim", "tensors"):
-        if key not in doc:
-            raise ContractError(f"checkpoint has no {key!r} field")
-    config = ModelConfig.from_dict(doc["config"])
-    node_dim, edge_dim = int(doc["node_dim"]), int(doc["edge_dim"])
+    config, node_dim, edge_dim, stored = (
+        nc.json_typed(f"checkpoint {key!r}", doc.get(key), kind) for key, kind in
+        (("config", "dict"), ("node_dim", "int"), ("edge_dim", "int"), ("tensors", "dict")))
+    config = ModelConfig.from_dict(config)
     table = _tensor_table(config, node_dim, edge_dim)
-    names = set(doc["tensors"])
-    if names != set(table):
-        raise ContractError(f"checkpoint tensors: missing {sorted(set(table) - names)}, "
-                            f"not in the model {sorted(names - set(table))}")
+    if set(stored) != set(table):
+        raise ContractError(f"checkpoint tensors: missing {sorted(set(table) - set(stored))}, "
+                            f"not in the model {sorted(set(stored) - set(table))}")
     tensors = {}
     for name, (shape, _) in table.items():
-        spec = doc["tensors"][name]
-        arr = np.array(spec["data"], dtype=np.float64)
-        if spec["shape"] != list(shape) or arr.size != np.prod(shape):
-            raise ContractError(f"checkpoint tensor {name!r} has shape {spec['shape']} and "
+        where = f"checkpoint tensor {name!r}"
+        spec = nc.json_typed(where, stored[name], "dict")
+        arr = np.array(nc.json_typed(f"{where} data", spec.get("data"), "list"),
+                       dtype=np.float64)
+        if spec.get("shape") != list(shape) or arr.size != np.prod(shape):
+            raise ContractError(f"{where} has shape {spec.get('shape')} and "
                                 f"{arr.size} entries, expected shape {list(shape)}")
         if not np.isfinite(arr).all():
-            raise ContractError(f"checkpoint tensor {name!r} has non-finite entries")
+            raise ContractError(f"{where} has non-finite entries")
         tensors[name] = arr.reshape(shape)
     return ModelParams(config, node_dim, edge_dim, tensors)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,8 @@ __all__ = [
     "ConfigError",
     "NonFiniteError",
     "OracleError",
+    "json_typed",
+    "from_json",
     "Tape",
     "Value",
     "accumulate_grad",
@@ -81,6 +84,37 @@ class NonFiniteError(FloatingPointError):
 
 class OracleError(RuntimeError):
     """A verification oracle cannot be trusted (e.g. non-deterministic f)."""
+
+
+# the JSON types that fit a field of each annotation, and the item types of a
+# list that fits a tuple (spans, shapes) or a list (tensor data)
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "dict": dict,
+               "tuple": list, "list": list}
+_JSON_ITEMS = {"tuple": (int,), "list": (int, float)}
+
+
+def json_typed(where: str, value, annotation: str):
+    """``value`` if its JSON type fits a field annotated ``annotation``, else a
+    ``ConfigError`` naming ``where``: only true or false is a bool, and an
+    integer is also a float."""
+    if (not isinstance(value, _JSON_TYPES[annotation])
+            or isinstance(value, bool) != (annotation == "bool")
+            or annotation in _JSON_ITEMS
+            and not all(type(x) in _JSON_ITEMS[annotation] for x in value)):
+        raise ConfigError(f"{where}: expected {annotation}, got {reprlib.repr(value)}")
+    return value
+
+
+def from_json(cls, doc, where: str):
+    """``cls(**doc)`` for a config dataclass ``cls`` and a JSON object ``doc``;
+    a key that names none of its fields, or a value that does not fit its
+    field, is a ``ConfigError`` that names ``where`` and the key."""
+    fields = cls.__dataclass_fields__
+    for key, value in json_typed(where, doc, "dict").items():
+        if key not in fields:
+            raise ConfigError(f"unknown {where} key {key!r}")
+        json_typed(f"{where} {key!r}", value, fields[key].type)
+    return cls(**doc)
 
 
 def _as_matrix(data) -> np.ndarray:

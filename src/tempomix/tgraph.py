@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numcore import from_json
+
 __all__ = [
     "ParseError",
     "ValidationError",
@@ -398,12 +400,8 @@ class SyntheticSpec:
             raise SpecError(f"unknown edge_feat_kind {self.edge_feat_kind!r}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise SpecError(f"unknown synthetic spec keys: {sorted(unknown)}")
-        return cls(**d)
+    def from_dict(cls, d) -> "SyntheticSpec":
+        return from_json(cls, d, "synthetic spec")
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> EventStream:

@@ -251,6 +251,25 @@ def malform(doc: dict, case: str) -> str:
     elif case == "no_config":
         del doc["config"]
         return "config"
+    elif case in ("fractional_node_dim", "string_node_dim"):
+        doc["node_dim"] = 0.5 if case == "fractional_node_dim" else "x"
+        return "node_dim"
+    elif case == "string_entry":
+        w1["data"][3] = "x"
+    elif case == "no_data":
+        del w1["data"]
+    elif case == "list_tensor":
+        tensors["layer0.ff_w1"] = w1["data"]
+    elif case == "float_dim":
+        doc["config"]["dim"] = float(doc["config"]["dim"])
+        return "dim"
+    elif case == "string_spans":
+        doc["config"]["spans"] = "2,4"
+        return "spans"
+    elif case == "parent_no_cm":
+        # before no_cm dropped them, a no_cm model drew its channel-mixer
+        # tensors with the default config's bytes
+        doc["config"]["no_cm"] = True
     return "layer0.ff_w1"
 
 
@@ -259,7 +278,10 @@ class TestMalformedCheckpoint:
     error (exit 2) that names the tensor or field, before anything is scored."""
 
     @pytest.mark.parametrize("case", ["missing", "extra", "transposed", "short_data",
-                                      "one_d_shape", "nan", "node_dim", "no_config"])
+                                      "one_d_shape", "nan", "node_dim", "no_config",
+                                      "fractional_node_dim", "string_node_dim",
+                                      "string_entry", "no_data", "list_tensor", "float_dim",
+                                      "string_spans", "parent_no_cm"])
     def test_eval_exits_two_and_names_it(self, tmp_path, capsys, case):
         cfg = md.ModelConfig(dim=8, time_dim=8, spans=(2,), n_max=5)
         md.save_checkpoint(md.init_params(cfg, 0, 10, seed=0), tmp_path / "ckpt.json")
@@ -416,7 +438,9 @@ class TestFlagValueErrors:
     """A flag value that no run or bench takes is a usage error (exit 2) found
     before anything is trained, measured or written."""
 
-    @pytest.mark.parametrize("flags", [["--spans", "2,x"], ["--runs", "0"]])
+    @pytest.mark.parametrize("flags", [["--spans", "2,x"], ["--runs", "0"],
+                                       ["--mixer", "attention", "--no-lp"],
+                                       ["--mixer", "pooling", "--no-rt"]])
     def test_train_exits_two(self, tmp_path, capsys, flags):
         rc = main(["train", "--synthetic", '{"n_events": 50}', *flags,
                    "--out", str(tmp_path)])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tempomix import mixers, model, numcore
+from tempomix import encoders, mixers, model, numcore, tgraph, traineval
 
 SRC = Path(numcore.__file__).parent
 
@@ -50,7 +50,8 @@ def uncalled(module) -> set[str]:
             and not refs.get(name, set()) - {(stem, name)}}
 
 
-@pytest.mark.parametrize("module", [numcore, mixers, model], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [numcore, tgraph, encoders, mixers, model, traineval],
+                         ids=lambda m: m.__name__)
 def test_every_exported_function_has_a_caller_or_a_reason(module):
     stem = module.__name__.rsplit(".", 1)[1]
     allowed = {name for name in CALLED_FROM_OUTSIDE if name.startswith(f"{stem}.")}

@@ -44,6 +44,12 @@ class TestConfig:
         cfg = small_config(mixer="attention", activation="relu")
         assert md.ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("mixer", ["pooling", "mlp", "attention"])
+    @pytest.mark.parametrize("flag", ["no_lp", "no_rt"])
+    def test_pinned_fusion_needs_the_adaptive_mixer(self, mixer, flag):
+        with pytest.raises(nc.ConfigError, match=f"{flag}.*{mixer}"):
+            md.ModelConfig(mixer=mixer, **{flag: True})
+
 
 class TestNodeRepr:
     def test_cold_start_is_deterministic(self):
@@ -156,6 +162,21 @@ class TestBceLoss:
         assert loss.data[0, 0] == pytest.approx(bce_loss(pos, neg), rel=1e-12)
 
 
+def assert_every_tensor_learns(cfg):
+    stream, store = toy_graph(n_events=12, seed=14)
+    params = md.init_params(cfg, stream.node_dim, stream.edge_dim, seed=15)
+    w2 = params.tensors["pred.w2"]
+    w2[:] = np.random.default_rng(16).normal(size=w2.shape)
+    queries = [(int(stream.src[i]), int(stream.dst[i]), int((stream.dst[i] + 1) % 5),
+                float(stream.t[i])) for i in range(4, 12)]
+    tape = nc.Tape()
+    bound = md.bind(params, tape, trainable=True)
+    nc.backward(tape, md.batch_loss(bound, store, queries))
+    dead = [name for name, value in bound.values.items()
+            if value.data.size and not value.grad.any()]
+    assert dead == []
+
+
 class TestFullModelGradients:
     @pytest.mark.parametrize("mixer", ["adaptive", "pooling", "mlp", "attention"])
     def test_batch_loss_matches_finite_differences(self, mixer):
@@ -171,6 +192,17 @@ class TestFullModelGradients:
 
         report = nc.grad_check(f, params.tensors, h=1e-5)
         assert report.max_rel_error <= 1e-4, f"{mixer}: {report.max_rel_error}"
+
+    @pytest.mark.parametrize("variant", ["default", "relu", "no_resnet", "no_cm"])
+    @pytest.mark.parametrize("mixer", md.MIXERS)
+    def test_every_tensor_learns(self, mixer, variant):
+        """Aim 3 for parameters: one backward of an initialised model, with a
+        drawn ``pred.w2``, reaches every non-empty tensor it holds."""
+        assert_every_tensor_learns(small_config(mixer=mixer, **VARIANTS[variant]))
+
+    @pytest.mark.parametrize("flag", ["no_lp", "no_rt"])
+    def test_every_tensor_learns_at_pinned_fusion(self, flag):
+        assert_every_tensor_learns(small_config(**{flag: True}))
 
     def test_saturated_predictor_still_gets_gradient(self):
         stream, store, cfg, params, pairs = oracle_fixture(32)
@@ -580,14 +612,21 @@ CHANNEL = ["ln_gain", "ln_bias", "ff_w1", "ff_b1", "ff_w2", "ff_b2"]
 PRED = ["pred.w1", "pred.b1", "pred.w2", "pred.b2"]
 
 
-def layer_names(*own):
-    return [f"layer{i}.{n}" for i in range(2) for n in [*own, *CHANNEL]]
+def layer_names(*own, channel=CHANNEL):
+    return [f"layer{i}.{n}" for i in range(2) for n in [*own, *channel]]
+
+
+def variant_config(variant):
+    """``small_config`` of a "mixer" or "mixer-flag" variant name."""
+    mixer, _, flag = variant.partition("-")
+    return small_config(mixer=mixer, **({flag: True} if flag else {}))
 
 
 # per variant, the layer tensors' names in draw order and the sha256 of all
 # tensors' bytes, recorded with numpy 2.4.6: a change to the draw order or to
-# an initializer changes a digest. A no_cm model still draws its channel-mixer
-# tensors, so its digest is the default one.
+# an initializer changes a digest. A part switched off draws no tensor: the
+# no_lp and no_rt digests equal those of the parent's kept tensors, since
+# order and fuse are constant fills, while no_cm's later draws shift.
 INIT_DRAWS = {
     "adaptive": (layer_names("order", "fuse"),
                  "52f0196a8a4b6f262ec0116f24fb40fd1ab20213389c904d7f4e5eb14d6e0762"),
@@ -597,17 +636,19 @@ INIT_DRAWS = {
             "dc50ca1fcedeea9277c9504520b29565c52e43c5c3235312904e8b44cffce8ee"),
     "attention": (layer_names("wq", "wk", "wv", "wo"),
                   "5c7979fc77f1f9059a471676f76d43af86ba1ae5893b1a475cb68bc2382ff667"),
-    "adaptive-no_cm": (layer_names("order", "fuse"),
-                       "52f0196a8a4b6f262ec0116f24fb40fd1ab20213389c904d7f4e5eb14d6e0762"),
+    "adaptive-no_cm": (layer_names("order", "fuse", channel=[]),
+                       "7a7671b1c12c76b34d16ba2507274a864933a88deea3a4201f8b9bfb1da43315"),
+    "adaptive-no_lp": (layer_names(),
+                       "ef4836a2b7e08bf13b0f1bb7e2de140e88619a32a93e2c05d89ffdf43ebfb546"),
+    "adaptive-no_rt": (layer_names("order"),
+                       "0be52f909e1988fb415b2896acd016d1d557031cc1cf28608831f9ac88c532c2"),
 }
 
 
 class TestInitDraws:
     @pytest.mark.parametrize("variant", INIT_DRAWS)
     def test_names_order_and_bytes_are_pinned(self, variant):
-        mixer, _, flag = variant.partition("-")
-        cfg = small_config(mixer=mixer, **({flag: True} if flag else {}))
-        params = md.init_params(cfg, 2, 3, seed=12)
+        params = md.init_params(variant_config(variant), 2, 3, seed=12)
         names, digest = INIT_DRAWS[variant]
         assert list(params.tensors) == ENC + names + PRED
         data = b"".join(arr.tobytes() for arr in params.tensors.values())
@@ -615,10 +656,10 @@ class TestInitDraws:
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("no_cm", [False, True])
-    @pytest.mark.parametrize("mixer", md.MIXERS)
-    def test_round_trip_is_bit_exact(self, tmp_path, mixer, no_cm):
-        cfg = small_config(mixer=mixer, no_cm=no_cm)
+    @pytest.mark.parametrize("variant", [*md.MIXERS, *(f"{m}-no_cm" for m in md.MIXERS),
+                                         "adaptive-no_lp", "adaptive-no_rt"])
+    def test_round_trip_is_bit_exact(self, tmp_path, variant):
+        cfg = variant_config(variant)
         params = md.init_params(cfg, 2, 3, seed=12)
         path = tmp_path / "ckpt.json"
         md.save_checkpoint(params, path)
