@@ -48,6 +48,8 @@ USAGE_ERRORS = (
     tg.SplitError,
     te.ProtocolError,
     FileNotFoundError,
+    IsADirectoryError,
+    FileExistsError,
     json.JSONDecodeError,
 )
 

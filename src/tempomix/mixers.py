@@ -188,9 +188,10 @@ class _Mixing:
     def need_fuse(self) -> bool:
         return isinstance(self.fusion, Value) and self.fusion.want_grad
 
-    def learns(self, tokens: Value) -> bool:
-        """Whether the mix of ``tokens`` wants a gradient."""
-        return tokens.want_grad or self.order_logits.want_grad or self.need_fuse
+    @property
+    def learns(self) -> bool:
+        """Whether the order logits or the fusion want a gradient."""
+        return self.order_logits.want_grad or self.need_fuse
 
     def dalpha_buffer(self) -> np.ndarray | None:
         """Zeros for the per-offset products ``dalpha`` (R, n, k) if the order
@@ -268,26 +269,23 @@ def _mix_rows(h3: np.ndarray, mix: _Mixing, b0: int, b1: int) -> np.ndarray:
 
 
 def _mix_back_rows(g3: np.ndarray, h3: np.ndarray, mix: _Mixing, b0: int, b1: int,
-                   want_dh: bool, dalpha: np.ndarray | None) -> np.ndarray | None:
+                   dalpha: np.ndarray | None, out: np.ndarray) -> None:
     """Backward of :func:`_mix_rows` given the blocks' output gradient ``g3``:
-    fills blocks b0..b1 of ``dalpha`` (R, n, k; zero where an offset reaches
-    before the block) unless None, and returns the input gradient if
-    ``want_dh``."""
+    writes the input gradient into ``out`` (g3's shape) and fills blocks
+    b0..b1 of ``dalpha`` (R, n, k; zero where an offset reaches before the
+    block) unless None."""
     n = h3.shape[1]
     if dalpha is not None:
         h = h3[b0:b1]
         for j, p in enumerate(mix.offsets):
             if p < n:
                 dalpha[b0:b1, p:, j] = (g3[:, p:, :] * h[:, : n - p, :]).sum(axis=2)
-    if not want_dh:
-        return None
-    dh = np.zeros_like(g3)
+    out[...] = 0.0
     for j, p in enumerate(mix.offsets):
         if p < n:
-            dh[:, : n - p, :] += mix.alpha[j, b0:b1, p:, None] * g3[:, p:, :]
+            out[:, : n - p, :] += mix.alpha[j, b0:b1, p:, None] * g3[:, p:, :]
     uncovered = ~mix.covered[b0:b1]
-    dh[uncovered] += g3[uncovered]
-    return dh
+    out[uncovered] += g3[uncovered]
 
 
 def adaptive_mix(tokens: Value, times, offsets, order_logits: Value,
@@ -449,13 +447,16 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
     chunk by chunk, the mix if it is an adaptive one, the residual, the
     LayerNorm and the feed-forward with its residual. The backward is one
     pass over the same chunks: ``g @ W2.T``, the activation gradient,
-    ``gpre @ W1.T``, the LayerNorm's input gradient and the residual (or,
-    without a channel mixer, just the output gradient), then either the
-    adaptive mix's input gradient and per-offset products, or a write into
-    the one gradient that ``mixed`` and the residual's ``tokens`` get, as the
-    chain's ``add`` gives them. The sums over rows (weights, biases,
-    LayerNorm gain and bias, order logits and fusion) run whole, before or
-    after the pass, so every sum keeps its order. The small ops of the mix
+    ``gpre @ W1.T``, and the LayerNorm's input gradient plus the residual's
+    share into one buffer (without a channel mixer, the output gradient is
+    that gradient); then an adaptive mix's input gradient into a second
+    buffer, and its per-offset products. The sums over rows (weights,
+    biases, LayerNorm gain and bias, order logits and fusion) run whole,
+    before or after the pass, so every sum keeps its order. Last, the
+    gradients go out in the chain's order: ``tokens`` gets the residual's
+    share, then ``tokens`` (adaptive, pooling) or ``mixed`` (attention, MLP)
+    the mix's. A step computes every channel-mixer gradient, and
+    ``numcore.accumulate_grad`` drops a constant's. The small ops of the mix
     and the LayerNorm, which hold the GIL, overlap with the other thread's
     GEMMs and erf, which release it.
     """
@@ -473,10 +474,8 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
     tape.flops += ((0 if mix is None else mix.flops) + (m * d if residual else 0)
                    + (0 if p is None else _channel_flops(m, d, p, activation, residual)))
 
-    # whether the LayerNorm's input (mix plus residual) wants a gradient
-    h_learns = (mixed.want_grad or residual and tokens.want_grad if mix is None
-                else mix.learns(tokens))
-    want = h_learns or any(v.want_grad for v in params)
+    want = (any(v.want_grad for v in (*operands, *params))
+            or mix is not None and mix.learns)
     x = tokens.data
     x3 = x.reshape(-1, n, d)
     gelu = activation == "gelu"
@@ -512,77 +511,45 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
         g = out.grad
         if g is None:
             return
-        gz = None
         if p is not None:
-            if p.b2.want_grad:
-                nc.accumulate_grad(p.b2, g.sum(axis=0, keepdims=True))
-            if p.w2.want_grad:
-                nc.accumulate_grad(p.w2, keep[1].T @ g)
-            if not (h_learns or any(v.want_grad for v in params[:4])):
-                return
-            if p.ln_gain.want_grad or p.ln_bias.want_grad:
-                gz = np.empty((m, d))
-        need_z = h_learns or gz is not None
-        if mix is None:
-            gh_all = (g if p is None else np.empty((m, d))) if h_learns else None
-            dalpha = token_grad = None
-        else:
-            # the chain adds the residual's gradient to what tokens already
-            # hold, then the mix's: each chunk does both, into a new array
-            gh_all, dalpha, prev = None, mix.dalpha_buffer(), tokens.grad
-            token_grad = np.empty((m, d)) if tokens.want_grad else None
+            nc.accumulate_grad(p.b2, g.sum(axis=0, keepdims=True))
+            nc.accumulate_grad(p.w2, keep[1].T @ g)
+        # the gradients of the LayerNorm's output and input (mix plus residual)
+        gz, gh = (None, g) if p is None else (np.empty((m, d)), np.empty((m, d)))
+        dalpha, dh = (None, None) if mix is None else (mix.dalpha_buffer(), np.empty((m, d)))
 
         def backward_rows(lo, hi):  # the step runs once: act becomes gpre
             rows = slice(lo, hi)
-            if p is None:
-                gh = g[rows]
-            else:
+            if p is not None:
                 pre, act_r, cdf = _rows_of(keep, lo, hi)
                 gact = g[rows] @ p.w2.data.T
                 gpre = (nc._relu_grad(gact, pre, out=act_r) if cdf is None
                         else nc._gelu_grad(gact, pre, cdf, out=act_r))
-                if not need_z:
-                    return
-                gz_r = np.matmul(gpre, p.w1.data.T, out=None if gz is None else gz[rows])
-                if not h_learns:
-                    return
-                gh = nc._layer_norm_back_rows(gz_r, p.ln_gain.data, xn[rows], inv_std[rows],
-                                              out=None if gh_all is None else gh_all[rows])
+                np.matmul(gpre, p.w1.data.T, out=gz[rows])
+                nc._layer_norm_back_rows(gz[rows], p.ln_gain.data, xn[rows], inv_std[rows],
+                                         out=gh[rows])
                 if residual:
-                    gh += g[rows]
-            if mix is None:
-                return
-            dh = _mix_back_rows(gh.reshape(-1, n, d), x3, mix, lo // n, hi // n,
-                                token_grad is not None, dalpha)
-            if dh is None:
-                return
-            base = gh if residual else None
-            if prev is not None:
-                base = prev[rows] if base is None else prev[rows] + base
-            if base is None:
-                token_grad[rows] = dh.reshape(-1, d)
-            else:
-                np.add(base, dh.reshape(-1, d), out=token_grad[rows])
+                    gh[rows] += g[rows]
+            if mix is not None:
+                _mix_back_rows(gh[rows].reshape(-1, n, d), x3, mix, lo // n, hi // n, dalpha,
+                               dh[rows].reshape(-1, n, d))
 
         if p is not None or mix is not None:  # else g is the gradient both get
             nc._row_passes(m, backward_rows, block=n)
         if p is not None:
             gpre = keep[1]
-            if p.b1.want_grad:
-                nc.accumulate_grad(p.b1, gpre.sum(axis=0, keepdims=True))
-            if p.w1.want_grad:
-                nc.accumulate_grad(p.w1, z.T @ gpre)
-            if p.ln_gain.want_grad:
-                nc.accumulate_grad(p.ln_gain, (gz * xn).sum(axis=0, keepdims=True))
-            if p.ln_bias.want_grad:
-                nc.accumulate_grad(p.ln_bias, gz.sum(axis=0, keepdims=True))
-        if gh_all is not None:  # the chain's add: tokens, then the mix
-            if residual:
-                nc.accumulate_grad(tokens, gh_all)
-            nc.accumulate_grad(mixed, gh_all)
-        if token_grad is not None:
-            tokens.grad = token_grad
-        if mix is not None:
+            nc.accumulate_grad(p.b1, gpre.sum(axis=0, keepdims=True))
+            nc.accumulate_grad(p.w1, z.T @ gpre)
+            nc.accumulate_grad(p.ln_gain, (gz * xn).sum(axis=0, keepdims=True))
+            nc.accumulate_grad(p.ln_bias, gz.sum(axis=0, keepdims=True))
+        # the chain's order: tokens get the residual's share, then tokens
+        # (adaptive, pooling) or mixed (attention, MLP) get the mix's
+        if residual:
+            nc.accumulate_grad(tokens, gh)
+        if mix is None:
+            nc.accumulate_grad(mixed, gh)
+        else:
+            nc.accumulate_grad(tokens, dh)
             mix.accumulate_grads(dalpha)
     tape.record(back)
     return out

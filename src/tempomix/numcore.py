@@ -6,6 +6,11 @@ tape in reverse accumulates gradients into every leaf. Values are immutable
 after creation and safe to share across threads; a Tape is single-owner and
 must not be shared.
 
+A primitive op gives only its adjoints: for each operand, in order, the
+function that maps the output's gradient to that operand's share.
+``_record`` turns them into the op's one backward step, recorded only if
+some operand wants a gradient. The fused ops in ``mixers`` record their own.
+
 The tape also keeps a running scalar-operation tally (``Tape.flops``) so that
 work can be compared across algorithms in a machine-independent way.
 """
@@ -200,24 +205,36 @@ def _same_tape(*vals: Value) -> Tape:
 # ---------------------------------------------------------------------------
 
 
+def _record(tape: Tape, data: np.ndarray,
+            adjoints: Sequence[tuple[Value, Callable[[np.ndarray], np.ndarray]]]) -> Value:
+    """An op's output ``data`` as a Value on ``tape``. ``adjoints`` pairs each
+    operand, in operand order, with the function that maps the output's
+    gradient to that operand's share. One backward step, recorded only if
+    some operand wants a gradient, adds the shares in that order."""
+    out = Value(data, tape, any([v.want_grad for v, _ in adjoints]))
+    if out.want_grad:
+        def back():
+            g = out.grad
+            if g is not None:
+                for v, share in adjoints:
+                    if v.want_grad:
+                        accumulate_grad(v, share(g))
+        tape.record(back)
+    return out
+
+
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
+
+
 def matmul(a: Value, b: Value) -> Value:
     t = _same_tape(a, b)
     (m, k), (k2, n) = a.data.shape, b.data.shape
     if k != k2:
         raise ShapeError(f"matmul: inner dimensions differ for shapes {a.data.shape} and {b.data.shape}")
     t.flops += 2 * m * k * n
-    out = Value(a.data @ b.data, t, a.want_grad or b.want_grad)
-    if out.want_grad:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            if a.want_grad:
-                accumulate_grad(a, g @ b.data.T)
-            if b.want_grad:
-                accumulate_grad(b, a.data.T @ g)
-        t.record(back)
-    return out
+    return _record(t, a.data @ b.data,
+                   ((a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)))
 
 
 def add(a: Value, b: Value) -> Value:
@@ -229,23 +246,9 @@ def add(a: Value, b: Value) -> Value:
     if (mb, nb) != (m, n) and not row_bcast and not col_bcast:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} are not compatible")
     t.flops += m * n
-    out = Value(a.data + b.data, t, a.want_grad or b.want_grad)
-    if out.want_grad:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            if a.want_grad:
-                accumulate_grad(a, g)
-            if b.want_grad:
-                if row_bcast:
-                    accumulate_grad(b, g.sum(axis=0, keepdims=True))
-                elif col_bcast:
-                    accumulate_grad(b, g.sum(axis=1, keepdims=True))
-                else:
-                    accumulate_grad(b, g)
-        t.record(back)
-    return out
+    axis = 0 if row_bcast else 1 if col_bcast else None
+    b_share = _identity if axis is None else lambda g: g.sum(axis=axis, keepdims=True)
+    return _record(t, a.data + b.data, ((a, _identity), (b, b_share)))
 
 
 def concat_cols(a: Value, b: Value) -> Value:
@@ -253,18 +256,8 @@ def concat_cols(a: Value, b: Value) -> Value:
     if a.data.shape[0] != b.data.shape[0]:
         raise ShapeError(f"concat_cols: row counts differ for shapes {a.data.shape} and {b.data.shape}")
     na = a.data.shape[1]
-    out = Value(np.hstack([a.data, b.data]), t, a.want_grad or b.want_grad)
-    if out.want_grad:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            if a.want_grad:
-                accumulate_grad(a, g[:, :na])
-            if b.want_grad:
-                accumulate_grad(b, g[:, na:])
-        t.record(back)
-    return out
+    return _record(t, np.hstack([a.data, b.data]),
+                   ((a, lambda g: g[:, :na]), (b, lambda g: g[:, na:])))
 
 
 def concat_rows(vals: Sequence[Value]) -> Value:
@@ -273,24 +266,15 @@ def concat_rows(vals: Sequence[Value]) -> Value:
         raise ContractError("concat_rows: need at least one operand")
     t = _same_tape(*vals)
     ncols = vals[0].data.shape[1]
-    for v in vals[1:]:
+    adjoints, lo = [], 0
+    for v in vals:
         if v.data.shape[1] != ncols:
             raise ShapeError(
                 f"concat_rows: column counts differ for shapes {vals[0].data.shape} and {v.data.shape}")
-    out = Value(np.vstack([v.data for v in vals]), t, any(v.want_grad for v in vals))
-    if out.want_grad:
-        row_counts = [v.data.shape[0] for v in vals]
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            lo = 0
-            for v, r in zip(vals, row_counts):
-                if v.want_grad:
-                    accumulate_grad(v, g[lo:lo + r])
-                lo += r
-        t.record(back)
-    return out
+        hi = lo + v.data.shape[0]
+        adjoints.append((v, lambda g, lo=lo, hi=hi: g[lo:hi]))
+        lo = hi
+    return _record(t, np.vstack([v.data for v in vals]), adjoints)
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -437,26 +421,14 @@ def gelu(a: Value) -> Value:
     x = a.data
     cdf = _gelu_cdf(x)
     t.flops += _FLOPS_PER_ELEMENT["gelu"] * x.size
-    out = Value(x * cdf, t, a.want_grad)
-    if out.want_grad:
-        def back():
-            if out.grad is not None:
-                accumulate_grad(a, _gelu_grad(out.grad, x, cdf))
-        t.record(back)
-    return out
+    return _record(t, x * cdf, ((a, lambda g: _gelu_grad(g, x, cdf)),))
 
 
 def relu(a: Value) -> Value:
     t = a.tape
     x = a.data
     t.flops += _FLOPS_PER_ELEMENT["relu"] * x.size
-    out = Value(_relu(x), t, a.want_grad)
-    if out.want_grad:
-        def back():
-            if out.grad is not None:
-                accumulate_grad(a, _relu_grad(out.grad, x))
-        t.record(back)
-    return out
+    return _record(t, _relu(x), ((a, lambda g: _relu_grad(g, x)),))
 
 
 def mean_rows(a: Value) -> Value:
@@ -464,15 +436,8 @@ def mean_rows(a: Value) -> Value:
     t = a.tape
     m = a.data.shape[0]
     t.flops += a.data.size
-    out = Value(a.data.mean(axis=0, keepdims=True), t, a.want_grad)
-    if out.want_grad:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            accumulate_grad(a, np.broadcast_to(g / m, a.data.shape).copy())
-        t.record(back)
-    return out
+    return _record(t, a.data.mean(axis=0, keepdims=True),
+                   ((a, lambda g: np.broadcast_to(g / m, a.data.shape).copy()),))
 
 
 def gather_rows(a: Value, indices) -> Value:
@@ -483,21 +448,16 @@ def gather_rows(a: Value, indices) -> Value:
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise ContractError("gather_rows: index out of range")
     t = a.tape
-    t.flops += idx.size * a.data.shape[1]
-    out = Value(a.data[idx], t, a.want_grad)
-    if out.want_grad:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            # one bincount over (row, column) cells sums each cell's rows in
-            # index order, as np.add.at would, several times faster
-            rows, cols = a.data.shape
-            cells = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
-            accumulate_grad(a, np.bincount(cells, weights=g.reshape(-1),
-                                           minlength=rows * cols).reshape(rows, cols))
-        t.record(back)
-    return out
+    rows, cols = a.data.shape
+    t.flops += idx.size * cols
+
+    def scatter(g):
+        # one bincount over (row, column) cells sums each cell's rows in
+        # index order, as np.add.at would, several times faster
+        cells = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+        return np.bincount(cells, weights=g.reshape(-1),
+                           minlength=rows * cols).reshape(rows, cols)
+    return _record(t, a.data[idx], ((a, scatter),))
 
 
 def mean_rows_blocks(a: Value, block_len: int, pad_lens) -> Value:
@@ -516,16 +476,8 @@ def mean_rows_blocks(a: Value, block_len: int, pad_lens) -> Value:
     counts = (block_len - pads).astype(np.float64)[:, None]
     out_data = (h3 * mask[:, :, None]).sum(axis=1) / counts
     t.flops += 2 * rows * cols
-    out = Value(out_data, t, a.want_grad)
-    if out.want_grad:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            da = (mask[:, :, None] * (g / counts)[:, None, :]).reshape(rows, cols)
-            accumulate_grad(a, da)
-        t.record(back)
-    return out
+    return _record(t, out_data, (
+        (a, lambda g: (mask[:, :, None] * (g / counts)[:, None, :]).reshape(rows, cols)),))
 
 
 def _blocks_to_cols(x: np.ndarray, block_len: int) -> np.ndarray:
@@ -546,7 +498,8 @@ def blocks_to_cols(a: Value, block_len: int) -> Value:
     rows, cols = a.data.shape
     if block_len < 1 or rows % block_len:
         raise ShapeError(f"blocks_to_cols: {rows} rows do not form blocks of {block_len}")
-    return _regroup(a, _blocks_to_cols(a.data, block_len), lambda g: _cols_to_blocks(g, cols))
+    return _record(a.tape, _blocks_to_cols(a.data, block_len),
+                   ((a, lambda g: _cols_to_blocks(g, cols)),))
 
 
 def cols_to_blocks(a: Value, width: int) -> Value:
@@ -554,18 +507,8 @@ def cols_to_blocks(a: Value, width: int) -> Value:
     n, cols = a.data.shape
     if width < 1 or cols % width:
         raise ShapeError(f"cols_to_blocks: {cols} columns do not form blocks of {width}")
-    return _regroup(a, _cols_to_blocks(a.data, width), lambda g: _blocks_to_cols(g, n))
-
-
-def _regroup(a: Value, data: np.ndarray, undo: Callable[[np.ndarray], np.ndarray]) -> Value:
-    """A pure re-layout of ``a``; the backward applies the inverse layout."""
-    out = Value(data, a.tape, a.want_grad)
-    if out.want_grad:
-        def back():
-            if out.grad is not None:
-                accumulate_grad(a, undo(out.grad))
-        a.tape.record(back)
-    return out
+    return _record(a.tape, _cols_to_blocks(a.data, width),
+                   ((a, lambda g: _blocks_to_cols(g, n)),))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -581,13 +524,7 @@ def sigmoid(a: Value) -> Value:
     t = a.tape
     s = _stable_sigmoid(a.data)
     t.flops += 4 * a.data.size
-    out = Value(s, t, a.want_grad)
-    if out.want_grad:
-        def back():
-            if out.grad is not None:
-                accumulate_grad(a, out.grad * s * (1.0 - s))
-        t.record(back)
-    return out
+    return _record(t, s, ((a, lambda g: g * s * (1.0 - s)),))
 
 
 def bce_with_logits(logits: Value, labels) -> Value:
@@ -606,15 +543,8 @@ def bce_with_logits(logits: Value, labels) -> Value:
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ContractError("bce_with_logits: labels must be 0 or 1")
     t.flops += 4 * z.size
-    out = Value(np.array([[np.logaddexp(0.0, (1.0 - 2.0 * y) * z).sum()]]), t,
-                logits.want_grad)
-    if out.want_grad:
-        def back():
-            g = out.grad
-            if g is not None:
-                accumulate_grad(logits, g[0, 0] * (_stable_sigmoid(z) - y))
-        t.record(back)
-    return out
+    return _record(t, np.array([[np.logaddexp(0.0, (1.0 - 2.0 * y) * z).sum()]]),
+                   ((logits, lambda g: g[0, 0] * (_stable_sigmoid(z) - y)),))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,8 @@ class EventStream:
                 raise ValidationError(f"column {name} has length {len(col)}, expected {n}")
         if self._edge_feats.shape[0] != n:
             raise ValidationError("edge feature rows do not match event count")
+        if not np.all(np.isfinite(self._t)):
+            raise ValidationError("timestamps must be finite")
         if n and np.any(self._t < 0):
             raise ValidationError("timestamps must be non-negative")
         if n and np.any(np.diff(self._t) < 0):
@@ -189,6 +192,8 @@ def ingest_csv(path, bipartite: bool = False) -> EventStream:
                 feats = [float(x) for x in row[4:]]
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, (t, *feats))):
+                raise ParseError(f"{path}: line {lineno}: timestamp and features must be finite")
             if t < 0:
                 raise ValidationError(f"{path}: line {lineno}: negative timestamp {t}")
             rows.append((row[0].strip(), row[1].strip(), t, label, feats))

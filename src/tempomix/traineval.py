@@ -51,8 +51,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.lr <= 0:
-            raise ProtocolError("epochs, batch_size and lr must be positive")
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ProtocolError("epochs and batch_size must be positive")
+        if not 0.0 < self.lr < np.inf:
+            raise ProtocolError(f"lr must be positive and finite, got {self.lr}")
         if self.patience < 0:
             raise ProtocolError("patience must be non-negative")
 

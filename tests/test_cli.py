@@ -95,6 +95,29 @@ class TestTrainCommand:
         assert rc == 2
 
 
+class TestPathErrors:
+    """A path that names a directory, or an ``--out`` that names a file, is a
+    usage error (exit 2) that names the path, and nothing is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "DIR", "--out", "OUT"],
+        ["train", "--dataset", "DIR", "--out", "OUT"],
+        ["eval", "DIR", *FAST, "--out", "OUT"],
+        ["ingest", "DIR", "--out", "OUT"],
+        ["train", *FAST, "--out", "FILE"],
+    ], ids=["config_dir", "dataset_dir", "checkpoint_dir", "ingest_dir", "out_file"])
+    def test_exits_two_and_names_the_path(self, tmp_path, capsys, argv):
+        paths = {name: tmp_path / name.lower() for name in ("DIR", "FILE", "OUT")}
+        paths["DIR"].mkdir()
+        paths["FILE"].write_text("")
+        named = paths["FILE" if "FILE" in argv else "DIR"]
+        assert main([str(paths.get(a, a)) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(named) in err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [paths["FILE"]]
+        assert paths["FILE"].read_text() == ""
+
+
 class FakeLibc:
     def __init__(self):
         self.calls = []
@@ -387,6 +410,14 @@ class TestIngestCommand:
         assert main(["ingest", OVERLAPPING_IDS, "--bipartite"]) == 0
         assert "nodes=5 " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("row", ["A,B,nan,0,0.5", "A,B,1.0,0,inf"])
+    def test_non_finite_value_exits_two_and_names_the_line(self, tmp_path, capsys, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"src,dst,timestamp,label,f0\nA,C,0.5,0,0.5\n{row}\n")
+        assert main(["ingest", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_default_normalized_copy_unchanged_by_the_option(self, tmp_path):
         plain, flagged = tmp_path / "plain", tmp_path / "flagged"
         assert main(["ingest", OVERLAPPING_IDS, "--out", str(plain)]) == 0
@@ -440,7 +471,8 @@ class TestFlagValueErrors:
 
     @pytest.mark.parametrize("flags", [["--spans", "2,x"], ["--runs", "0"],
                                        ["--mixer", "attention", "--no-lp"],
-                                       ["--mixer", "pooling", "--no-rt"]])
+                                       ["--mixer", "pooling", "--no-rt"],
+                                       ["--lr", "nan"], ["--lr", "inf"]])
     def test_train_exits_two(self, tmp_path, capsys, flags):
         rc = main(["train", "--synthetic", '{"n_events": 50}', *flags,
                    "--out", str(tmp_path)])

@@ -1,7 +1,9 @@
 """Tests for the matrix core: primitives, tape gradients, Adam."""
 
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +218,90 @@ class TestBackward:
         for f in (f1, f2, f3, f4):
             report = nc.grad_check(f, params, h=1e-5)
             assert report.max_rel_error <= 1e-4, f"{f.__name__}: {report.max_rel_error}"
+
+
+# each primitive op: how it is called on its operands, and their shapes
+RECORDING_OPS = {
+    "matmul": (nc.matmul, [(3, 4), (4, 2)]),
+    "add": (nc.add, [(3, 4), (3, 4)]),
+    "add_row": (nc.add, [(3, 4), (1, 4)]),
+    "add_column": (nc.add, [(3, 4), (3, 1)]),
+    "concat_cols": (nc.concat_cols, [(3, 2), (3, 4)]),
+    "concat_rows": (lambda *vals: nc.concat_rows(vals), [(2, 4), (3, 4), (1, 4)]),
+    "gather_rows": (lambda a: nc.gather_rows(a, [0, 2, 2, 1]), [(4, 3)]),
+    "mean_rows": (nc.mean_rows, [(4, 3)]),
+    "mean_rows_blocks": (lambda a: nc.mean_rows_blocks(a, 3, [0, 1]), [(6, 3)]),
+    "blocks_to_cols": (lambda a: nc.blocks_to_cols(a, 3), [(6, 3)]),
+    "cols_to_blocks": (lambda a: nc.cols_to_blocks(a, 3), [(3, 6)]),
+    "gelu": (nc.gelu, [(3, 4)]),
+    "relu": (nc.relu, [(3, 4)]),
+    "sigmoid": (nc.sigmoid, [(3, 4)]),
+    "bce_with_logits": (lambda z: nc.bce_with_logits(z, [0.0, 1.0, 1.0, 0.0]), [(4, 1)]),
+}
+RECORDING_CASES = [(name, i) for name, (_, shapes) in RECORDING_OPS.items()
+                   for i in range(len(shapes))]
+
+
+def run_op(name, leaf=None):
+    """The tape, operands and output of op ``name`` on random operands, operand
+    ``leaf`` a leaf and the others constants."""
+    op, shapes = RECORDING_OPS[name]
+    rng = np.random.default_rng(17)
+    tape = nc.Tape()
+    vals = [(tape.leaf if i == leaf else tape.constant)(rng.normal(size=shape))
+            for i, shape in enumerate(shapes)]
+    return tape, vals, op(*vals)
+
+
+class TestRecordingRule:
+    """Every primitive op records one backward step if some operand wants a
+    gradient and none otherwise; the step adds each operand's share in
+    operand order."""
+
+    @pytest.mark.parametrize("name", RECORDING_OPS)
+    def test_constants_record_no_step(self, name):
+        tape, _, out = run_op(name)
+        assert tape._steps == [] and not out.want_grad
+
+    @pytest.mark.parametrize("name,leaf", RECORDING_CASES)
+    def test_one_leaf_records_one_step_that_reaches_only_it(self, name, leaf):
+        tape, vals, out = run_op(name, leaf)
+        assert len(tape._steps) == 1 and out.want_grad
+        out.grad = np.ones_like(out.data)
+        tape._steps[0]()
+        for i, v in enumerate(vals):
+            assert (v.grad.shape == v.data.shape) if i == leaf else v.grad is None
+
+    @pytest.mark.parametrize("op,shares", [
+        (lambda x: nc.add(x, x), lambda x, g: [g, g]),
+        (lambda x: nc.matmul(x, x), lambda x, g: [g @ x.T, x.T @ g]),
+        (lambda x: nc.concat_rows([x, x, x]), lambda x, g: [g[:4], g[4:8], g[8:]]),
+    ], ids=["add", "matmul", "concat_rows"])
+    def test_a_repeated_leaf_gets_its_shares_in_operand_order(self, op, shares):
+        rng = np.random.default_rng(18)
+        tape = nc.Tape()
+        x = tape.leaf(rng.normal(size=(4, 4)))
+        out = op(x)
+        (step,) = tape._steps
+        g = rng.normal(size=out.data.shape) * 10.0 ** rng.integers(-8, 8, size=out.data.shape)
+        prior = rng.normal(size=(4, 4))
+        x.grad, out.grad = prior, g
+        step()
+        want = prior
+        for share in shares(x.data, g):
+            want = want + share
+        assert np.array_equal(x.grad, want)
+
+    def test_only_the_recording_helper_and_the_fused_ops_call_record(self):
+        callers = set()
+        for path in sorted(Path(nc.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "record"):
+                        callers.add(f"{path.stem}.{getattr(top, 'name', None)}")
+        assert callers == {"numcore._record", "mixers._attend", "mixers._mix_block"}
 
 
 class TestBceWithLogits:

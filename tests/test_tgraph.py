@@ -64,6 +64,14 @@ class TestIngest:
         with pytest.raises(tg.ValidationError):
             tg.ingest_csv(p)
 
+    @pytest.mark.parametrize("row", ["B,C,nan,0,0.5", "B,C,inf,0,0.5",
+                                     "B,C,2.0,0,-inf", "B,C,2.0,0,nan"])
+    def test_non_finite_timestamp_or_feature_names_the_line(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"src,dst,timestamp,label,f0\nA,B,1.0,0,0.5\n{row}\n")
+        with pytest.raises(tg.ParseError, match="line 3: timestamp and features must be finite"):
+            tg.ingest_csv(p)
+
     def test_round_trip(self, tmp_path):
         # ingest -> serialize -> ingest is the identity on ingested streams
         raw = tg.generate_synthetic(
@@ -102,6 +110,15 @@ class TestIngest:
         assert stream.node_count == 9227
         assert len(stream) == 157474
         assert stream.edge_dim == 172
+
+
+class TestValidation:
+    @pytest.mark.parametrize("times", [[0.0, float("nan"), 2.0], [float("nan"), 1.0, 2.0],
+                                       [0.0, 1.0, float("inf")]])
+    def test_non_finite_timestamp_rejected(self, times):
+        # NaN compares false both ways, so neither the sign nor the order check sees it
+        with pytest.raises(tg.ValidationError, match="finite"):
+            make_stream([(0, 1, t) for t in times])
 
 
 class TestSplit:
@@ -310,6 +327,11 @@ class TestSynthetic:
                 repeats += d == prev[u]
             prev[u] = d
         assert repeats / chances == pytest.approx(0.9, abs=0.03)
+
+    def test_nan_time_step_rejected(self):
+        spec = tg.SyntheticSpec(n_src=3, n_dst=3, n_events=20, time_step=float("nan"))
+        with pytest.raises(tg.ValidationError, match="finite"):
+            tg.generate_synthetic(spec, seed=0)
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(tg.SpecError):
