@@ -5,6 +5,8 @@ artifacts), ``eval`` (score a checkpoint), ``ablate`` (the six-variant
 component sweep), and ``bench`` (mixer scaling measurements). Specs are JSON
 documents; command-line flags override spec-file values which override
 defaults. Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+A command creates its ``--out`` directory only once its inputs are read, so
+one that fails on its input leaves none behind.
 
 stdout carries only report paths and one summary line per command; progress
 and diagnostics go to stderr.
@@ -196,8 +198,8 @@ def _aggregate(values: list[float]) -> dict:
     }
 
 
-def _run_training(spec: RunSpec) -> tuple[list[dict], list[md.ModelParams]]:
-    stream = spec.load_stream()
+def _run_training(spec: RunSpec, stream: tg.EventStream
+                  ) -> tuple[list[dict], list[md.ModelParams]]:
     reports, params_list = [], []
     for run_idx in range(spec.runs):
         cfg = replace(spec.train, seed=spec.train.seed + run_idx)
@@ -212,8 +214,9 @@ def _run_training(spec: RunSpec) -> tuple[list[dict], list[md.ModelParams]]:
 
 def cmd_train(args) -> int:
     spec = resolve_run_spec(args)
+    stream = spec.load_stream()
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    reports, params_list = _run_training(spec)
+    reports, params_list = _run_training(spec, stream)
     metrics = {
         "model": spec.model.to_dict(),
         "runs": reports,
@@ -238,13 +241,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = resolve_run_spec(args)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     params = md.load_checkpoint(args.checkpoint)
     stream = spec.load_stream()
     dims, stream_dims = (params.node_dim, params.edge_dim), (stream.node_dim, stream.edge_dim)
     if dims != stream_dims:
         raise nc.ContractError(f"checkpoint (node_dim, edge_dim) {dims} does not match "
                                f"the stream's {stream_dims}")
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     _, _, test_split = tg.chronological_split(stream, te.TRAIN_RATIO, te.VAL_RATIO)
     fit_len = len(stream) - len(test_split)
     candidates = stream.slice(0, fit_len).destinations()
@@ -259,16 +262,17 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     spec = resolve_run_spec(args)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     if spec.model.mixer != "adaptive":
         raise UsageError("the ablation sweep applies to the adaptive mixer")
+    stream = spec.load_stream()
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     base = spec.model.to_dict()
     results = {}
     for variant, overrides in ABLATION_VARIANTS.items():
         flags = {**dict.fromkeys(("no_lp", "no_rt", "no_resnet", "no_cm"), False), **overrides}
         variant_spec = replace(spec, model=replace(spec.model, **flags))
         _log(f"ablation variant: {variant}")
-        reports, params_list = _run_training(variant_spec)
+        reports, params_list = _run_training(variant_spec, stream)
         md.save_checkpoint(params_list[0], spec.out_dir / f"checkpoint_{variant}.json")
         results[variant] = {
             "ap": [r["ap"] for r in reports],

@@ -14,8 +14,11 @@ one (R*n) x d matrix, each left-padded. The reference path
 :func:`token_mix` on the first layer that ``model.bind`` builds, so it
 measures the kernels that training runs. The adaptive mixer computes its
 weights whole, once per call (:func:`adaptive_mix` runs it on one
-sequence); pooling is the adaptive kernel with flat order weights;
-attention has a batched kernel (:func:`attention_mix_batched`), and
+sequence). Pooling is an :class:`AdaptiveLayer` of constants: flat order
+logits over the window 0..k-1 at fusion 1, the truncated mean. A pinned
+fusion, a float, becomes a 1x1 constant on the tokens' tape, so the kernel
+reads the order logits and the fusion as tape operands like any other.
+Attention has a batched kernel (:func:`attention_mix_batched`), and
 :func:`mlp_mix` runs on the blocks side by side (``numcore.blocks_to_cols``).
 
 Attention and the block are fused differentiable operations: their backward
@@ -42,7 +45,6 @@ from .numcore import ConfigError, ContractError, ShapeError, Value
 __all__ = [
     "OffsetSchedule",
     "AdaptiveLayer",
-    "PoolingLayer",
     "MlpLayer",
     "AttentionLayer",
     "ChannelParams",
@@ -91,21 +93,14 @@ class AdaptiveLayer:
     """One adaptive-mixer layer: offsets plus its bound parameters.
 
     ``fusion`` is the coefficient blending order weights against recency
-    weights; a plain float pins it (ablations), a 1x1 Value learns it.
+    weights: a 1x1 Value, or a plain float that pins it (ablations, pooling)
+    and becomes a tape constant. Pooling is this layer over offsets 0..k-1
+    with constant flat order logits at fusion 1.
     """
 
     offsets: np.ndarray
     order_logits: Value
     fusion: Union[Value, float]
-
-
-@dataclass
-class PoolingLayer:
-    window: int
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ContractError(f"pooling window must be >= 1, got {self.window}")
 
 
 @dataclass
@@ -175,52 +170,37 @@ class _Mixing:
     order_w: np.ndarray
     theta: np.ndarray
     covered: np.ndarray
-    fuse: float
     order_logits: Value
-    fusion: Union[Value, float]
+    fusion: Value
     flops: int
-
-    @property
-    def need_order(self) -> bool:
-        return self.order_logits.want_grad and self.fuse != 0.0
-
-    @property
-    def need_fuse(self) -> bool:
-        return isinstance(self.fusion, Value) and self.fusion.want_grad
-
-    @property
-    def learns(self) -> bool:
-        """Whether the order logits or the fusion want a gradient."""
-        return self.order_logits.want_grad or self.need_fuse
 
     def dalpha_buffer(self) -> np.ndarray | None:
         """Zeros for the per-offset products ``dalpha`` (R, n, k) if the order
-        logits or the fusion learn, else None."""
-        if not (self.need_order or self.need_fuse):
+        logits or the fusion want a gradient, else None."""
+        if not (self.order_logits.want_grad or self.fusion.want_grad):
             return None
         k, r, n = self.alpha.shape
         return np.zeros((r, n, k))
 
     def accumulate_grads(self, dalpha: np.ndarray | None) -> None:
-        """Accumulate the order-logit and fusion gradients from ``dalpha``. The
-        sums run whole, over weights laid out offsets last, in the order of one
-        pass."""
+        """Accumulate the order-logit and fusion gradients from ``dalpha``;
+        ``numcore.accumulate_grad`` drops a constant's. The sums run whole,
+        over weights laid out offsets last, in the order of one pass."""
         if dalpha is None:
             return
         order_w = np.ascontiguousarray(np.moveaxis(self.order_w, 0, -1))
-        if self.need_order:
-            go = self.fuse * dalpha
-            ds = order_w * (go - (go * order_w).sum(axis=2, keepdims=True))
-            nc.accumulate_grad(self.order_logits, ds.sum(axis=(0, 1)).reshape(1, -1))
-        if self.need_fuse:
-            theta = np.ascontiguousarray(np.moveaxis(self.theta, 0, -1))
-            dfuse = float((dalpha * (order_w - theta)).sum())
-            nc.accumulate_grad(self.fusion, np.array([[dfuse]]))
+        go = float(self.fusion.data[0, 0]) * dalpha
+        ds = order_w * (go - (go * order_w).sum(axis=2, keepdims=True))
+        nc.accumulate_grad(self.order_logits, ds.sum(axis=(0, 1)).reshape(1, -1))
+        theta = np.ascontiguousarray(np.moveaxis(self.theta, 0, -1))
+        dfuse = float((dalpha * (order_w - theta)).sum())
+        nc.accumulate_grad(self.fusion, np.array([[dfuse]]))
 
 
 def _mixing(tokens: Value, times, pad_lens, offsets, order_logits: Value,
             fusion: Union[Value, float]) -> _Mixing:
-    """Check one adaptive layer call and compute its :class:`_Mixing`."""
+    """Check one adaptive layer call and compute its :class:`_Mixing`; a float
+    ``fusion`` becomes a 1x1 constant on the tokens' tape."""
     times = np.asarray(times, dtype=np.float64)
     pads = np.asarray(pad_lens, dtype=np.int64)
     r, n = times.shape
@@ -246,12 +226,13 @@ def _mixing(tokens: Value, times, pad_lens, offsets, order_logits: Value,
     gaps[~valid] = np.inf
     theta = _masked_softmax(-gaps)
     order_w = _masked_softmax(np.where(valid, order_logits.data[0][:, None, None], -np.inf))
-    fuse = float(fusion.data[0, 0]) if isinstance(fusion, Value) else float(fusion)
+    if not isinstance(fusion, Value):
+        fusion = tokens.tape.constant(np.array([[float(fusion)]]))
+    fuse = float(fusion.data[0, 0])
     alpha = fuse * order_w + (1.0 - fuse) * theta
     nz = int(valid.sum())
     flops = 2 * nz * d + 10 * nz + int((~covered).sum()) * d
-    return _Mixing(offsets, alpha, order_w, theta, covered, fuse, order_logits, fusion,
-                   flops)
+    return _Mixing(offsets, alpha, order_w, theta, covered, order_logits, fusion, flops)
 
 
 def _mix_rows(h3: np.ndarray, mix: _Mixing, b0: int, b1: int) -> np.ndarray:
@@ -436,10 +417,11 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
     """One layer's residual and channel mixer, after its token mix, as one tape op.
 
     ``mixed`` is either an adaptive (or pooling) layer's :class:`_Mixing`,
-    whose mix then runs inside the op, or the output of a token mixer that
-    ran whole (attention, the token-axis MLP). ``channel`` None is the layer
-    without a channel mixer (``activation`` is then unused); without the
-    residual too, a mix that ran whole comes back as it is. The op does the
+    whose mix then runs inside the op and whose order logits and fusion are
+    operands, or the output of a token mixer that ran whole (attention, the
+    token-axis MLP). ``channel`` None is the layer without a channel mixer
+    (``activation`` is then unused); without the residual too, a mix that
+    ran whole comes back as it is. The op does the
     arithmetic of the chain mix -> ``numcore.add`` (the residual, unless
     ablated) -> LayerNorm -> feed-forward (plus the residual), in the same
     order, so output, gradients and flop tally match it bit for bit. One row
@@ -463,7 +445,7 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
     mix = mixed if isinstance(mixed, _Mixing) else None
     p = channel
     params = () if p is None else (p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
-    operands = (tokens,) if mix is not None else (tokens, mixed)
+    operands = (tokens, mixed) if mix is None else (tokens, mix.order_logits, mix.fusion)
     tape = nc._same_tape(*operands, *params)
     m, d = tokens.data.shape
     if mix is None and (mixed.data.shape != (m, d) or m % n):
@@ -474,8 +456,7 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
     tape.flops += ((0 if mix is None else mix.flops) + (m * d if residual else 0)
                    + (0 if p is None else _channel_flops(m, d, p, activation, residual)))
 
-    want = (any(v.want_grad for v in (*operands, *params))
-            or mix is not None and mix.learns)
+    want = any(v.want_grad for v in (*operands, *params))
     x = tokens.data
     x3 = x.reshape(-1, n, d)
     gelu = activation == "gelu"
@@ -555,7 +536,7 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
     return out
 
 
-MixerLayer = Union[AdaptiveLayer, PoolingLayer, MlpLayer, AttentionLayer]
+MixerLayer = Union[AdaptiveLayer, MlpLayer, AttentionLayer]
 
 
 def token_block(tokens: Value, times, mixer: MixerLayer, channel: ChannelParams | None,
@@ -578,11 +559,6 @@ def token_block(tokens: Value, times, mixer: MixerLayer, channel: ChannelParams 
     if isinstance(mixer, AdaptiveLayer):
         mixed = _mixing(tokens, times, pad_lens, mixer.offsets, mixer.order_logits,
                         mixer.fusion)
-    elif isinstance(mixer, PoolingLayer):
-        # flat order logits at fusion 1 weigh the valid part of the window
-        # uniformly: the truncated mean
-        flat = tokens.tape.constant(np.zeros((1, mixer.window)))
-        mixed = _mixing(tokens, times, pad_lens, np.arange(mixer.window), flat, 1.0)
     elif isinstance(mixer, AttentionLayer):
         mixed = attention_mix_batched(tokens, pad_lens, mixer)
     elif isinstance(mixer, MlpLayer):

@@ -166,17 +166,17 @@ class BoundModel:
         self.layers: list[tuple] = []
         for i in range(config.num_layers):
             at = f"layer{i}."
-            if config.mixer == "adaptive":
-                # pinned fusion has no fuse tensor, and no_lp no order tensor
-                # either: flat order logits, weighed by 0, leave alpha = theta
-                order_logits = values.get(at + "order") or self.tape.constant(
-                    np.zeros((1, schedule.kernel_size(i + 1))))
+            if config.mixer in ("adaptive", "pooling"):
+                # a tensor the config does not hold is a constant: flat order
+                # logits, and fusion pinned at 1 (pooling, no_rt) or 0 (no_lp).
+                # Pooling is the truncated mean over the window 0..k-1
+                k = schedule.kernel_size(i + 1)
+                order_logits = values.get(at + "order") or self.tape.constant(np.zeros((1, k)))
                 fuse = values.get(at + "fuse")
-                fusion = float(config.no_rt) if fuse is None else nc.sigmoid(fuse)
-                mixer = mx.AdaptiveLayer(offsets=schedule.offsets(i + 1),
-                                         order_logits=order_logits, fusion=fusion)
-            elif config.mixer == "pooling":
-                mixer = mx.PoolingLayer(window=schedule.kernel_size(i + 1))
+                fusion = (float(config.no_rt or config.mixer == "pooling") if fuse is None
+                          else nc.sigmoid(fuse))
+                offsets = schedule.offsets(i + 1) if config.mixer == "adaptive" else np.arange(k)
+                mixer = mx.AdaptiveLayer(offsets, order_logits, fusion)
             else:
                 mixer = {"mlp": mx.MlpLayer, "attention": mx.AttentionLayer}[config.mixer](
                     *(values[at + name] for name in MIXER_TENSORS[config.mixer]))
@@ -419,9 +419,11 @@ def score_pairs(params: ModelParams, store: TemporalStore,
 
 
 def effective_fusions(params: ModelParams) -> list[float]:
-    """Per-layer order/recency fusion coefficient actually used in forward."""
-    fusions = [mixer.fusion for mixer, _ in bind(params, Tape(), trainable=False).layers
-               if isinstance(mixer, mx.AdaptiveLayer)]
+    """Per-layer order/recency fusion coefficient actually used in forward;
+    none for a mixer other than the adaptive one (pooling pins its own)."""
+    if params.config.mixer != "adaptive":
+        return []
+    fusions = [mixer.fusion for mixer, _ in bind(params, Tape(), trainable=False).layers]
     return [float(f.data[0, 0]) if isinstance(f, Value) else float(f) for f in fusions]
 
 

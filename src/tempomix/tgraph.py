@@ -192,8 +192,9 @@ def ingest_csv(path, bipartite: bool = False) -> EventStream:
                 feats = [float(x) for x in row[4:]]
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            if not all(map(math.isfinite, (t, *feats))):
-                raise ParseError(f"{path}: line {lineno}: timestamp and features must be finite")
+            if not all(map(math.isfinite, (t, label, *feats))):
+                raise ParseError(
+                    f"{path}: line {lineno}: timestamp, label and features must be finite")
             if t < 0:
                 raise ValidationError(f"{path}: line {lineno}: negative timestamp {t}")
             rows.append((row[0].strip(), row[1].strip(), t, label, feats))
@@ -401,6 +402,8 @@ class SyntheticSpec:
             raise SpecError(f"unknown pattern {self.pattern!r}")
         if not (0.0 <= self.p_repeat <= 1.0):
             raise SpecError("p_repeat must lie in [0, 1]")
+        if not (math.isfinite(self.time_step) and self.time_step >= 0):
+            raise SpecError(f"time_step must be finite and non-negative, got {self.time_step}")
         if self.edge_feat_kind not in ("none", "endpoint_onehot"):
             raise SpecError(f"unknown edge_feat_kind {self.edge_feat_kind!r}")
 

@@ -118,6 +118,27 @@ class TestPathErrors:
         assert paths["FILE"].read_text() == ""
 
 
+class TestOutAfterInputs:
+    """``--out`` is created only once the inputs are read, so a run that fails
+    on its input (exit 2) leaves no output directory behind."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--dataset", "DIR"],
+        ["train", "--synthetic", '{"n_events": 300, "time_step": Infinity}'],
+        ["eval", "MISSING", "--synthetic", '{"n_events": 300}'],
+        ["eval", "DIR", *FAST],
+        ["ablate", "--dataset", "DIR"],
+        ["ablate", *FAST, "--mixer", "pooling"],
+    ], ids=["train_dataset_dir", "train_infinite_time_step", "eval_missing_checkpoint",
+            "eval_checkpoint_dir", "ablate_dataset_dir", "ablate_pooling"])
+    def test_failed_input_leaves_no_directory(self, tmp_path, argv):
+        paths = {"DIR": tmp_path / "dir", "MISSING": tmp_path / "missing.json"}
+        paths["DIR"].mkdir()
+        out = tmp_path / "out"
+        assert main([str(paths.get(a, a)) for a in argv] + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class FakeLibc:
     def __init__(self):
         self.calls = []
@@ -410,7 +431,7 @@ class TestIngestCommand:
         assert main(["ingest", OVERLAPPING_IDS, "--bipartite"]) == 0
         assert "nodes=5 " in capsys.readouterr().out
 
-    @pytest.mark.parametrize("row", ["A,B,nan,0,0.5", "A,B,1.0,0,inf"])
+    @pytest.mark.parametrize("row", ["A,B,nan,0,0.5", "A,B,1.0,0,inf", "A,B,1.0,inf,0.5"])
     def test_non_finite_value_exits_two_and_names_the_line(self, tmp_path, capsys, row):
         p = tmp_path / "bad.csv"
         p.write_text(f"src,dst,timestamp,label,f0\nA,C,0.5,0,0.5\n{row}\n")

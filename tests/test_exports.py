@@ -1,5 +1,6 @@
 """The library exports what the program runs: every public function of the
-core modules has a caller in ``src/``, or a named reason to be public.
+core modules has a caller in ``src/``, or a named reason to be public, and
+every public class is used in ``src/``.
 
 References that only the tests use live in ``tests/oracles.py``.
 """
@@ -40,22 +41,31 @@ def src_references() -> dict[str, set[tuple[str, str | None]]]:
     return refs
 
 
-def uncalled(module) -> set[str]:
-    """The functions in ``module.__all__`` that no code in ``src/`` calls
-    outside their own definition."""
+def unreferenced(module, kind=inspect.isfunction) -> set[str]:
+    """The names in ``module.__all__`` of one kind (functions by default, or
+    classes) that no code in ``src/`` looks up outside their own definition."""
     stem = module.__name__.rsplit(".", 1)[1]
     refs = src_references()
     return {f"{stem}.{name}" for name in module.__all__
-            if inspect.isfunction(getattr(module, name))
-            and not refs.get(name, set()) - {(stem, name)}}
+            if kind(getattr(module, name)) and not refs.get(name, set()) - {(stem, name)}}
 
 
-@pytest.mark.parametrize("module", [numcore, tgraph, encoders, mixers, model, traineval],
-                         ids=lambda m: m.__name__)
+CORE = pytest.mark.parametrize("module", [numcore, tgraph, encoders, mixers, model, traineval],
+                               ids=lambda m: m.__name__)
+
+
+@CORE
 def test_every_exported_function_has_a_caller_or_a_reason(module):
     stem = module.__name__.rsplit(".", 1)[1]
     allowed = {name for name in CALLED_FROM_OUTSIDE if name.startswith(f"{stem}.")}
-    assert uncalled(module) == allowed
+    assert unreferenced(module) == allowed
+
+
+@CORE
+def test_every_exported_class_is_used_in_src(module):
+    """No layer type or other class is left exported once the program stops
+    building it."""
+    assert unreferenced(module, inspect.isclass) == set()
 
 
 def test_the_reference_scan_sees_calls_and_not_definitions():

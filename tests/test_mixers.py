@@ -30,11 +30,17 @@ def run_adaptive(h, times, offsets, logits=None, fusion=0.5, grad=False):
     return mx.adaptive_mix(tokens, times, offsets, order, fusion)
 
 
+def pooling_layer(tape, window):
+    """A pooling layer as ``model.bind`` builds one: an adaptive layer over
+    offsets 0..window-1 with constant flat order logits at fusion 1."""
+    return mx.AdaptiveLayer(np.arange(window), tape.constant(np.zeros((1, window))), 1.0)
+
+
 def run_pooling(tokens, window):
-    """The shipped pooling path on one sequence: ``token_mix`` with a
-    ``PoolingLayer``."""
+    """The shipped pooling path on one sequence: ``token_mix`` with a pooling
+    layer."""
     times = np.arange(float(tokens.data.shape[0]))
-    return mx.token_mix(tokens, times, mx.PoolingLayer(window=window))
+    return mx.token_mix(tokens, times, pooling_layer(tokens.tape, window))
 
 
 class TestOffsetSchedule:
@@ -296,7 +302,7 @@ class TestPoolingMix:
 
     def test_window_below_one_rejected(self):
         with pytest.raises(nc.ContractError):
-            mx.PoolingLayer(window=0)
+            run_pooling(nc.Tape().constant(np.ones((3, 2))), 0)
 
     def test_flat_adaptive_weights_at_fusion_one_give_the_truncated_mean(self):
         rng = np.random.default_rng(37)
@@ -627,12 +633,8 @@ def block_arrays(rng, r, n, mixer, d=4, hidden=9):
     return arrays, times, pads
 
 
-def adaptive_args(tokens, layer):
-    """(offsets, order logits, fusion) of an adaptive layer, or of a pooling one
-    as the truncated mean: flat order logits at fusion 1."""
-    if isinstance(layer, mx.PoolingLayer):
-        flat = tokens.tape.constant(np.zeros((1, layer.window)))
-        return np.arange(layer.window), flat, 1.0
+def adaptive_args(layer):
+    """(offsets, order logits, fusion) of an adaptive or pooling layer."""
     return layer.offsets, layer.order_logits, layer.fusion
 
 
@@ -654,8 +656,7 @@ def composed_block(tokens, times, pads, layer, params, activation, residual):
         mixed = nc.cols_to_blocks(mx.mlp_mix(side_by_side, layer, activation),
                                   tokens.data.shape[1])
     else:
-        mixed = mx.token_mix(tokens, times, mx.AdaptiveLayer(*adaptive_args(tokens, layer)),
-                             pad_lens=pads)
+        mixed = mx.token_mix(tokens, times, layer, pad_lens=pads)
     h = nc.add(tokens, mixed) if residual else mixed
     return reference_channel_mix(h, params, activation, residual)
 
@@ -669,8 +670,8 @@ def bare_chain(tokens, times, pads, layer, params, activation, residual):
     """The chain a block without a channel mixer stands for: the token mix
     (an adaptive or pooling layer's from the per-sequence oracle), then the
     residual add."""
-    if isinstance(layer, (mx.AdaptiveLayer, mx.PoolingLayer)):
-        mixed = reference_adaptive_mix(tokens, times, *adaptive_args(tokens, layer), pads)
+    if isinstance(layer, mx.AdaptiveLayer):
+        mixed = reference_adaptive_mix(tokens, times, *adaptive_args(layer), pads)
     else:
         mixed = mx.token_mix(tokens, times, layer, activation, pads)
     return nc.add(tokens, mixed) if residual else mixed
@@ -678,7 +679,7 @@ def bare_chain(tokens, times, pads, layer, params, activation, residual):
 
 def reference_block(tokens, times, pads, layer, params, activation, residual):
     """An adaptive or pooling block from the per-sequence oracles of both kernels."""
-    mixed = reference_adaptive_mix(tokens, times, *adaptive_args(tokens, layer), pads)
+    mixed = reference_adaptive_mix(tokens, times, *adaptive_args(layer), pads)
     h = nc.add(tokens, mixed) if residual else mixed
     return reference_channel_mix(h, params, activation, residual)
 
@@ -714,7 +715,7 @@ def run_block(block, arrays, times, pads, mixer, activation, residual, leaves):
         fusion = nc.sigmoid(v["fuse_raw"]) if fixed is None else fixed
         layer = mx.AdaptiveLayer(offsets=offsets, order_logits=v["order"], fusion=fusion)
     elif kind == "pooling":
-        layer = mx.PoolingLayer(window=len(offsets))
+        layer = pooling_layer(tape, len(offsets))
     else:
         layer = MIXER_LAYERS[kind](*(v[name] for name in MIXER_PARAMS[kind]))
     params = mx.ChannelParams(*(v[name] for name in CHANNEL_NAMES))
@@ -1187,17 +1188,25 @@ class TestTokenBlock:
         h = rng.normal(size=(4, 2))
         tape = nc.Tape()
         tokens = const(tape, h)
-        mixer = mx.PoolingLayer(window=2)
-        out = mx.token_block(tokens, np.arange(4.0), mixer, None)
+        out = mx.token_block(tokens, np.arange(4.0), pooling_layer(tape, 2), None)
         np.testing.assert_allclose(out.data, h + reference_pooling_mix(h, 2))
 
     def test_no_residual_no_channel_mixer_returns_pure_mix(self):
         rng = np.random.default_rng(15)
         h = rng.normal(size=(4, 2))
         tape = nc.Tape()
-        out = mx.token_block(const(tape, h), np.arange(4.0), mx.PoolingLayer(window=2), None,
+        out = mx.token_block(const(tape, h), np.arange(4.0), pooling_layer(tape, 2), None,
                              residual=False)
         np.testing.assert_allclose(out.data, reference_pooling_mix(h, 2))
+
+    @pytest.mark.parametrize("foreign", ["order_logits", "fusion"])
+    def test_order_logits_or_fusion_on_another_tape_rejected(self, foreign):
+        tape = nc.Tape()
+        on = {"order_logits": tape, "fusion": tape, foreign: nc.Tape()}
+        mixer = mx.AdaptiveLayer(np.arange(2), on["order_logits"].leaf(np.zeros((1, 2))),
+                                 on["fusion"].leaf(np.zeros((1, 1))))
+        with pytest.raises(nc.ContractError, match="different tapes"):
+            mx.token_block(tape.leaf(np.ones((4, 2))), np.arange(4.0), mixer, None)
 
 
 class TestReceptiveField:

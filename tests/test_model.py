@@ -51,6 +51,22 @@ class TestConfig:
             md.ModelConfig(mixer=mixer, **{flag: True})
 
 
+class TestBind:
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_pooling_is_an_adaptive_layer_of_constants(self, trainable):
+        cfg = small_config(mixer="pooling", spans=(2, 4, 8))
+        tape = nc.Tape()
+        bound = md.bind(md.init_params(cfg, 2, 3, seed=14), tape, trainable=trainable)
+        schedule = mx.OffsetSchedule(cfg.spans)
+        for i, (mixer, _) in enumerate(bound.layers):
+            k = schedule.kernel_size(i + 1)
+            assert isinstance(mixer, mx.AdaptiveLayer)
+            np.testing.assert_array_equal(mixer.offsets, np.arange(k))
+            assert mixer.order_logits.tape is tape and not mixer.order_logits.want_grad
+            assert mixer.order_logits.data.tobytes() == np.zeros((1, k)).tobytes()
+            assert mixer.fusion == 1.0
+
+
 class TestNodeRepr:
     def test_cold_start_is_deterministic(self):
         stream, store = toy_graph()
@@ -688,3 +704,5 @@ class TestCheckpoint:
         cfg3 = small_config()
         params3 = md.init_params(cfg3, 2, 3, seed=13)
         assert md.effective_fusions(params3) == [0.5, 0.5]
+        params4 = md.init_params(small_config(mixer="pooling"), 2, 3, seed=13)
+        assert md.effective_fusions(params4) == []

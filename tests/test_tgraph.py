@@ -1,6 +1,7 @@
 """Tests for the temporal event store."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -65,11 +66,13 @@ class TestIngest:
             tg.ingest_csv(p)
 
     @pytest.mark.parametrize("row", ["B,C,nan,0,0.5", "B,C,inf,0,0.5",
-                                     "B,C,2.0,0,-inf", "B,C,2.0,0,nan"])
+                                     "B,C,2.0,0,-inf", "B,C,2.0,0,nan",
+                                     "B,C,2.0,nan,0.5", "B,C,2.0,-inf,0.5"])
     def test_non_finite_timestamp_or_feature_names_the_line(self, tmp_path, row):
         p = tmp_path / "bad.csv"
         p.write_text(f"src,dst,timestamp,label,f0\nA,B,1.0,0,0.5\n{row}\n")
-        with pytest.raises(tg.ParseError, match="line 3: timestamp and features must be finite"):
+        with pytest.raises(tg.ParseError,
+                           match="line 3: timestamp, label and features must be finite"):
             tg.ingest_csv(p)
 
     def test_round_trip(self, tmp_path):
@@ -328,10 +331,12 @@ class TestSynthetic:
             prev[u] = d
         assert repeats / chances == pytest.approx(0.9, abs=0.03)
 
-    def test_nan_time_step_rejected(self):
-        spec = tg.SyntheticSpec(n_src=3, n_dst=3, n_events=20, time_step=float("nan"))
-        with pytest.raises(tg.ValidationError, match="finite"):
-            tg.generate_synthetic(spec, seed=0)
+    @pytest.mark.parametrize("time_step", [float("nan"), float("inf"), -1.0])
+    def test_nan_time_step_rejected(self, time_step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tg.SpecError, match="time_step"):
+                tg.SyntheticSpec(n_src=3, n_dst=3, n_events=20, time_step=time_step)
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(tg.SpecError):
