@@ -169,7 +169,7 @@ def resolve_run_spec(args) -> RunSpec:
         flag = getattr(args, name, None)
         if flag is not None:
             model_kw[name] = flag
-    if getattr(args, "spans", None):
+    if getattr(args, "spans", None) is not None:
         model_kw["spans"] = _int_list("--spans", args.spans)
     for flag in ("no_lp", "no_rt", "no_resnet", "no_cm"):
         if getattr(args, flag, False):
@@ -180,6 +180,8 @@ def resolve_run_spec(args) -> RunSpec:
         flag = getattr(args, name, None)
         if flag is not None:
             train_kw[name] = flag
+    if (getattr(args, "seed", None) or 0) < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if getattr(args, "out", None):
         spec.out_dir = Path(args.out)
     if getattr(args, "runs", None) is not None:
@@ -215,6 +217,7 @@ def _run_training(spec: RunSpec, stream: tg.EventStream
 def cmd_train(args) -> int:
     spec = resolve_run_spec(args)
     stream = spec.load_stream()
+    te.fit_partition(stream)  # fails on a stream it cannot fit, before --out
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     reports, params_list = _run_training(spec, stream)
     metrics = {
@@ -265,6 +268,7 @@ def cmd_ablate(args) -> int:
     if spec.model.mixer != "adaptive":
         raise UsageError("the ablation sweep applies to the adaptive mixer")
     stream = spec.load_stream()
+    te.fit_partition(stream)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     base = spec.model.to_dict()
     results = {}
@@ -371,12 +375,12 @@ def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0) -> dict:
 
 
 def cmd_bench(args) -> int:
-    out_dir = Path(args.out or "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     lengths = _int_list("--lengths", args.lengths)
     mixer_kinds = [m.strip() for m in args.mixers.split(",")]
     results = run_bench(lengths, mixer_kinds, args.repeats, dim=args.dim,
                         kernel=args.kernel, seed=args.seed or 0)
+    out_dir = Path(args.out or "out")  # made once the arguments have passed
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "bench.json", results)
     csv_path = out_dir / "bench.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:

@@ -5,35 +5,23 @@ attention), the hierarchical offset schedule that widens the lookback window
 with depth, and the per-token channel mixer. All layer functions are pure:
 they read bound parameter Values and return a new Value.
 
-Every layer is one :func:`token_block` (residual around the token mixer,
-then the channel mixer, if the layer has one), the one place a mixer kind
-meets its kernel; :func:`token_mix` is that block with neither. Training
-and scoring run them on a padded batch: R sequences of n rows stacked into
-one (R*n) x d matrix, each left-padded. The reference path
-``model.node_repr`` runs them on one sequence, and ``tempomix bench`` times
-:func:`token_mix` on the first layer that ``model.bind`` builds, so it
-measures the kernels that training runs. The adaptive mixer computes its
-weights whole, once per call (:func:`adaptive_mix` runs it on one
-sequence). Pooling is an :class:`AdaptiveLayer` of constants: flat order
-logits over the window 0..k-1 at fusion 1, the truncated mean. A pinned
-fusion, a float, becomes a 1x1 constant on the tokens' tape, so the kernel
-reads the order logits and the fusion as tape operands like any other.
-Attention has a batched kernel (:func:`attention_mix_batched`), and
-:func:`mlp_mix` runs on the blocks side by side (``numcore.blocks_to_cols``).
-
-Attention and the block are fused differentiable operations: their backward
-passes are derived analytically and registered on the tape. Every layer's
-residual and channel mixer are one tape op, the block op, whose row work
-runs in chunks of whole blocks on two threads; a layer without a channel
-mixer is the same op without it. An adaptive or pooling layer's mix runs
-inside those chunks, also with neither residual nor channel mixer. The
-adaptive mix keeps per-layer work at O(N * K * d) instead of materializing
-N x N mixing matrices. Attention and the MLP run their mix whole and hand
-its output to the op.
+Every layer is one :func:`token_block`: the token mix, the residual and the
+channel mixer (if any) as one tape op, run in chunks of whole blocks on two
+threads; :func:`token_mix` is that block with neither residual nor channel
+mixer. Training and scoring run
+it on R left-padded sequences of n rows stacked into one (R*n) x d matrix;
+``model.node_repr`` runs it on one sequence, and ``tempomix bench`` times
+:func:`token_mix`. The adaptive mixer computes its weights whole, once per
+call, and keeps per-layer work at O(N * K * d) instead of materializing
+N x N mixing matrices. Pooling is an :class:`AdaptiveLayer` of constants:
+flat order logits over the window 0..k-1 at fusion 1. Every backward is
+analytic, bit for bit the chain of tape ops that ``tests/oracles.py`` keeps.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -49,8 +37,6 @@ __all__ = [
     "AttentionLayer",
     "ChannelParams",
     "adaptive_mix",
-    "mlp_mix",
-    "attention_mix_batched",
     "token_mix",
     "token_block",
 ]
@@ -159,114 +145,127 @@ def _masked_softmax(scores: np.ndarray) -> np.ndarray:
     return e / np.where(s > 0.0, s, 1.0)
 
 
-@dataclass
-class _Mixing:
-    """One adaptive layer call's mixing weights, computed whole, offsets
-    leading: ``alpha``, ``order_w`` and ``theta`` are (k, R, n), ``covered``
-    (R, n) marks the rows with at least one valid offset."""
+class _Sums(list):
+    """A backward step's whole sums over rows, as (Value, result, task): each
+    task is ``fn`` into a new array (``out=``), added only for a Value that
+    wants a gradient, one GEMM or sum on one thread, so it keeps every bit."""
 
-    offsets: np.ndarray
-    alpha: np.ndarray
-    order_w: np.ndarray
-    theta: np.ndarray
-    covered: np.ndarray
-    order_logits: Value
-    fusion: Value
-    flops: int
+    def add(self, v: Value, fn, *args, **kwargs) -> None:
+        if v.want_grad:
+            out = np.empty(v.data.shape)
+            self.append((v, out, functools.partial(fn, *args, out=out, **kwargs)))
 
-    def dalpha_buffer(self) -> np.ndarray | None:
-        """Zeros for the per-offset products ``dalpha`` (R, n, k) if the order
-        logits or the fusion want a gradient, else None."""
-        if not (self.order_logits.want_grad or self.fusion.want_grad):
-            return None
-        k, r, n = self.alpha.shape
-        return np.zeros((r, n, k))
 
-    def accumulate_grads(self, dalpha: np.ndarray | None) -> None:
-        """Accumulate the order-logit and fusion gradients from ``dalpha``;
-        ``numcore.accumulate_grad`` drops a constant's. The sums run whole,
-        over weights laid out offsets last, in the order of one pass."""
+class _Mix:
+    """One layer call of a token mixer on R blocks of n rows, run by the block
+    op in chunks bounded at multiples of ``block`` rows: ``rows`` (the mix of
+    rows lo..hi, a new array), ``start_back`` (allocating what the backward
+    pass fills), ``back_rows`` (their weight-gradient parts and, if asked, the
+    tokens' shares in the chain's order), ``sums`` and ``flops``."""
+
+    def __init__(self, tokens: Value, times, pads, *operands: Value):
+        (m, _), (r, n) = tokens.data.shape, times.shape
+        if r == 0 or m != r * n:
+            raise ShapeError(f"token rows {m} do not form {r} blocks of {n}")
+        if len(pads) != r or np.any(pads < 0) or np.any(pads >= n):
+            raise ContractError(f"{r} pad lengths must lie in [0, {n})")
+        self.x, self.n, self.block, self.operands = tokens.data, n, n, operands
+        self.want = any(v.want_grad for v in (tokens, *operands))
+        self.reads_gh = False  # a sum reads the output gradient after the pass
+
+
+class _Mixing(_Mix):
+    """An adaptive (or pooling) layer call. Its mixing weights are computed
+    whole, offsets leading: ``alpha``, ``order_w`` and ``theta`` are (k, R,
+    n), ``covered`` (R, n) marks the rows with at least one valid offset. A
+    float fusion becomes a 1x1 constant on the tokens' tape."""
+
+    def __init__(self, tokens: Value, times, pads, layer: AdaptiveLayer, activation=None):
+        (r, n), d = times.shape, tokens.data.shape[1]
+        if np.any(np.diff(times, axis=1) < 0):
+            raise ContractError("token times must be non-decreasing within each block")
+        offsets = self.offsets = np.asarray(layer.offsets, dtype=np.int64)
+        order_logits, fusion, k = layer.order_logits, layer.fusion, len(offsets)
+        if k == 0:
+            raise ContractError("adaptive mixing needs at least one offset")
+        if order_logits.data.shape != (1, k):
+            raise ShapeError(
+                f"order logits shape {order_logits.data.shape} does not match {k} offsets")
+        if not isinstance(fusion, Value):
+            fusion = tokens.tape.constant(np.array([[float(fusion)]]))
+        elif fusion.data.shape != (1, 1):
+            raise ShapeError(f"fusion shape {fusion.data.shape} is not (1, 1)")
+        super().__init__(tokens, times, pads, order_logits, fusion)
+
+        valid = np.arange(n)[None, None, :] - offsets[:, None, None] >= pads[None, :, None]
+        self.covered = valid.any(axis=0)
+        gaps = np.full((k, r, n), np.inf)
+        for j, p in enumerate(offsets):
+            if p < n:
+                gaps[j, :, p:] = times[:, p:] - times[:, : n - p]
+        gaps[~valid] = np.inf
+        self.theta = _masked_softmax(-gaps)
+        self.order_w = _masked_softmax(
+            np.where(valid, order_logits.data[0][:, None, None], -np.inf))
+        fuse = float(fusion.data[0, 0])
+        self.alpha = fuse * self.order_w + (1.0 - fuse) * self.theta
+        nz = int(valid.sum())
+        self.flops = 2 * nz * d + 10 * nz + int((~self.covered).sum()) * d
+        self.dalpha = None
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Uncovered rows pass through."""
+        n, b0, b1 = self.n, lo // self.n, hi // self.n
+        h = self.x[lo:hi].reshape(b1 - b0, n, -1)
+        out = np.zeros_like(h)
+        for j, p in enumerate(self.offsets):
+            if p < n:
+                out[:, p:, :] += self.alpha[j, b0:b1, p:, None] * h[:, : n - p, :]
+        uncovered = ~self.covered[b0:b1]
+        out[uncovered] = h[uncovered]
+        return out.reshape(hi - lo, -1)
+
+    def start_back(self) -> None:
+        """Zeros for ``dalpha`` (R, n, k) if the order logits or fusion learn."""
+        if any(v.want_grad for v in self.operands):
+            k, r, n = self.alpha.shape
+            self.dalpha = np.zeros((r, n, k))
+
+    def back_rows(self, g: np.ndarray, lo: int, hi: int, shares: bool) -> list:
+        """Fills ``dalpha`` (zero where an offset reaches before the block)."""
+        n, b0, b1 = self.n, lo // self.n, hi // self.n
+        g3 = g.reshape(b1 - b0, n, -1)
+        if self.dalpha is not None:
+            h = self.x[lo:hi].reshape(g3.shape)
+            for j, p in enumerate(self.offsets):
+                if p < n:
+                    self.dalpha[b0:b1, p:, j] = (g3[:, p:, :] * h[:, : n - p, :]).sum(axis=2)
+        if not shares:
+            return []
+        out = np.zeros_like(g3)
+        for j, p in enumerate(self.offsets):
+            if p < n:
+                out[:, : n - p, :] += self.alpha[j, b0:b1, p:, None] * g3[:, p:, :]
+        uncovered = ~self.covered[b0:b1]
+        out[uncovered] += g3[uncovered]
+        return [out.reshape(hi - lo, -1)]
+
+    def sums(self, sums: _Sums, gh: np.ndarray) -> None:
+        """The order-logit and fusion gradients, offsets last as in one pass."""
+        (order_logits, fusion), dalpha = self.operands, self.dalpha
         if dalpha is None:
             return
+        fuse = float(fusion.data[0, 0])
         order_w = np.ascontiguousarray(np.moveaxis(self.order_w, 0, -1))
-        go = float(self.fusion.data[0, 0]) * dalpha
-        ds = order_w * (go - (go * order_w).sum(axis=2, keepdims=True))
-        nc.accumulate_grad(self.order_logits, ds.sum(axis=(0, 1)).reshape(1, -1))
         theta = np.ascontiguousarray(np.moveaxis(self.theta, 0, -1))
-        dfuse = float((dalpha * (order_w - theta)).sum())
-        nc.accumulate_grad(self.fusion, np.array([[dfuse]]))
 
+        def order_grad(out):
+            go = fuse * dalpha
+            ds = order_w * (go - (go * order_w).sum(axis=2, keepdims=True))
+            np.sum(ds, axis=(0, 1), out=out.reshape(-1))
 
-def _mixing(tokens: Value, times, pad_lens, offsets, order_logits: Value,
-            fusion: Union[Value, float]) -> _Mixing:
-    """Check one adaptive layer call and compute its :class:`_Mixing`; a float
-    ``fusion`` becomes a 1x1 constant on the tokens' tape."""
-    times = np.asarray(times, dtype=np.float64)
-    pads = np.asarray(pad_lens, dtype=np.int64)
-    r, n = times.shape
-    rows, d = tokens.data.shape
-    if rows != r * n:
-        raise ShapeError(f"token rows {rows} do not form {r} blocks of {n}")
-    if np.any(np.diff(times, axis=1) < 0):
-        raise ContractError("token times must be non-decreasing within each block")
-    offsets = np.asarray(offsets, dtype=np.int64)
-    k = len(offsets)
-    if k == 0:
-        raise ContractError("adaptive mixing needs at least one offset")
-    if order_logits.data.shape != (1, k):
-        raise ShapeError(
-            f"order logits shape {order_logits.data.shape} does not match {k} offsets")
-
-    valid = np.arange(n)[None, None, :] - offsets[:, None, None] >= pads[None, :, None]
-    covered = valid.any(axis=0)
-    gaps = np.full((k, r, n), np.inf)
-    for j, p in enumerate(offsets):
-        if p < n:
-            gaps[j, :, p:] = times[:, p:] - times[:, : n - p]
-    gaps[~valid] = np.inf
-    theta = _masked_softmax(-gaps)
-    order_w = _masked_softmax(np.where(valid, order_logits.data[0][:, None, None], -np.inf))
-    if not isinstance(fusion, Value):
-        fusion = tokens.tape.constant(np.array([[float(fusion)]]))
-    fuse = float(fusion.data[0, 0])
-    alpha = fuse * order_w + (1.0 - fuse) * theta
-    nz = int(valid.sum())
-    flops = 2 * nz * d + 10 * nz + int((~covered).sum()) * d
-    return _Mixing(offsets, alpha, order_w, theta, covered, order_logits, fusion, flops)
-
-
-def _mix_rows(h3: np.ndarray, mix: _Mixing, b0: int, b1: int) -> np.ndarray:
-    """The adaptive mix of blocks b0..b1 of ``h3`` (R, n, d), a new array;
-    uncovered rows pass through."""
-    n = h3.shape[1]
-    h = h3[b0:b1]
-    out = np.zeros_like(h)
-    for j, p in enumerate(mix.offsets):
-        if p < n:
-            out[:, p:, :] += mix.alpha[j, b0:b1, p:, None] * h[:, : n - p, :]
-    uncovered = ~mix.covered[b0:b1]
-    out[uncovered] = h[uncovered]
-    return out
-
-
-def _mix_back_rows(g3: np.ndarray, h3: np.ndarray, mix: _Mixing, b0: int, b1: int,
-                   dalpha: np.ndarray | None, out: np.ndarray) -> None:
-    """Backward of :func:`_mix_rows` given the blocks' output gradient ``g3``:
-    writes the input gradient into ``out`` (g3's shape) and fills blocks
-    b0..b1 of ``dalpha`` (R, n, k; zero where an offset reaches before the
-    block) unless None."""
-    n = h3.shape[1]
-    if dalpha is not None:
-        h = h3[b0:b1]
-        for j, p in enumerate(mix.offsets):
-            if p < n:
-                dalpha[b0:b1, p:, j] = (g3[:, p:, :] * h[:, : n - p, :]).sum(axis=2)
-    out[...] = 0.0
-    for j, p in enumerate(mix.offsets):
-        if p < n:
-            out[:, : n - p, :] += mix.alpha[j, b0:b1, p:, None] * g3[:, p:, :]
-    uncovered = ~mix.covered[b0:b1]
-    out[uncovered] += g3[uncovered]
+        sums.add(order_logits, order_grad)
+        sums.add(fusion, lambda out: np.sum(dalpha * (order_w - theta), out=out.reshape(())))
 
 
 def adaptive_mix(tokens: Value, times, offsets, order_logits: Value,
@@ -281,98 +280,162 @@ def adaptive_mix(tokens: Value, times, offsets, order_logits: Value,
     return token_mix(tokens, times, AdaptiveLayer(offsets, order_logits, fusion))
 
 
-def mlp_mix(tokens: Value, params: MlpLayer, activation: str = "gelu") -> Value:
-    """Token-axis MLP; weight shapes are rigid in the token count."""
-    n = tokens.data.shape[0]
-    if params.w1.data.shape[1] != n:
-        raise ConfigError(
-            f"token-mixing weights were built for {params.w1.data.shape[1]} tokens, "
-            f"got a sequence of {n}")
-    act = _activation(activation)
-    hidden = act(nc.add(nc.matmul(params.w1, tokens), params.b1))
-    return nc.add(nc.matmul(params.w2, hidden), params.b2)
+def _row_max(p: np.ndarray) -> np.ndarray:
+    """``p.max(axis=2, keepdims=True)`` for ``p`` (B, n, n), exact, as ``np.maximum``
+    over the n key columns: much faster on rows this short."""
+    top = p[:, :, :1].copy()
+    for j in range(1, p.shape[2]):
+        np.maximum(top, p[:, :, j:j + 1], out=top)
+    return top
 
 
-def attention_mix_batched(tokens: Value, pad_lens, params: AttentionLayer) -> Value:
-    """Single-head attention within each of R equally padded blocks.
+class _Attention(_Mix):
+    """A single-head attention layer call: within each block, softmax(q k^T /
+    sqrt(d_k)) v with the block's first ``pads[r]`` keys masked, then ``@ wo``.
+    A chunk runs the chain's arithmetic on its blocks (projections split by
+    rows keep each row), so every bit matches the chain."""
 
-    ``tokens`` stacks R blocks of ``n`` rows into an (R*n) x d matrix; block
-    r's first ``pad_lens[r]`` rows are padding and are masked out as keys, so
-    each real row matches its block's real rows run alone.
-    The projections are plain matmuls over all rows; the per-block scores,
-    key mask, softmax and weighted sum are one fused op.
-    """
-    pads = np.asarray(pad_lens, dtype=np.int64)
-    rows = tokens.data.shape[0]
-    r = len(pads)
-    if r == 0 or rows % r:
-        raise ShapeError(f"token rows {rows} do not form {r} equal blocks")
-    n = rows // r
-    if np.any(pads < 0) or np.any(pads >= n):
-        raise ContractError(f"pad lengths must lie in [0, {n})")
-    q = nc.matmul(tokens, params.wq)
-    k = nc.matmul(tokens, params.wk)
-    v = nc.matmul(tokens, params.wv)
-    return nc.matmul(_attend(q, k, v, pads), params.wo)
+    def __init__(self, tokens: Value, times, pads, layer: AttentionLayer, activation=None):
+        super().__init__(tokens, times, pads, layer.wq, layer.wk, layer.wv, layer.wo)
+        (m, d), (r, n) = tokens.data.shape, times.shape
+        shapes = [w.data.shape for w in self.operands]
+        dk, dv = shapes[0][1], shapes[2][1]
+        if shapes != [(d, dk), (d, dk), (d, dv), (dv, d)]:
+            raise ShapeError(f"attention weights {shapes} do not fit {d}-wide tokens")
+        self.c, self.reads_gh = 1.0 / np.sqrt(dk), True  # the sum for wo reads it
+        self.flops = 4 * m * d * (dk + dv) + r * (2 * n * n * (dk + dv) + 6 * n * n)
+        masked = np.arange(n)[None, :] < pads[:, None]
+        # decided once per call, as the chain does
+        self.mask = np.where(masked, -np.inf, 0.0)[:, None, :] if masked.any() else None
+        # q, k, v, the probabilities (row by key) and the mix before wo
+        self.keep = tuple(np.empty((m, w)) for w in (dk, dk, dv, n, dv)) if self.want else None
 
+    def _blocks(self, arrays, lo: int, hi: int) -> list:
+        """Rows lo..hi of each of ``arrays`` as (blocks, n, width) views."""
+        return [a[lo:hi].reshape(-1, self.n, a.shape[1]) for a in arrays]
 
-def _attend(q: Value, k: Value, v: Value, pads: np.ndarray) -> Value:
-    """softmax(q k^T / sqrt(d_k)) v per block, with each block's first
-    ``pads[r]`` keys masked; the backward is analytic."""
-    tape = q.tape
-    r = len(pads)
-    rows, dk = q.data.shape
-    dv = v.data.shape[1]
-    n = rows // r
-    q3 = q.data.reshape(r, n, dk)
-    k3 = k.data.reshape(r, n, dk)
-    v3 = v.data.reshape(r, n, dv)
-    c = 1.0 / np.sqrt(dk)
-    p = np.matmul(q3, k3.transpose(0, 2, 1))
-    p *= c
-    masked = np.arange(n)[None, :] < pads[:, None]
-    if masked.any():
-        p += np.where(masked, -np.inf, 0.0)[:, None, :]
-    # every block has a real last key, so each row's max is finite
-    p -= p.max(axis=2, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=2, keepdims=True)
-    tape.flops += r * (2 * n * n * (dk + dv) + 6 * n * n)
-    want = q.want_grad or k.want_grad or v.want_grad
-    out = Value(np.matmul(p, v3).reshape(rows, dv), tape, want)
-    if want:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            g3 = g.reshape(r, n, dv)
-            if v.want_grad:
-                nc.accumulate_grad(v, np.matmul(p.transpose(0, 2, 1), g3).reshape(rows, dv))
-            if q.want_grad or k.want_grad:
-                dp = np.matmul(g3, v3.transpose(0, 2, 1))
-                ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
-                ds *= c
-                if q.want_grad:
-                    nc.accumulate_grad(q, np.matmul(ds, k3).reshape(rows, dk))
-                if k.want_grad:
-                    nc.accumulate_grad(k, np.matmul(ds.transpose(0, 2, 1), q3).reshape(rows, dk))
-        tape.record(back)
-    return out
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        wq, wk, wv, wo = (w.data for w in self.operands)
+        x = self.x[lo:hi]
+        q, k, v, p, att = (None,) * 5 if self.keep is None else self._blocks(self.keep, lo, hi)
+        q3, k3, v3 = (np.matmul(x, w, out=None if o is None else o.reshape(x.shape[0], -1))
+                      .reshape(-1, self.n, w.shape[1]) for w, o in ((wq, q), (wk, k), (wv, v)))
+        p = np.matmul(q3, k3.transpose(0, 2, 1), out=p)
+        p *= self.c
+        if self.mask is not None:
+            p += self.mask[lo // self.n:hi // self.n]
+        # every block has a real last key, so each row's max is finite
+        p -= _row_max(p)
+        np.exp(p, out=p)
+        p /= p.sum(axis=2, keepdims=True)
+        return np.matmul(p, v3, out=att).reshape(hi - lo, -1) @ wo
+
+    def start_back(self) -> None:
+        self.grads = tuple(np.empty_like(a) for a in self.keep[:3])  # of q, k and v
+
+    def back_rows(self, g: np.ndarray, lo: int, hi: int, shares: bool) -> list:
+        """Fills the q, k and v gradients; the tokens' shares go via v, k, q."""
+        wq, wk, wv, wo = (w.data for w in self.operands)
+        q3, k3, v3, p, _ = self._blocks(self.keep, lo, hi)
+        gq, gk, gv = self._blocks(self.grads, lo, hi)
+        g3 = (g @ wo.T).reshape(v3.shape)
+        np.matmul(p.transpose(0, 2, 1), g3, out=gv)
+        dp = np.matmul(g3, v3.transpose(0, 2, 1))
+        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+        ds *= self.c
+        np.matmul(ds, k3, out=gq)
+        np.matmul(ds.transpose(0, 2, 1), q3, out=gk)
+        return [a.reshape(hi - lo, -1) @ w.T
+                for a, w in ((gv, wv), (gk, wk), (gq, wq))] if shares else []
+
+    def sums(self, sums: _Sums, gh: np.ndarray) -> None:
+        sums.add(self.operands[3], np.matmul, self.keep[4].T, gh)
+        for w, gw in zip(self.operands, self.grads):
+            sums.add(w, np.matmul, self.x.T, gw)
 
 
-def _activation(name: str):
-    if name == "gelu":
-        return nc.gelu
-    if name == "relu":
-        return nc.relu
-    raise ConfigError(f"unknown activation {name!r}")
+def _side_by_side(a: np.ndarray, n: int) -> np.ndarray:
+    """Blocks of n rows side by side: (B*n) x d becomes n x (B*d)."""
+    return a.reshape(-1, n, a.shape[1]).transpose(1, 0, 2).reshape(n, -1)
+
+
+def _stacked(a: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`_side_by_side`: n x (B*d) becomes (B*n) x d."""
+    return a.reshape(a.shape[0], -1, d).transpose(1, 0, 2).reshape(-1, d)
+
+
+class _TokenMlp(_Mix):
+    """A token-axis MLP layer call: each block's n rows become W2 act(W1 h +
+    b1) + b2, all blocks side by side in one pair of GEMMs. A chunk runs its
+    blocks' columns, bit for bit the chain over all blocks at once."""
+
+    def __init__(self, tokens: Value, times, pads, layer: MlpLayer, activation: str):
+        super().__init__(tokens, times, pads, layer.w1, layer.b1, layer.w2, layer.b2)
+        (m, d), n, k = tokens.data.shape, times.shape[1], layer.w1.data.shape[0]
+        if layer.w1.data.shape[1] != n:
+            raise ConfigError(f"token-mixing weights were built for {layer.w1.data.shape[1]} "
+                              f"tokens, got a sequence of {n}")
+        shapes = [w.data.shape for w in self.operands]
+        if shapes != [(k, n), (k, 1), (n, k), (n, 1)]:
+            raise ShapeError(f"token-axis MLP weights {shapes} do not fit {m}x{d} tokens")
+        self.gelu, width = activation == "gelu", m // n * d
+        self.flops = (4 * k * n + k + nc._FLOPS_PER_ELEMENT[activation] * k + n) * width
+        # OpenBLAS (SkylakeX) sums the last 1-4 columns of a GEMM in another
+        # order, so a chunk's columns start where the whole's groups of 8 do
+        self.block = n * (8 // math.gcd(d, 8))
+        # side by side: the inputs, pre-activations, GELU gates and activations
+        hidden = functools.partial(np.empty, (k, width))
+        self.keep = (np.empty((n, width)), hidden(), hidden() if self.gelu else None,
+                     hidden()) if self.want else None
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        w1, b1, w2, b2 = (w.data for w in self.operands)
+        d = self.x.shape[1]
+        h = _side_by_side(self.x[lo:hi], self.n)
+        pre = w1 @ h
+        pre += b1
+        cdf = nc._gelu_cdf(pre) if self.gelu else None
+        act = pre * cdf if self.gelu else nc._relu(pre)
+        for kept, a in zip(self.keep or (), (h, pre, cdf, act)):
+            if kept is not None:
+                kept[:, lo // self.n * d:hi // self.n * d] = a
+        out = w2 @ act
+        out += b2
+        return _stacked(out, d)
+
+    def start_back(self) -> None:
+        self.gout = np.empty_like(self.keep[0])
+
+    def back_rows(self, g: np.ndarray, lo: int, hi: int, shares: bool) -> list:
+        """Fills ``gout``, and the pre-activation gradient over ``pre`` (ReLU)
+        or the GELU gates."""
+        w1, _, w2, _ = (w.data for w in self.operands)
+        d, (_, pre, cdf, _) = self.x.shape[1], self.keep
+        cols = slice(lo // self.n * d, hi // self.n * d)
+        gout = self.gout[:, cols]
+        gout[...] = _side_by_side(g, self.n)
+        ghid = w2.T @ gout
+        if cdf is None:
+            gpre = nc._relu_grad(ghid, pre[:, cols], out=pre[:, cols])
+        else:  # (Phi + x phi) * g, over the gates
+            gpre = cdf[:, cols]
+            gpre += nc._gelu_slope(pre[:, cols])
+            gpre *= ghid
+        return [_stacked(w1.T @ gpre, self.x.shape[1])] if shares else []
+
+    def sums(self, sums: _Sums, gh: np.ndarray) -> None:
+        (w1, b1, w2, b2), (h, pre, cdf, act) = self.operands, self.keep
+        gpre = pre if cdf is None else cdf
+        sums.add(b2, np.sum, self.gout, axis=1, keepdims=True)
+        sums.add(w2, np.matmul, self.gout, act.T)
+        sums.add(b1, np.sum, gpre, axis=1, keepdims=True)
+        sums.add(w1, np.matmul, gpre, h.T)
 
 
 def _channel_flops(m: int, d: int, params: ChannelParams, activation: str,
                    residual: bool) -> int:
-    """Check a channel mixer's activation and parameters against an m x d input;
-    returns the flop tally of its chain of tape ops."""
-    _activation(activation)  # rejects an unknown one
+    """Check a channel mixer's parameters against an m x d input; returns the
+    flop tally of its chain of tape ops."""
     p = params
     hidden = p.w1.data.shape[1]
     d_out = p.w2.data.shape[1]
@@ -386,104 +449,67 @@ def _channel_flops(m: int, d: int, params: ChannelParams, activation: str,
             + (2 if residual else 1) * m * d_out)
 
 
-def _rows_of(arrays, lo: int, hi: int):
-    """Rows lo..hi of each of ``arrays``; None, and None entries, stay None."""
-    return None if arrays is None else tuple(
-        None if a is None else a[lo:hi] for a in arrays)
+def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
+               activation: str | None, residual: bool) -> Value:
+    """One layer as one tape op: the token mix, the residual and the channel
+    mixer (``channel`` None: none). ``mix`` is one layer call of a mixer kind.
 
-
-def _ffn_rows(z: np.ndarray, x: np.ndarray | None, params: ChannelParams, gelu: bool,
-              f: np.ndarray, keep=None) -> None:
-    """One row range of the channel mixer after its LayerNorm, written into
-    ``f``: act(z @ W1 + b1) @ W2 + b2, plus ``x`` unless None. ``keep`` is None
-    or the range's (pre, act, cdf) rows to fill; cdf is None for ReLU."""
-    pre, act, cdf = keep if keep is not None else (None, None, None)
-    pre = np.matmul(z, params.w1.data, out=pre)
-    pre += params.b1.data
-    if gelu:
-        cdf = nc._gelu_cdf(pre, out=cdf)
-        act = np.multiply(pre, cdf, out=cdf if act is None else act)
-    else:
-        act = nc._relu(pre, out=pre if act is None else act)
-    np.matmul(act, params.w2.data, out=f)
-    f += params.b2.data
-    if x is not None:
-        f += x
-
-
-def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
-               channel: ChannelParams | None, activation: str | None,
-               residual: bool) -> Value:
-    """One layer's residual and channel mixer, after its token mix, as one tape op.
-
-    ``mixed`` is either an adaptive (or pooling) layer's :class:`_Mixing`,
-    whose mix then runs inside the op and whose order logits and fusion are
-    operands, or the output of a token mixer that ran whole (attention, the
-    token-axis MLP). ``channel`` None is the layer without a channel mixer
-    (``activation`` is then unused); without the residual too, a mix that
-    ran whole comes back as it is. The op does the
-    arithmetic of the chain mix -> ``numcore.add`` (the residual, unless
-    ablated) -> LayerNorm -> feed-forward (plus the residual), in the same
-    order, so output, gradients and flop tally match it bit for bit. One row
-    pass (``numcore._row_passes``, chunks of whole blocks of ``n`` rows) runs,
-    chunk by chunk, the mix if it is an adaptive one, the residual, the
-    LayerNorm and the feed-forward with its residual. The backward is one
-    pass over the same chunks: ``g @ W2.T``, the activation gradient,
-    ``gpre @ W1.T``, and the LayerNorm's input gradient plus the residual's
-    share into one buffer (without a channel mixer, the output gradient is
-    that gradient); then an adaptive mix's input gradient into a second
-    buffer, and its per-offset products. The sums over rows (weights,
-    biases, LayerNorm gain and bias, order logits and fusion) run whole,
-    before or after the pass, so every sum keeps its order. Last, the
-    gradients go out in the chain's order: ``tokens`` gets the residual's
-    share, then ``tokens`` (adaptive, pooling) or ``mixed`` (attention, MLP)
-    the mix's. A step computes every channel-mixer gradient, and
-    ``numcore.accumulate_grad`` drops a constant's. The small ops of the mix
-    and the LayerNorm, which hold the GIL, overlap with the other thread's
-    GEMMs and erf, which release it.
+    The op does the arithmetic of the chain mix -> ``numcore.add`` (the
+    residual, unless ablated) -> LayerNorm -> feed-forward (plus the
+    residual), in the same order, so output, gradients and flop tally match
+    it bit for bit. One row pass (``numcore._row_passes``) runs all of it
+    chunk by chunk. The backward is one pass over the same chunks: ``g @
+    W2.T``, the activation gradient (over the GELU gates, or the
+    pre-activations for ReLU, so ``act`` stays for ``act.T @ g``), ``gpre @
+    W1.T``, the LayerNorm's input gradient plus the residual's share, the
+    mix's backward, and the tokens' gradient, its shares added in the
+    chain's order to any the tokens already hold. Each sum over rows is one
+    whole task: ``W2`` and ``b2`` in that pass, every other one in one pass
+    of tasks after it. The small ops, which hold the GIL, overlap with the
+    other thread's GEMMs and erf, which release it.
     """
-    mix = mixed if isinstance(mixed, _Mixing) else None
     p = channel
     params = () if p is None else (p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
-    operands = (tokens, mixed) if mix is None else (tokens, mix.order_logits, mix.fusion)
-    tape = nc._same_tape(*operands, *params)
+    tape = nc._same_tape(tokens, *mix.operands, *params)
     m, d = tokens.data.shape
-    if mix is None and (mixed.data.shape != (m, d) or m % n):
-        raise ShapeError(f"token_block: a mix of shape {mixed.data.shape} does not fit "
-                         f"{m}x{d} tokens in blocks of {n}")
-    if mix is None and p is None and not residual:
-        return mixed  # nothing to add to a mix that ran whole
-    tape.flops += ((0 if mix is None else mix.flops) + (m * d if residual else 0)
+    tape.flops += (mix.flops + (m * d if residual else 0)
                    + (0 if p is None else _channel_flops(m, d, p, activation, residual)))
 
-    want = any(v.want_grad for v in (*operands, *params))
-    x = tokens.data
-    x3 = x.reshape(-1, n, d)
-    gelu = activation == "gelu"
+    want = mix.want or any(v.want_grad for v in params)
+    x, gelu = tokens.data, activation == "gelu"
     f = np.empty((m, d if p is None else p.w2.data.shape[1]))
-    keep = None
-    if want and p is not None:  # what the backward reads
-        hidden = p.w1.data.shape[1]
-        keep = (np.empty((m, hidden)), np.empty((m, hidden)),
-                np.empty((m, hidden)) if gelu else None)
-        z, xn, inv_std = np.empty((m, d)), np.empty((m, d)), np.empty((m, 1))
+    keep = (None,) * 6  # what the backward reads: pre, act, GELU gates, z, xn, 1/std
+    if want and p is not None:
+        hidden = functools.partial(np.empty, (m, p.w1.data.shape[1]))
+        keep = (hidden(), hidden(), hidden() if gelu else None,
+                np.empty((m, d)), np.empty((m, d)), np.empty((m, 1)))
+    pre, act, cdf, z, xn, inv_std = keep
 
     def forward_rows(lo, hi):
-        if mix is None:
-            h = mixed.data[lo:hi] + x[lo:hi] if residual else mixed.data[lo:hi]
-        else:
-            h = _mix_rows(x3, mix, lo // n, hi // n).reshape(hi - lo, d)
-            if residual:
-                h += x[lo:hi]
+        h = mix.rows(lo, hi)
+        if residual:
+            h += x[lo:hi]
         if p is None:
             f[lo:hi] = h
             return
+        pre_r, act_r, cdf_r = (None if a is None else a[lo:hi] for a in keep[:3])
         z_r, xn_r, inv_std_r = nc._layer_norm(h, p.ln_gain.data, p.ln_bias.data)
-        if keep is not None:
+        if z is not None:
             z[lo:hi], xn[lo:hi], inv_std[lo:hi] = z_r, xn_r, inv_std_r
-        _ffn_rows(z_r, h if residual else None, p, gelu, f[lo:hi], _rows_of(keep, lo, hi))
+        # the feed-forward: act(z @ W1 + b1) @ W2 + b2, plus the residual
+        pre_r = np.matmul(z_r, p.w1.data, out=pre_r)
+        pre_r += p.b1.data
+        if gelu:
+            cdf_r = nc._gelu_cdf(pre_r, out=cdf_r)
+            act_r = np.multiply(pre_r, cdf_r, out=cdf_r if act_r is None else act_r)
+        else:
+            act_r = nc._relu(pre_r, out=pre_r if act_r is None else act_r)
+        np.matmul(act_r, p.w2.data, out=f[lo:hi])
+        f[lo:hi] += p.b2.data
+        if residual:
+            f[lo:hi] += h
 
-    nc._row_passes(m, forward_rows, block=n)
+    nc._row_passes(m, forward_rows, block=mix.block)
     out = Value(f, tape, want)
     if not want:
         return out
@@ -492,46 +518,53 @@ def _mix_block(tokens: Value, mixed: Union[_Mixing, Value], n: int,
         g = out.grad
         if g is None:
             return
-        if p is not None:
-            nc.accumulate_grad(p.b2, g.sum(axis=0, keepdims=True))
-            nc.accumulate_grad(p.w2, keep[1].T @ g)
+        sums = _Sums()
         # the gradients of the LayerNorm's output and input (mix plus residual)
         gz, gh = (None, g) if p is None else (np.empty((m, d)), np.empty((m, d)))
-        dalpha, dh = (None, None) if mix is None else (mix.dalpha_buffer(), np.empty((m, d)))
+        # the tokens' gradient goes over gh where no sum reads gh after the pass
+        gx, prior = (gh if p is not None and not mix.reads_gh else np.empty((m, d))), tokens.grad
+        if p is not None:
+            sums.add(p.b2, np.sum, g, axis=0, keepdims=True)
+            sums.add(p.w2, np.matmul, act.T, g)
+        if mix.want:
+            mix.start_back()
 
-        def backward_rows(lo, hi):  # the step runs once: act becomes gpre
+        def backward_rows(lo, hi):
             rows = slice(lo, hi)
             if p is not None:
-                pre, act_r, cdf = _rows_of(keep, lo, hi)
-                gact = g[rows] @ p.w2.data.T
-                gpre = (nc._relu_grad(gact, pre, out=act_r) if cdf is None
-                        else nc._gelu_grad(gact, pre, cdf, out=act_r))
+                if cdf is None:
+                    gpre = nc._relu_grad(g[rows] @ p.w2.data.T, pre[rows], out=pre[rows])
+                else:  # gpre over the gates; g @ W2.T into the slope's scratch
+                    gpre, slope = cdf[rows], nc._gelu_slope(pre[rows])
+                    gpre += slope
+                    gpre *= np.matmul(g[rows], p.w2.data.T, out=slope)
                 np.matmul(gpre, p.w1.data.T, out=gz[rows])
                 nc._layer_norm_back_rows(gz[rows], p.ln_gain.data, xn[rows], inv_std[rows],
                                          out=gh[rows])
                 if residual:
                     gh[rows] += g[rows]
-            if mix is not None:
-                _mix_back_rows(gh[rows].reshape(-1, n, d), x3, mix, lo // n, hi // n, dalpha,
-                               dh[rows].reshape(-1, n, d))
+            if not mix.want:
+                return
+            shares = mix.back_rows(gh[rows], lo, hi, tokens.want_grad)
+            if tokens.want_grad:  # the chain's order: the residual's share, then the mix's
+                shares = ([] if prior is None else [prior[rows]]) + [gh[rows]] * residual + shares
+                gx[rows] = functools.reduce(np.add, shares)
 
-        if p is not None or mix is not None:  # else g is the gradient both get
-            nc._row_passes(m, backward_rows, block=n)
+        nc._row_passes(m, backward_rows, mix.block, [task for *_, task in sums])
+        first = len(sums)
         if p is not None:
-            gpre = keep[1]
-            nc.accumulate_grad(p.b1, gpre.sum(axis=0, keepdims=True))
-            nc.accumulate_grad(p.w1, z.T @ gpre)
-            nc.accumulate_grad(p.ln_gain, (gz * xn).sum(axis=0, keepdims=True))
-            nc.accumulate_grad(p.ln_bias, gz.sum(axis=0, keepdims=True))
-        # the chain's order: tokens get the residual's share, then tokens
-        # (adaptive, pooling) or mixed (attention, MLP) get the mix's
-        if residual:
-            nc.accumulate_grad(tokens, gh)
-        if mix is None:
-            nc.accumulate_grad(mixed, gh)
-        else:
-            nc.accumulate_grad(tokens, dh)
-            mix.accumulate_grads(dalpha)
+            gpre = pre if cdf is None else cdf
+            sums.add(p.b1, np.sum, gpre, axis=0, keepdims=True)
+            sums.add(p.w1, np.matmul, z.T, gpre)
+            sums.add(p.ln_gain, lambda out: np.sum(gz * xn, axis=0, keepdims=True, out=out))
+            sums.add(p.ln_bias, np.sum, gz, axis=0, keepdims=True)
+        if mix.want:
+            mix.sums(sums, gh)
+        nc._row_passes(0, tasks=[task for *_, task in sums[first:]])
+        for v, grad, _ in sums:
+            nc.accumulate_grad(v, grad)
+        if tokens.want_grad:
+            tokens.grad = gx  # it already holds the earlier gradient
     tape.record(back)
     return out
 
@@ -548,27 +581,19 @@ def token_block(tokens: Value, times, mixer: MixerLayer, channel: ChannelParams 
     ``times`` of shape (n,) is one sequence of n token rows. Shape (R, n) is
     R blocks of n rows stacked into an (R*n) x d matrix, block r's first
     ``pad_lens[r]`` rows padding (none by default); each block's real rows
-    match the layer run on them alone. The residual and the channel mixer
-    are one tape op (:func:`_mix_block`), bit-identical to the chain of ops;
-    an adaptive or pooling layer's mix runs inside it, any other mixer's
-    output feeds it.
+    match the layer run on them alone. The layer is one tape op
+    (:func:`_mix_block`).
     """
     times = np.atleast_2d(np.asarray(times, dtype=np.float64))
-    pad_lens = np.zeros(len(times), dtype=np.int64) if pad_lens is None else pad_lens
-    n = times.shape[1]
-    if isinstance(mixer, AdaptiveLayer):
-        mixed = _mixing(tokens, times, pad_lens, mixer.offsets, mixer.order_logits,
-                        mixer.fusion)
-    elif isinstance(mixer, AttentionLayer):
-        mixed = attention_mix_batched(tokens, pad_lens, mixer)
-    elif isinstance(mixer, MlpLayer):
-        # the token-axis MLP sees every block as n rows; side by side, all
-        # blocks go through one pair of matmuls
-        side_by_side = nc.blocks_to_cols(tokens, n)
-        mixed = nc.cols_to_blocks(mlp_mix(side_by_side, mixer, activation), tokens.data.shape[1])
-    else:
+    pads = np.asarray(np.zeros(len(times)) if pad_lens is None else pad_lens, dtype=np.int64)
+    kernel = {AdaptiveLayer: _Mixing, AttentionLayer: _Attention, MlpLayer: _TokenMlp}.get(
+        type(mixer))
+    if kernel is None:
         raise ConfigError(f"unknown mixer layer type {type(mixer).__name__}")
-    return _mix_block(tokens, mixed, n, channel, activation, residual)
+    if activation not in ("gelu", "relu"):
+        raise ConfigError(f"unknown activation {activation!r}")
+    return _mix_block(tokens, kernel(tokens, times, pads, mixer, activation), channel,
+                      activation, residual)
 
 
 def token_mix(tokens: Value, times, mixer: MixerLayer, activation: str = "gelu",

@@ -9,7 +9,7 @@ must not be shared.
 A primitive op gives only its adjoints: for each operand, in order, the
 function that maps the output's gradient to that operand's share.
 ``_record`` turns them into the op's one backward step, recorded only if
-some operand wants a gradient. The fused ops in ``mixers`` record their own.
+some operand wants a gradient. The block op in ``mixers`` records its own.
 
 The tape also keeps a running scalar-operation tally (``Tape.flops``) so that
 work can be compared across algorithms in a machine-independent way.
@@ -18,6 +18,7 @@ work can be compared across algorithms in a machine-independent way.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import reprlib
 from concurrent.futures import ThreadPoolExecutor
@@ -45,9 +46,6 @@ __all__ = [
     "concat_rows",
     "gather_rows",
     "mean_rows_blocks",
-    "blocks_to_cols",
-    "cols_to_blocks",
-    "gelu",
     "relu",
     "mean_rows",
     "sigmoid",
@@ -178,10 +176,6 @@ class Value:
         self.tape = tape
         self.want_grad = want_grad
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
     def __repr__(self):
         return f"Value(shape={self.data.shape}, want_grad={self.want_grad})"
 
@@ -307,17 +301,15 @@ def _gelu_cdf(x: np.ndarray, out=None) -> np.ndarray:
     return cdf
 
 
-def _gelu_grad(g: np.ndarray, x: np.ndarray, cdf: np.ndarray, out=None) -> np.ndarray:
-    """``g`` times GELU'(x), given the forward's ``cdf``; ``out`` may be any
-    scratch array of x's shape other than ``g``, ``x`` and ``cdf``."""
-    d = np.multiply(x, -0.5, out=out)
-    d *= x
-    np.exp(d, out=d)
-    d *= _INV_SQRT_2PI
-    d *= x
-    d += cdf
-    d *= g
-    return d
+def _gelu_slope(x: np.ndarray) -> np.ndarray:
+    """x * phi(x), which GELU'(x) adds to the gate Phi(x): one new array,
+    every step in place."""
+    t = np.multiply(x, -0.5)
+    t *= x
+    np.exp(t, out=t)
+    t *= _INV_SQRT_2PI
+    t *= x
+    return t
 
 
 def _relu(x: np.ndarray, out=None) -> np.ndarray:
@@ -325,19 +317,19 @@ def _relu(x: np.ndarray, out=None) -> np.ndarray:
 
 
 def _relu_grad(g: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-    """``g`` times ReLU'(x); ``out`` may be ``g`` itself."""
+    """``g`` times ReLU'(x); ``out`` may be ``g`` or ``x`` itself."""
     return np.multiply(g, x > 0.0, out=out)
 
 
 # Row passes: per-row work split into chunks of rows that the calling thread
-# and one persistent worker take in turn. numpy and scipy release the GIL
-# inside large array operations, so the two threads run on two cores. A
-# chunk's rows are bit-identical to the whole pass, since a GEMM that is
-# split only by output rows keeps each row's sum over K; chunks never fall
-# below _ROW_CHUNK / 2 rows, well above the few-row shapes (one row: gemv)
-# that OpenBLAS sums in another order. Row functions write shared results
-# only into arrays their caller allocated, and call no public op: a Tape is
-# single-owner.
+# and one persistent worker take in turn, then whole sums as tasks. numpy and
+# scipy release the GIL inside large array operations, so the two threads run
+# on two cores. A chunk's rows are bit-identical to the whole pass, since a
+# GEMM split only by output rows keeps each row's sum over K; chunks never
+# fall below _ROW_CHUNK / 2 rows, well above the few-row shapes (one row:
+# gemv) that OpenBLAS sums in another order. Row functions and tasks write
+# shared results only into arrays their caller allocated, and call no public
+# op: a Tape is single-owner.
 _ROW_CHUNK = 512
 _row_worker: ThreadPoolExecutor | None = None  # None: every pass runs inline
 
@@ -379,32 +371,40 @@ def _start_row_worker() -> None:
         _row_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tempomix-rows")
 
 
-def _drain(fn: Callable[[int, int], None], chunks) -> None:
-    for lo, hi in chunks:
-        fn(lo, hi)
+def _drain(items) -> None:
+    for run in items:
+        run()
 
 
-def _row_passes(m: int, fn: Callable[[int, int], None], block: int = 1) -> None:
-    """Run ``fn(lo, hi)`` over row ranges that cover ``range(m)`` exactly once,
-    each bound a multiple of ``block`` (which must divide ``m``):
-    ceil(m / _ROW_CHUNK) chunks of near-equal numbers of blocks that the
-    caller and the row worker take from one list iterator, fewer where a
-    chunk would fall below _ROW_CHUNK / 2 rows, or one call ``fn(0, m)`` for
-    at most one chunk or without a worker. A second caller's chunks queue
-    behind the first's on the worker while it drains them itself."""
-    blocks = m // block
-    k = min(-(-m // _ROW_CHUNK), blocks // -(-(_ROW_CHUNK // 2) // block))
+def _row_passes(m: int, fn: Callable[[int, int], None] | None = None, block: int = 1,
+                tasks: Sequence[Callable[[], None]] = ()) -> None:
+    """Run ``fn(lo, hi)`` over row ranges that cover ``range(m)`` once, each
+    bound but ``m`` a multiple of ``block``, then each of ``tasks`` once:
+    zero-argument callables, each a whole sum into an output its caller
+    allocated (``fn`` None: tasks only). With the worker, the ranges are
+    ceil(m / _ROW_CHUNK) chunks of near-equal numbers of blocks, fewer where
+    one would fall below _ROW_CHUNK / 2 rows, and the two threads take chunks
+    and tasks from one iterator; an exception in either re-raises here.
+    Without it, ``fn(0, m)`` and the tasks run inline, in order. A second
+    caller's items queue behind the first's."""
     worker = _row_worker
-    if k < 2 or worker is None:
-        fn(0, m)
+    bounds = [] if fn is None else [(0, m)]
+    if fn is not None and worker is not None:
+        blocks = m // block
+        k = min(-(-m // _ROW_CHUNK), blocks // -(-(_ROW_CHUNK // 2) // block))
+        if k >= 2:
+            bounds = [(i * blocks // k * block, (i + 1) * blocks // k * block if i < k - 1 else m)
+                      for i in range(k)]
+    items = [functools.partial(fn, lo, hi) for lo, hi in bounds] + list(tasks)
+    if len(items) < 2 or worker is None:
+        _drain(items)
         return
-    chunks = iter([(i * blocks // k * block, (i + 1) * blocks // k * block)
-                   for i in range(k)])
-    done = worker.submit(_drain, fn, chunks)
+    items = iter(items)
+    done = worker.submit(_drain, items)
     try:
-        _drain(fn, chunks)
+        _drain(items)
     finally:
-        for _ in chunks:  # after an error here, leave the worker nothing to start
+        for _ in items:  # after an error here, leave the worker nothing to start
             pass
         err = done.exception()
     if err is not None:
@@ -413,15 +413,6 @@ def _row_passes(m: int, fn: Callable[[int, int], None], block: int = 1) -> None:
 
 if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
     os.register_at_fork(after_in_child=lambda: globals().update(_row_worker=None))
-
-
-def gelu(a: Value) -> Value:
-    """Exact GELU, x * Phi(x)."""
-    t = a.tape
-    x = a.data
-    cdf = _gelu_cdf(x)
-    t.flops += _FLOPS_PER_ELEMENT["gelu"] * x.size
-    return _record(t, x * cdf, ((a, lambda g: _gelu_grad(g, x, cdf)),))
 
 
 def relu(a: Value) -> Value:
@@ -478,37 +469,6 @@ def mean_rows_blocks(a: Value, block_len: int, pad_lens) -> Value:
     t.flops += 2 * rows * cols
     return _record(t, out_data, (
         (a, lambda g: (mask[:, :, None] * (g / counts)[:, None, :]).reshape(rows, cols)),))
-
-
-def _blocks_to_cols(x: np.ndarray, block_len: int) -> np.ndarray:
-    rows, cols = x.shape
-    r = rows // block_len
-    return x.reshape(r, block_len, cols).transpose(1, 0, 2).reshape(block_len, r * cols)
-
-
-def _cols_to_blocks(x: np.ndarray, width: int) -> np.ndarray:
-    n, cols = x.shape
-    r = cols // width
-    return x.reshape(n, r, width).transpose(1, 0, 2).reshape(r * n, width)
-
-
-def blocks_to_cols(a: Value, block_len: int) -> Value:
-    """Regroup R stacked blocks of ``block_len`` rows side by side:
-    (R*block_len) x d becomes block_len x (R*d), block r in columns r*d..r*d+d-1."""
-    rows, cols = a.data.shape
-    if block_len < 1 or rows % block_len:
-        raise ShapeError(f"blocks_to_cols: {rows} rows do not form blocks of {block_len}")
-    return _record(a.tape, _blocks_to_cols(a.data, block_len),
-                   ((a, lambda g: _cols_to_blocks(g, cols)),))
-
-
-def cols_to_blocks(a: Value, width: int) -> Value:
-    """Inverse of :func:`blocks_to_cols`: n x (R*width) becomes (R*n) x width."""
-    n, cols = a.data.shape
-    if width < 1 or cols % width:
-        raise ShapeError(f"cols_to_blocks: {cols} columns do not form blocks of {width}")
-    return _record(a.tape, _cols_to_blocks(a.data, width),
-                   ((a, lambda g: _blocks_to_cols(g, n)),))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ __all__ = [
     "auc_roc",
     "evaluate",
     "fit",
+    "fit_partition",
     "train",
 ]
 
@@ -55,8 +56,8 @@ class TrainConfig:
             raise ProtocolError("epochs and batch_size must be positive")
         if not 0.0 < self.lr < np.inf:
             raise ProtocolError(f"lr must be positive and finite, got {self.lr}")
-        if self.patience < 0:
-            raise ProtocolError("patience must be non-negative")
+        if self.patience < 0 or self.seed < 0:
+            raise ProtocolError("patience and seed must be non-negative")
 
 
 @dataclass
@@ -224,17 +225,25 @@ def _check_step(loss: float, grads: dict[str, np.ndarray], step: int, epoch: int
             raise nc.NonFiniteError(f"non-finite gradient for parameter {name!r} at {where}")
 
 
+def fit_partition(stream: tg.EventStream):
+    """The 70/15/15 chronological train, validation and test splits and the
+    negative candidates, the first two's destinations; a ProtocolError if
+    either is empty or has no second destination to draw a negative from."""
+    train_split, val_split, test_split = tg.chronological_split(stream, TRAIN_RATIO, VAL_RATIO)
+    if len(train_split) == 0 or len(val_split) == 0:
+        raise ProtocolError("stream too small: empty train or validation split")
+    candidates = stream.slice(0, len(train_split) + len(val_split)).destinations()
+    if len(candidates) < 2:
+        raise ProtocolError(f"no negative candidate among {len(candidates)} destination")
+    return train_split, val_split, test_split, candidates
+
+
 def train(stream: tg.EventStream, model_cfg: md.ModelConfig,
           train_cfg: TrainConfig):
-    """Split 70/15/15 chronologically, fit, then score the test partition
+    """Split (:func:`fit_partition`), fit, then score the test partition
     once with the best parameters and full history."""
-    train_split, val_split, test_split = tg.chronological_split(
-        stream, TRAIN_RATIO, VAL_RATIO)
-    if len(train_split) == 0:
-        raise ProtocolError("stream too small: empty train split")
-    fit_stream = stream.slice(0, len(train_split) + len(val_split))
-    store_fit = tg.TemporalStore(fit_stream)
-    candidates = fit_stream.destinations()
+    train_split, val_split, test_split, candidates = fit_partition(stream)
+    store_fit = tg.TemporalStore(stream.slice(0, len(train_split) + len(val_split)))
 
     t0 = time.perf_counter()
     result = fit(train_split, val_split, store_fit, candidates, model_cfg, train_cfg)

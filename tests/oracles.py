@@ -1,6 +1,8 @@
 """References that the tests compare the program against and the program
 never runs: tape ops that only tests compose, the probability-space loss, and
-the per-sequence and tape-chain oracles of the fused mixer kernels.
+the per-sequence and tape-chain oracles of the fused mixer kernels. The
+attention and token-axis MLP chains are the tape ops the block op
+``mixers._mix_block`` stands for, kept here as its chain oracle.
 
 The tape ops follow the conventions of ``tempomix.numcore``: each records its
 backward step on the operand's tape and adds its work to ``Tape.flops``.
@@ -9,7 +11,7 @@ backward step on the operand's tape and adds its work to ``Tape.flops``.
 import numpy as np
 
 from tempomix import numcore as nc
-from tempomix.numcore import ContractError, ShapeError, Value
+from tempomix.numcore import ConfigError, ContractError, ShapeError, Value
 
 PROB_CLAMP = 1e-12  # bce_loss clamps probabilities to [PROB_CLAMP, 1-PROB_CLAMP] before logs
 
@@ -72,6 +74,46 @@ def sum_all(a: Value) -> Value:
             nc.accumulate_grad(a, np.full(a.data.shape, g[0, 0]))
         t.record(back)
     return out
+
+
+def gelu(a: Value) -> Value:
+    """Exact GELU, x * Phi(x)."""
+    t = a.tape
+    x = a.data
+    cdf = nc._gelu_cdf(x)
+    t.flops += nc._FLOPS_PER_ELEMENT["gelu"] * x.size
+    return nc._record(t, x * cdf, ((a, lambda g: (cdf + nc._gelu_slope(x)) * g),))
+
+
+def _blocks_to_cols(x: np.ndarray, block_len: int) -> np.ndarray:
+    rows, cols = x.shape
+    r = rows // block_len
+    return x.reshape(r, block_len, cols).transpose(1, 0, 2).reshape(block_len, r * cols)
+
+
+def _cols_to_blocks(x: np.ndarray, width: int) -> np.ndarray:
+    n, cols = x.shape
+    r = cols // width
+    return x.reshape(n, r, width).transpose(1, 0, 2).reshape(r * n, width)
+
+
+def blocks_to_cols(a: Value, block_len: int) -> Value:
+    """Regroup R stacked blocks of ``block_len`` rows side by side:
+    (R*block_len) x d becomes block_len x (R*d), block r in columns r*d..r*d+d-1."""
+    rows, cols = a.data.shape
+    if block_len < 1 or rows % block_len:
+        raise ShapeError(f"blocks_to_cols: {rows} rows do not form blocks of {block_len}")
+    return nc._record(a.tape, _blocks_to_cols(a.data, block_len),
+                      ((a, lambda g: _cols_to_blocks(g, cols)),))
+
+
+def cols_to_blocks(a: Value, width: int) -> Value:
+    """Inverse of :func:`blocks_to_cols`: n x (R*width) becomes (R*n) x width."""
+    n, cols = a.data.shape
+    if width < 1 or cols % width:
+        raise ShapeError(f"cols_to_blocks: {cols} columns do not form blocks of {width}")
+    return nc._record(a.tape, _cols_to_blocks(a.data, width),
+                      ((a, lambda g: _blocks_to_cols(g, n)),))
 
 
 def layer_norm_rows(a: Value, gain: Value, bias: Value) -> Value:
@@ -219,8 +261,8 @@ def reference_adaptive_mix(tokens, times, offsets, order_logits, fusion, pad_len
 
 
 def reference_attention(tokens, params):
-    """Single-head attention composed from tape primitives: the oracle for the
-    fused kernel behind ``mixers.attention_mix_batched``."""
+    """Single-head attention composed from tape primitives: the oracle for
+    :func:`attention_mix_batched` on one block."""
     q = nc.matmul(tokens, params.wq)
     k = nc.matmul(tokens, params.wk)
     v = nc.matmul(tokens, params.wv)
@@ -229,10 +271,99 @@ def reference_attention(tokens, params):
     return nc.matmul(nc.matmul(weights, v), params.wo)
 
 
+def mlp_mix(tokens: Value, params, activation: str = "gelu") -> Value:
+    """Token-axis MLP on one n x cols matrix; weight shapes are rigid in the
+    token count n."""
+    n = tokens.data.shape[0]
+    if params.w1.data.shape[1] != n:
+        raise ConfigError(
+            f"token-mixing weights were built for {params.w1.data.shape[1]} tokens, "
+            f"got a sequence of {n}")
+    act = {"gelu": gelu, "relu": nc.relu}[activation]
+    hidden = act(nc.add(nc.matmul(params.w1, tokens), params.b1))
+    return nc.add(nc.matmul(params.w2, hidden), params.b2)
+
+
+def mlp_mix_blocks(tokens: Value, n: int, params, activation: str = "gelu") -> Value:
+    """The token-axis MLP of every block of n rows at once: the blocks side by
+    side, one pair of matmuls, and back. The chain oracle of the MLP mix
+    inside the block op."""
+    side_by_side = blocks_to_cols(tokens, n)
+    return cols_to_blocks(mlp_mix(side_by_side, params, activation), tokens.data.shape[1])
+
+
+def attention_mix_batched(tokens: Value, pad_lens, params) -> Value:
+    """Single-head attention within each of R equally padded blocks.
+
+    ``tokens`` stacks R blocks of ``n`` rows into an (R*n) x d matrix; block
+    r's first ``pad_lens[r]`` rows are padding and are masked out as keys, so
+    each real row matches its block's real rows run alone. The projections
+    are tape matmuls over all rows; the per-block scores, key mask, softmax
+    and weighted sum are one op (:func:`attend`). The chain oracle of the
+    attention mix inside the block op.
+    """
+    pads = np.asarray(pad_lens, dtype=np.int64)
+    rows = tokens.data.shape[0]
+    r = len(pads)
+    if r == 0 or rows % r:
+        raise ShapeError(f"token rows {rows} do not form {r} equal blocks")
+    n = rows // r
+    if np.any(pads < 0) or np.any(pads >= n):
+        raise ContractError(f"pad lengths must lie in [0, {n})")
+    q = nc.matmul(tokens, params.wq)
+    k = nc.matmul(tokens, params.wk)
+    v = nc.matmul(tokens, params.wv)
+    return nc.matmul(attend(q, k, v, pads), params.wo)
+
+
+def attend(q: Value, k: Value, v: Value, pads: np.ndarray) -> Value:
+    """softmax(q k^T / sqrt(d_k)) v per block, with each block's first
+    ``pads[r]`` keys masked; the backward is analytic."""
+    tape = q.tape
+    r = len(pads)
+    rows, dk = q.data.shape
+    dv = v.data.shape[1]
+    n = rows // r
+    q3 = q.data.reshape(r, n, dk)
+    k3 = k.data.reshape(r, n, dk)
+    v3 = v.data.reshape(r, n, dv)
+    c = 1.0 / np.sqrt(dk)
+    p = np.matmul(q3, k3.transpose(0, 2, 1))
+    p *= c
+    masked = np.arange(n)[None, :] < pads[:, None]
+    if masked.any():
+        p += np.where(masked, -np.inf, 0.0)[:, None, :]
+    # every block has a real last key, so each row's max is finite
+    p -= p.max(axis=2, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=2, keepdims=True)
+    tape.flops += r * (2 * n * n * (dk + dv) + 6 * n * n)
+    want = q.want_grad or k.want_grad or v.want_grad
+    out = Value(np.matmul(p, v3).reshape(rows, dv), tape, want)
+    if want:
+        def back():
+            g = out.grad
+            if g is None:
+                return
+            g3 = g.reshape(r, n, dv)
+            if v.want_grad:
+                nc.accumulate_grad(v, np.matmul(p.transpose(0, 2, 1), g3).reshape(rows, dv))
+            if q.want_grad or k.want_grad:
+                dp = np.matmul(g3, v3.transpose(0, 2, 1))
+                ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+                ds *= c
+                if q.want_grad:
+                    nc.accumulate_grad(q, np.matmul(ds, k3).reshape(rows, dk))
+                if k.want_grad:
+                    nc.accumulate_grad(k, np.matmul(ds.transpose(0, 2, 1), q3).reshape(rows, dk))
+        tape.record(back)
+    return out
+
+
 def reference_channel_mix(h, params, activation="gelu", residual=True):
     """The channel mixer composed from tape primitives: the oracle for the
     channel mixer inside ``mixers.token_block``."""
-    act = {"gelu": nc.gelu, "relu": nc.relu}[activation]
+    act = {"gelu": gelu, "relu": nc.relu}[activation]
     z = layer_norm_rows(h, params.ln_gain, params.ln_bias)
     f = act(nc.add(nc.matmul(z, params.w1), params.b1))
     f = nc.add(nc.matmul(f, params.w2), params.b2)

@@ -138,6 +138,23 @@ class TestOutAfterInputs:
         assert main([str(paths.get(a, a)) for a in argv] + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,named", [
+        (["train", *FAST, "--spans", ""], "--spans"),
+        (["train", *FAST, "--seed", "-1"], "--seed"),
+        (["train", "--synthetic", '{"n_src": 1, "n_dst": 1, "n_events": 300}'],
+         "no negative candidate"),
+        (["ablate", "--synthetic", '{"n_events": 2}'], "empty train or validation split"),
+        (["bench", "--repeats", "-1"], "repeats"),
+        (["bench", "--mixers", "adaptive,bogus", "--lengths", "8,16,32"], "bench bogus"),
+    ], ids=["empty_spans", "negative_seed", "one_destination", "too_short_to_split",
+            "bench_repeats", "bench_unknown_mixer"])
+    def test_bad_input_exits_two_naming_it_before_out(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
 
 class FakeLibc:
     def __init__(self):
@@ -199,22 +216,24 @@ class TestRowWorker:
             if nc._row_worker is not None:
                 nc._row_worker.shutdown()
 
+    @pytest.mark.parametrize("mixer", ["adaptive", "attention", "mlp"])
     def test_train_with_worker_off_and_on_writes_identical_artifacts(self, monkeypatch,
-                                                                     tmp_path):
+                                                                     tmp_path, mixer):
         rows = []
         row_passes = nc._row_passes
 
-        def counted(m, fn, block=1):
+        def counted(m, fn=None, block=1, tasks=()):
             rows.append(m)
-            row_passes(m, fn, block=block)
+            row_passes(m, fn, block, tasks)
 
         monkeypatch.setattr(nc, "_row_passes", counted)
         monkeypatch.setattr(nc, "_start_row_worker", lambda: None)
         monkeypatch.setattr(nc, "_row_worker", None)
-        assert main(["train", *FAST, "--out", str(tmp_path / "a")]) == 0
+        argv = ["train", *FAST, "--mixer", mixer]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
         with ThreadPoolExecutor(max_workers=1) as worker:
             monkeypatch.setattr(nc, "_row_worker", worker)
-            assert main(["train", *FAST, "--out", str(tmp_path / "b")]) == 0
+            assert main([*argv, "--out", str(tmp_path / "b")]) == 0
         assert max(rows) > nc._ROW_CHUNK  # the passes were split
         for name in ("checkpoint.json", "loss_curve.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -1,7 +1,9 @@
 """Tests for the token mixers and the hierarchical offset schedule."""
 
+import functools
 import inspect
 import math
+import re
 import sys
 import threading
 import time
@@ -13,8 +15,9 @@ import pytest
 
 from tempomix import mixers as mx
 from tempomix import numcore as nc
-from oracles import (reference_adaptive_mix, reference_attention, reference_channel_mix,
-                     reference_pooling_mix, sum_all)
+from oracles import (attention_mix_batched, blocks_to_cols, cols_to_blocks, gelu, mlp_mix,
+                     mlp_mix_blocks, reference_adaptive_mix, reference_attention,
+                     reference_channel_mix, reference_pooling_mix, sum_all)
 
 
 def const(tape, a):
@@ -164,7 +167,7 @@ class TestAdaptiveMix:
         def f(p):
             fusion = nc.sigmoid(p["fuse_raw"])
             mixed = mx.adaptive_mix(p["h"], times, offsets, p["order"], fusion)
-            return sum_all(nc.gelu(mixed))
+            return sum_all(gelu(mixed))
 
         params = {
             "h": rng.normal(size=(7, 3)),
@@ -189,7 +192,7 @@ class TestAdaptiveMix:
             v = {name: tape.leaf(a) for name, a in arrays.items()}
             out = mix(v["h"], times, offsets, v["order"], nc.sigmoid(v["fuse_raw"]))
             flops = tape.flops
-            nc.backward(tape, sum_all(nc.gelu(nc.matmul(out, v["w"]))))
+            nc.backward(tape, sum_all(gelu(nc.matmul(out, v["w"]))))
             return out.data, flops, {name: val.grad for name, val in v.items()}
 
         out, flops, grads = run(mx.adaptive_mix)
@@ -236,7 +239,7 @@ class TestAdaptiveMix:
             fusion = nc.sigmoid(p["fuse_raw"])
             mixed = mx.token_mix(p["h"], times, mx.AdaptiveLayer(offsets, p["order"], fusion),
                                  pad_lens=pads)
-            return sum_all(nc.gelu(mixed))
+            return sum_all(gelu(mixed))
 
         params = {
             "h": rng.normal(size=(2 * n, 3)),
@@ -289,7 +292,7 @@ class TestPoolingMix:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         report = nc.grad_check(
-            lambda p: sum_all(nc.gelu(run_pooling(p["h"], 3))),
+            lambda p: sum_all(gelu(run_pooling(p["h"], 3))),
             {"h": rng.normal(size=(6, 2))}, h=1e-5)
         assert report.max_rel_error <= 1e-4
 
@@ -320,6 +323,25 @@ class TestPoolingMix:
                                        atol=1e-14)
 
 
+def program_mlp(tokens, params, activation="gelu"):
+    """The shipped token-axis MLP mix on one sequence: ``token_mix`` of an
+    ``MlpLayer``."""
+    times = np.arange(float(tokens.data.shape[0]))
+    return mx.token_mix(tokens, times, params, activation)
+
+
+def program_attention(tokens, pads, params):
+    """The shipped attention mix: ``token_mix`` of an ``AttentionLayer`` on
+    len(pads) blocks (times play no part in attention)."""
+    n = tokens.data.shape[0] // max(len(pads), 1)
+    return mx.token_mix(tokens, np.zeros((len(pads), n)), params, pad_lens=pads)
+
+
+MLP_MIXES = pytest.mark.parametrize("mlp", [mlp_mix, program_mlp], ids=["chain", "program"])
+ATTENTION_MIXES = pytest.mark.parametrize("attend", [attention_mix_batched, program_attention],
+                                          ids=["chain", "program"])
+
+
 class TestMlpMix:
     def bound(self, tape, n, d, gamma=0.5, zero=False):
         k = math.ceil(gamma * n)
@@ -328,10 +350,11 @@ class TestMlpMix:
         return mx.MlpLayer(w1=tape.constant(draw((k, n))), b1=tape.constant(draw((k, 1))),
                            w2=tape.constant(draw((n, k))), b2=tape.constant(draw((n, 1))))
 
-    def test_zero_weights_give_zero_output(self):
+    @MLP_MIXES
+    def test_zero_weights_give_zero_output(self, mlp):
         tape = nc.Tape()
         params = self.bound(tape, 4, 3, zero=True)
-        out = mx.mlp_mix(const(tape, np.ones((4, 3))), params)
+        out = mlp(const(tape, np.ones((4, 3))), params)
         np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
 
     def test_hidden_token_dim_even(self):
@@ -342,11 +365,21 @@ class TestMlpMix:
         tape = nc.Tape()
         assert self.bound(tape, 3, 3).w1.data.shape == (2, 3)
 
-    def test_token_count_mismatch_is_config_error(self):
+    @MLP_MIXES
+    def test_token_count_mismatch_is_config_error(self, mlp):
         tape = nc.Tape()
         params = self.bound(tape, 4, 3)
         with pytest.raises(nc.ConfigError):
-            mx.mlp_mix(const(tape, np.ones((5, 3))), params)
+            mlp(const(tape, np.ones((5, 3))), params)
+
+    def test_misshapen_weights_or_rows_rejected(self):
+        tape = nc.Tape()
+        params = self.bound(tape, 4, 3)
+        bad_bias = mx.MlpLayer(params.w1, const(tape, np.zeros((2, 2))), params.w2, params.b2)
+        with pytest.raises(nc.ShapeError, match="token-axis MLP"):
+            program_mlp(const(tape, np.ones((4, 3))), bad_bias)
+        with pytest.raises(nc.ShapeError, match="do not form 2 blocks of 4"):
+            mx.token_mix(const(tape, np.ones((10, 3))), np.zeros((2, 4)), params)
 
 
 class TestAttentionMix:
@@ -354,19 +387,21 @@ class TestAttentionMix:
         eye = np.eye(d)
         return mx.AttentionLayer(*(tape.constant(eye) for _ in range(4)))
 
-    def test_single_token_identity_projections(self):
+    @ATTENTION_MIXES
+    def test_single_token_identity_projections(self, attend):
         tape = nc.Tape()
         h = np.array([[0.3, -1.2]])
-        out = mx.attention_mix_batched(const(tape, h), [0], self.identity_params(tape, 2))
+        out = attend(const(tape, h), [0], self.identity_params(tape, 2))
         np.testing.assert_allclose(out.data, h)
 
-    def test_identical_tokens_identical_rows(self):
+    @ATTENTION_MIXES
+    def test_identical_tokens_identical_rows(self, attend):
         tape = nc.Tape()
         h = np.array([[1.0, 2.0], [1.0, 2.0]])
         rng = np.random.default_rng(9)
         params = mx.AttentionLayer(*(tape.constant(rng.normal(size=(2, 2)))
                                      for _ in range(4)))
-        out = mx.attention_mix_batched(const(tape, h), [0], params)
+        out = attend(const(tape, h), [0], params)
         np.testing.assert_allclose(out.data[0], out.data[1])
 
     def test_row_weights_sum_to_one(self):
@@ -379,15 +414,16 @@ class TestAttentionMix:
         weights /= weights.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_permutation_equivariance_vs_order_sensitivity(self):
+    @ATTENTION_MIXES
+    def test_permutation_equivariance_vs_order_sensitivity(self, attend):
         rng = np.random.default_rng(11)
         h = rng.normal(size=(5, 3))
         perm = rng.permutation(5)
         tape = nc.Tape()
         params = mx.AttentionLayer(*(tape.constant(rng.normal(size=(3, 3)))
                                      for _ in range(4)))
-        a = mx.attention_mix_batched(const(tape, h), [0], params).data
-        b = mx.attention_mix_batched(const(tape, h[perm]), [0], params).data
+        a = attend(const(tape, h), [0], params).data
+        b = attend(const(tape, h[perm]), [0], params).data
         np.testing.assert_allclose(b, a[perm], atol=1e-12)
 
         times = np.arange(5.0)
@@ -398,6 +434,15 @@ class TestAttentionMix:
         pool_a = run_pooling(const(tape2, h), 2).data
         pool_b = run_pooling(const(tape2, h[perm]), 2).data
         assert not np.allclose(pool_b, pool_a[perm])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 40])
+    def test_row_max_is_the_max_over_keys_bit_for_bit(self, n):
+        rng = np.random.default_rng(38)
+        p = rng.normal(size=(5, n, n)) * 10.0 ** rng.integers(-3, 3, size=(5, n, n))
+        p[1, :, : n // 2] = -np.inf  # masked keys
+        p[2] = 0.0
+        p[3, :, ::2] = -0.0
+        np.testing.assert_array_equal(mx._row_max(p), p.max(axis=2, keepdims=True))
 
 
 def attention_inputs(rng, r, n, d):
@@ -410,68 +455,74 @@ class TestBatchedAttention:
     # block 2's only real row is its last one
     PADS = np.array([0, 2, 4, 1])
 
-    def test_pads_zero_match_the_tape_composed_reference(self):
+    @ATTENTION_MIXES
+    def test_pads_zero_match_the_tape_composed_reference(self, attend):
         rng = np.random.default_rng(30)
         tape, tokens, params = attention_inputs(rng, 3, 7, 4)
         want = reference_attention(tokens, params).data
-        np.testing.assert_allclose(mx.attention_mix_batched(tokens, [0], params).data, want,
-                                   atol=1e-12)
-        blocks = mx.attention_mix_batched(tokens, [0, 0, 0], params).data.reshape(3, 7, 4)
+        np.testing.assert_allclose(attend(tokens, [0], params).data, want, atol=1e-12)
+        blocks = attend(tokens, [0, 0, 0], params).data.reshape(3, 7, 4)
         for b in range(3):
             rows = tape.constant(tokens.data[7 * b:7 * b + 7])
             np.testing.assert_allclose(blocks[b], reference_attention(rows, params).data,
                                        atol=1e-12)
 
-    def test_real_rows_match_the_reference_on_each_block(self):
+    @ATTENTION_MIXES
+    def test_real_rows_match_the_reference_on_each_block(self, attend):
         rng = np.random.default_rng(31)
         n, d = 5, 3
         tape, tokens, params = attention_inputs(rng, len(self.PADS), n, d)
-        out = mx.attention_mix_batched(tokens, self.PADS, params).data.reshape(-1, n, d)
+        out = attend(tokens, self.PADS, params).data.reshape(-1, n, d)
         for b, pad in enumerate(self.PADS):
             real = tape.constant(tokens.data[b * n + pad:(b + 1) * n])
             np.testing.assert_allclose(out[b, pad:], reference_attention(real, params).data,
                                        atol=1e-12)
 
-    def test_flops_equal_the_reference_tally(self):
-        def flops(attend):
+    @ATTENTION_MIXES
+    def test_flops_equal_the_reference_tally(self, attend):
+        def flops(mix):
             tape, tokens, params = attention_inputs(np.random.default_rng(32), 1, 9, 4)
-            attend(tokens, params)
+            mix(tokens, params)
             return tape.flops
 
-        def one_block(tokens, params):
-            return mx.attention_mix_batched(tokens, [0], params)
+        assert flops(lambda tokens, params: attend(tokens, [0], params)) == flops(
+            reference_attention)
 
-        assert flops(one_block) == flops(reference_attention)
-
-    def test_gradients_match_finite_differences_with_mixed_pads(self):
+    @ATTENTION_MIXES
+    def test_gradients_match_finite_differences_with_mixed_pads(self, attend):
         rng = np.random.default_rng(33)
         n, d = 5, 3
 
         def f(p):
             params = mx.AttentionLayer(p["wq"], p["wk"], p["wv"], p["wo"])
-            return sum_all(nc.gelu(mx.attention_mix_batched(p["h"], self.PADS, params)))
+            return sum_all(gelu(attend(p["h"], self.PADS, params)))
 
         params = {name: rng.normal(size=(d, d)) for name in ("wq", "wk", "wv", "wo")}
         params["h"] = rng.normal(size=(len(self.PADS) * n, d))
         report = nc.grad_check(f, params, h=1e-5)
         assert report.max_rel_error <= 1e-4
 
+    @ATTENTION_MIXES
     @pytest.mark.parametrize("pads,error", [([0, 0, 0], nc.ShapeError),
                                             ([0, 4], nc.ContractError),
                                             ([-1, 0], nc.ContractError)])
-    def test_bad_blocks_rejected(self, pads, error):
+    def test_bad_blocks_rejected(self, pads, error, attend):
         tape, tokens, params = attention_inputs(np.random.default_rng(34), 2, 4, 3)
         with pytest.raises(error):
-            mx.attention_mix_batched(tokens, pads, params)
+            attend(tokens, pads, params)
 
 
 class TestBlockRegroup:
+    """The oracle's regrouping ops, which its token-axis MLP chain runs on."""
+
     def test_blocks_sit_side_by_side_and_come_back(self):
         tape = nc.Tape()
         x = np.arange(12.0).reshape(6, 2)  # 3 blocks of 2 rows
-        cols = nc.blocks_to_cols(tape.constant(x), 2)
+        cols = blocks_to_cols(tape.constant(x), 2)
         np.testing.assert_array_equal(cols.data, [[0, 1, 4, 5, 8, 9], [2, 3, 6, 7, 10, 11]])
-        np.testing.assert_array_equal(nc.cols_to_blocks(cols, 2).data, x)
+        np.testing.assert_array_equal(cols_to_blocks(cols, 2).data, x)
+        np.testing.assert_array_equal(mx._side_by_side(x, 2), cols.data)
+        np.testing.assert_array_equal(mx._stacked(cols.data, 2), x)
 
     def test_pair_matches_finite_differences(self):
         rng = np.random.default_rng(35)
@@ -480,16 +531,16 @@ class TestBlockRegroup:
         def f(p):
             # a token-axis matmul between the two regroupings mixes rows
             # within each block, so a wrong permutation cannot cancel out
-            side = nc.matmul(p["m"], nc.blocks_to_cols(p["x"], 3))
-            back = nc.cols_to_blocks(nc.gelu(side), 2)
-            return sum_all(nc.matmul(nc.gelu(back), p["w"]))
+            side = nc.matmul(p["m"], blocks_to_cols(p["x"], 3))
+            back = cols_to_blocks(gelu(side), 2)
+            return sum_all(nc.matmul(gelu(back), p["w"]))
 
         params = {"x": rng.normal(size=(12, 2)), "m": mix, "w": rng.normal(size=(2, 3))}
         report = nc.grad_check(f, params, h=1e-5)
         assert report.max_rel_error <= 1e-4
 
-    @pytest.mark.parametrize("op,arg", [(nc.blocks_to_cols, 4), (nc.cols_to_blocks, 4),
-                                        (nc.blocks_to_cols, 0)])
+    @pytest.mark.parametrize("op,arg", [(blocks_to_cols, 4), (cols_to_blocks, 4),
+                                        (blocks_to_cols, 0)])
     def test_uneven_split_rejected(self, op, arg):
         tape = nc.Tape()
         with pytest.raises(nc.ShapeError):
@@ -502,10 +553,12 @@ class TestBlockRegroup:
         params = mx.MlpLayer(*(tape.constant(rng.normal(size=s))
                                for s in ((2, n), (2, 1), (n, 2), (n, 1))))
         h = rng.normal(size=(r * n, d))
-        side = nc.blocks_to_cols(tape.constant(h), n)
-        out = nc.cols_to_blocks(mx.mlp_mix(side, params), d).data
+        side = blocks_to_cols(tape.constant(h), n)
+        out = cols_to_blocks(mlp_mix(side, params), d).data
+        program = mx.token_mix(tape.constant(h), np.zeros((r, n)), params).data
+        np.testing.assert_array_equal(program, out)
         for b in range(r):
-            block = mx.mlp_mix(tape.constant(h[b * n:(b + 1) * n]), params).data
+            block = mlp_mix(tape.constant(h[b * n:(b + 1) * n]), params).data
             np.testing.assert_allclose(out[b * n:(b + 1) * n], block, atol=1e-12)
 
 
@@ -646,17 +699,22 @@ def token_mix_only(tokens, times, pads, layer, params, activation, residual):
     return mx.token_mix(tokens, times, layer, activation, pads)
 
 
-def composed_block(tokens, times, pads, layer, params, activation, residual):
-    """The chain the block op stands for: the batched token-mixer kernel, the
-    residual add, the channel mixer from tape primitives."""
+def chain_mix(tokens, times, pads, layer, activation):
+    """The token mix of the chain the block op stands for: an adaptive or
+    pooling layer's from ``token_mix`` (checked against the per-sequence
+    oracle on its own), attention's and the token-axis MLP's from the tape ops
+    of the chain oracle."""
     if isinstance(layer, mx.AttentionLayer):
-        mixed = mx.attention_mix_batched(tokens, pads, layer)
-    elif isinstance(layer, mx.MlpLayer):
-        side_by_side = nc.blocks_to_cols(tokens, times.shape[1])
-        mixed = nc.cols_to_blocks(mx.mlp_mix(side_by_side, layer, activation),
-                                  tokens.data.shape[1])
-    else:
-        mixed = mx.token_mix(tokens, times, layer, pad_lens=pads)
+        return attention_mix_batched(tokens, pads, layer)
+    if isinstance(layer, mx.MlpLayer):
+        return mlp_mix_blocks(tokens, times.shape[1], layer, activation)
+    return mx.token_mix(tokens, times, layer, pad_lens=pads)
+
+
+def composed_block(tokens, times, pads, layer, params, activation, residual):
+    """The chain the block op stands for: the token mix, the residual add,
+    the channel mixer from tape primitives."""
+    mixed = chain_mix(tokens, times, pads, layer, activation)
     h = nc.add(tokens, mixed) if residual else mixed
     return reference_channel_mix(h, params, activation, residual)
 
@@ -673,7 +731,7 @@ def bare_chain(tokens, times, pads, layer, params, activation, residual):
     if isinstance(layer, mx.AdaptiveLayer):
         mixed = reference_adaptive_mix(tokens, times, *adaptive_args(layer), pads)
     else:
-        mixed = mx.token_mix(tokens, times, layer, activation, pads)
+        mixed = chain_mix(tokens, times, pads, layer, activation)
     return nc.add(tokens, mixed) if residual else mixed
 
 
@@ -723,7 +781,7 @@ def run_block(block, arrays, times, pads, mixer, activation, residual, leaves):
     out = block(v["h"], times, pads, layer, params, activation, residual)
     flops, steps = tape.flops - flops, len(tape._steps) - steps
     side = tape.constant(np.linspace(-1.0, 1.0, arrays["h"].shape[1])[:, None])
-    loss = nc.add(sum_all(nc.gelu(out)), sum_all(nc.matmul(v["h"], side)))
+    loss = nc.add(sum_all(gelu(out)), sum_all(nc.matmul(v["h"], side)))
     nc.backward(tape, loss)
     return out.data, flops, steps, {name: v[name].grad for name in learned}
 
@@ -741,32 +799,29 @@ def assert_same_run(run, want, label):
 
 def assert_matches_the_oracles(arrays, times, pads, mixer, activation, residual, leaves,
                                block=fused_block):
-    """The block is one tape step after its token mix (none for an adaptive or
-    pooling layer, whose mix runs inside it), and bit for bit the chain of
-    kernels and, for an adaptive or pooling layer, the per-sequence oracles;
-    ``bare_block``, the block without a channel mixer, is checked against
-    ``bare_chain``. Without the residual either, a mix that ran whole is the
-    block: no step after the mix."""
+    """The block is one tape step (none without a gradient to give), and bit
+    for bit the chain of kernels and, for an adaptive or pooling layer, the
+    per-sequence oracles; ``bare_block``, the block without a channel mixer,
+    is checked against ``bare_chain``."""
     args = (arrays, times, pads, mixer, activation, residual, leaves)
     run = run_block(block, *args)
-    whole_mix = BLOCK_MIXERS[mixer][0] in MIXER_PARAMS
-    mix_steps = run_block(token_mix_only, *args)[2] if whole_mix else 0
     if block is bare_block:
         oracles = (bare_chain,)
+    elif BLOCK_MIXERS[mixer][0] in MIXER_PARAMS:
+        oracles = (composed_block,)
     else:
-        oracles = (composed_block,) if whole_mix else (composed_block, reference_block)
-    bare_mix = block is bare_block and whole_mix and not residual
+        oracles = (composed_block, reference_block)
     for oracle in oracles:
         want = run_block(oracle, *args)
-        block_steps = 0 if bare_mix else min(1, want[2])  # one step, not a chain
-        assert run[2] == mix_steps + block_steps, oracle.__name__
+        assert run[2] == min(1, want[2]), oracle.__name__  # one step, not a chain
         assert_same_run(run, want, oracle.__name__)
 
 
 class TestMixedBlock:
-    """Attention and the token-axis MLP mix whole and hand their output to one
-    block op for the residual and the channel mixer: bit for bit the chain
-    ``attention_mix_batched`` or ``mlp_mix`` -> ``add`` -> channel mixer."""
+    """Attention and the token-axis MLP mix inside the block op, with the
+    residual and the channel mixer: bit for bit the chain oracle
+    ``attention_mix_batched`` or ``mlp_mix_blocks`` -> ``add`` -> channel
+    mixer."""
 
     @pytest.mark.parametrize("mixer", MIXED_MIXERS)
     @pytest.mark.parametrize("residual", [True, False])
@@ -781,8 +836,8 @@ class TestMixedBlock:
     def test_one_tape_step_and_none_without_gradients(self, leaves, steps, mixer):
         arrays, times, pads = mixed_arrays(np.random.default_rng(51), mixer)
         args = (arrays, times, pads, mixer, "gelu", True, leaves)
-        mix_steps = run_block(token_mix_only, *args)[2]
-        assert run_block(fused_block, *args)[2] == mix_steps + steps
+        assert run_block(token_mix_only, *args)[2] == steps
+        assert run_block(fused_block, *args)[2] == steps
 
     @pytest.mark.parametrize("mixer", MIXED_MIXERS)
     @pytest.mark.parametrize("residual", [True, False])
@@ -803,7 +858,7 @@ class TestMixedBlock:
             p = {**p, **{name: p["h"].tape.constant(a) for name, a in fixed.items()}}
             layer = MIXER_LAYERS[mixer](*(p[name] for name in MIXER_PARAMS[mixer]))
             params = mx.ChannelParams(*(p[name] for name in CHANNEL_NAMES))
-            return sum_all(nc.gelu(mx.token_block(p["h"], times, layer, params, activation,
+            return sum_all(gelu(mx.token_block(p["h"], times, layer, params, activation,
                                                      residual, pad_lens=pads)))
 
         report = nc.grad_check(f, arrays, h=1e-5)
@@ -820,20 +875,20 @@ class TestMixedBlock:
             mx.token_block(const(tape, np.ones((2, 3))), np.arange(2.0),
                            zero_mixer(tape, mixer, 2, 3), params, activation="tanh")
 
-    def test_a_mix_of_another_shape_or_tape_rejected(self):
+    def test_misshapen_or_foreign_weights_rejected(self):
         tape = nc.Tape()
         tokens, params = const(tape, np.ones((6, 3))), zero_channel(tape, 3)
-        for shape, n in (((6, 2), 3), ((3, 3), 3), ((6, 3), 4)):
-            with pytest.raises(nc.ShapeError):
-                mx._mix_block(tokens, const(tape, np.ones(shape)), n, params, "gelu", True)
-        with pytest.raises(nc.ContractError):
-            mx._mix_block(tokens, const(nc.Tape(), np.ones((6, 3))), 3, params, "gelu", True)
-        # attention whose output projection changes the width
-        wide = mx.AttentionLayer(*(const(tape, np.ones((3, 3))) for _ in range(3)),
-                                 const(tape, np.ones((3, 2))))
-        with pytest.raises(nc.ShapeError):
-            mx.token_block(tokens, np.zeros((2, 3)), wide, zero_channel(tape, 2),
-                           residual=False)
+        times = np.zeros((2, 3))
+        for shapes in ([(3, 3)] * 3 + [(3, 2)], [(3, 2), (3, 3), (3, 3), (3, 3)],
+                       [(2, 3)] + [(3, 3)] * 3):
+            layer = mx.AttentionLayer(*(const(tape, np.ones(s)) for s in shapes))
+            with pytest.raises(nc.ShapeError, match="attention weights"):
+                mx.token_block(tokens, times, layer, params)
+        with pytest.raises(nc.ShapeError):  # 6 rows are not blocks of 4
+            mx.token_block(tokens, np.zeros((2, 4)), zero_mixer(tape, "attention", 4, 3), params)
+        for mixer in MIXED_MIXERS:
+            with pytest.raises(nc.ContractError, match="different tapes"):
+                mx.token_block(tokens, times, zero_mixer(nc.Tape(), mixer, 3, 3), params)
 
 
 @pytest.fixture(scope="module")
@@ -869,12 +924,13 @@ class TestRowPasses:
         assert_same_run(runs[1], runs[0], "worker on")
         assert_same_run(runs[0], run_block(composed_block, *args), "chain")
 
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole_blocks", "short_last_block"])
     @pytest.mark.parametrize("m", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17, 8 * CHUNK - 1])
     def test_chunks_cover_each_row_once_and_are_never_short(self, monkeypatch, row_worker,
-                                                            m):
+                                                            m, whole):
         monkeypatch.setattr(nc, "_row_worker", row_worker)
         for block in (None, 1, 7, 20, self.CHUNK // 2 + 1, self.CHUNK + 3):
-            rows_m = m if block is None else m // block * block
+            rows_m = m if block is None or not whole else m // block * block
             seen = np.zeros(rows_m, dtype=np.int64)
             spans = []
 
@@ -892,8 +948,9 @@ class TestRowPasses:
             if step == 1:  # the chunk count of a pass without blocks
                 assert len(spans) == max(1, -(-rows_m // self.CHUNK))
             if len(spans) > 1:  # a GEMM over very few rows sums in another order
-                assert self.CHUNK // 2 <= min(sizes) and max(sizes) < self.CHUNK + step
-                assert all(lo % step == 0 and hi % step == 0 for lo, hi in spans)
+                assert self.CHUNK // 2 <= min(sizes) and max(sizes) < self.CHUNK + 2 * step
+                assert all(lo % step == 0 and (hi % step == 0 or hi == rows_m)
+                           for lo, hi in spans)
                 assert len(spans) <= -(-rows_m // self.CHUNK)
             else:
                 assert spans == [(0, rows_m)]
@@ -919,6 +976,49 @@ class TestRowPasses:
 
         nc._row_passes(3 * self.CHUNK, count)
         assert np.all(seen == 1)
+
+    @pytest.mark.parametrize("m", [0, CHUNK, 4 * CHUNK])
+    def test_every_task_runs_once_on_either_thread(self, monkeypatch, row_worker, m):
+        monkeypatch.setattr(nc, "_row_worker", row_worker)
+        caller, runs = threading.get_ident(), []
+
+        def task(i):
+            time.sleep(1e-3)  # long enough that the worker takes tasks too
+            runs.append((i, threading.get_ident()))
+
+        for fn in (None, lambda lo, hi: None):
+            runs.clear()
+            nc._row_passes(m, fn, tasks=[functools.partial(task, i) for i in range(8)])
+            assert sorted(i for i, _ in runs) == list(range(8))
+            worker = row_worker.submit(threading.get_ident).result()
+            assert {t for _, t in runs} <= {caller, worker}
+
+    def test_without_a_worker_the_rows_then_the_tasks_run_inline_in_order(self,
+                                                                          monkeypatch):
+        monkeypatch.setattr(nc, "_row_worker", None)
+        order = []
+        nc._row_passes(3 * self.CHUNK, lambda lo, hi: order.append((lo, hi)),
+                       tasks=[functools.partial(order.append, i) for i in range(3)])
+        assert order == [(0, 3 * self.CHUNK), 0, 1, 2]
+
+    @pytest.mark.parametrize("fn", [None, "rows"])
+    def test_a_task_exception_reaches_the_caller(self, monkeypatch, row_worker, fn):
+        monkeypatch.setattr(nc, "_row_worker", row_worker)
+        raised = threading.Event()
+
+        def failing():
+            raised.set()
+            raise ArithmeticError(f"task on thread {threading.get_ident()}")
+
+        def slow():
+            assert raised.wait(timeout=60)
+
+        rows = (lambda lo, hi: None) if fn else None
+        with pytest.raises(ArithmeticError, match="task on"):
+            nc._row_passes(3 * self.CHUNK, rows, tasks=[slow, failing, slow])
+        done = []
+        nc._row_passes(0, tasks=[functools.partial(done.append, 1)] * 2)
+        assert done == [1, 1]  # the worker serves the next call
 
     def test_concurrent_callers_each_get_every_row_once(self, monkeypatch, row_worker):
         monkeypatch.setattr(nc, "_row_worker", row_worker)
@@ -1046,20 +1146,29 @@ class TestFusedTokenBlock:
         spans = []
         row_passes = nc._row_passes
 
-        def recorded(m, fn, block=1):
-            spans.append((m, block))
-            row_passes(m, fn, block=block)
+        def recorded(m, fn=None, block=1, tasks=()):
+            spans.append((m, block, fn is not None, len(tasks)))
+            row_passes(m, fn, block, tasks)
 
         monkeypatch.setattr(nc, "_row_passes", recorded)
         arrays, times, pads = block_arrays(np.random.default_rng(62), r=r, n=n, mixer=mixer)
         run_block(fused_block, arrays, times, pads, mixer, "gelu", True, BLOCK_ALL)
-        assert spans == [(r * n, n), (r * n, n)]  # one forward pass, one backward pass
+        # one forward pass; one backward pass with the W2 and b2 sums; one
+        # pass of every other sum: W1, b1, the LayerNorm's two and the mix's
+        mix_sums = {"learned": 2, "attention": 4, "mlp": 4}[mixer]
+        # the MLP's chunks start where the whole GEMM's groups of 8 columns do:
+        # every second block of d = 4 columns
+        block = 2 * n if mixer == "mlp" else n
+        assert spans == [(r * n, block, True, 0), (r * n, block, True, 2),
+                         (0, 1, False, 4 + mix_sums)]
 
-    def test_concurrent_blocks_give_the_single_caller_bits(self, monkeypatch, row_worker):
+    @pytest.mark.parametrize("mixer", ["learned", "attention"])
+    def test_concurrent_blocks_give_the_single_caller_bits(self, monkeypatch, row_worker,
+                                                           mixer):
         monkeypatch.setattr(nc, "_row_worker", row_worker)
         arrays, times, pads = block_arrays(np.random.default_rng(64),
-                                           r=3 * self.CHUNK // 7 + 2, n=7, mixer="learned")
-        args = (arrays, times, pads, "learned", "gelu", True, BLOCK_ALL)
+                                           r=3 * self.CHUNK // 7 + 2, n=7, mixer=mixer)
+        args = (arrays, times, pads, mixer, "gelu", True, BLOCK_ALL)
         want_out, _, _, want_grads = run_block(fused_block, *args)
         failures = []
 
@@ -1104,7 +1213,7 @@ class TestFusedTokenBlock:
                         and fn.__module__ == module.__name__):
                     monkeypatch.setattr(module, name, recorder(f"{module.__name__}.{name}", fn))
         monkeypatch.setattr(nc.Tape, "record", recorder("Tape.record", nc.Tape.record))
-        ffn_rows = mx._ffn_rows
+        layer_norm = nc._layer_norm
         worker_in = threading.Event()
 
         def handshake_rows(*args, **kwargs):
@@ -1113,9 +1222,9 @@ class TestFusedTokenBlock:
                 worker_in.wait(timeout=30)  # hold the caller's chunk until the worker has one
             else:
                 worker_in.set()
-            return ffn_rows(*args, **kwargs)
+            return layer_norm(*args, **kwargs)
 
-        monkeypatch.setattr(mx, "_ffn_rows", handshake_rows)
+        monkeypatch.setattr(nc, "_layer_norm", handshake_rows)
         arrays, times, pads = block_arrays(np.random.default_rng(63), r=3 * self.CHUNK // 7 + 2,
                                            n=7, mixer=mixer)
         run_block(fused_block, arrays, times, pads, mixer, "gelu", True, leaves)
@@ -1126,22 +1235,10 @@ class TestFusedTokenBlock:
 
 class TestBlockWithoutChannelMixer:
     """``channel=None`` is the layer without a channel mixer: the same block
-    op, one tape step after the whole mix of attention or the MLP (none, and
-    the mix itself, without the residual) and one step in all for an adaptive
-    or pooling layer, bit for bit the token mix and the residual ``add``,
-    worker off and on."""
+    op, one tape step for every mixer kind, bit for bit the token mix and the
+    residual ``add``, worker off and on."""
 
     CHUNK = nc._ROW_CHUNK
-
-    @pytest.mark.parametrize("mixer", MIXED_MIXERS)
-    def test_without_the_residual_a_whole_mix_comes_back_as_it_is(self, mixer):
-        tape = nc.Tape()
-        tokens = tape.leaf(np.random.default_rng(67).normal(size=(6, 3)))
-        times = np.zeros((2, 3))
-        mixed = mx.token_mix(tokens, times, zero_mixer(tape, mixer, 3, 3))
-        steps = len(tape._steps)
-        assert mx._mix_block(tokens, mixed, 3, None, None, residual=False) is mixed
-        assert len(tape._steps) == steps
 
     @pytest.mark.parametrize("leaves", BLOCK_LEAVES + [("mixer",)])
     @pytest.mark.parametrize("mixer", list(BLOCK_MIXERS))
@@ -1198,6 +1295,14 @@ class TestTokenBlock:
         out = mx.token_block(const(tape, h), np.arange(4.0), pooling_layer(tape, 2), None,
                              residual=False)
         np.testing.assert_allclose(out.data, reference_pooling_mix(h, 2))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2), (2, 1)])
+    def test_a_fusion_of_another_shape_rejected(self, shape):
+        tape = nc.Tape()
+        mixer = mx.AdaptiveLayer(np.arange(2), tape.leaf(np.zeros((1, 2))),
+                                 tape.leaf(np.zeros(shape)))
+        with pytest.raises(nc.ShapeError, match=re.escape(f"fusion shape {shape}")):
+            mx.token_mix(tape.leaf(np.ones((4, 2))), np.arange(4.0), mixer)
 
     @pytest.mark.parametrize("foreign", ["order_logits", "fusion"])
     def test_order_logits_or_fusion_on_another_tape_rejected(self, foreign):

@@ -24,6 +24,10 @@ def toy_graph(n_events=6, seed=0, edge_dim=3, node_dim=2, n_nodes=5):
     return stream, tg.TemporalStore(stream)
 
 
+VARIANT_FLAGS = {"default": {}, "relu": {"activation": "relu"},
+                 "no_resnet": {"no_resnet": True}, "no_cm": {"no_cm": True}}
+
+
 def small_config(**kw):
     defaults = dict(dim=4, time_dim=6, spans=(2, 4), mixer="adaptive",
                     n_max=4)
@@ -232,6 +236,59 @@ class TestFullModelGradients:
         sig = 1.0 / (1.0 + np.exp(40.0))
         assert bound.values["pred.b2"].grad[0, 0] == pytest.approx(-b + 2 * b * sig,
                                                                    abs=1e-12)
+
+
+# (mixer, flags, seed): the 4 mixers under each variant, the pinned fusions
+# and one 3-layer stack, each at a seeded point where every tensor it holds
+# gets a nonzero gradient
+GENERIC_POINTS = {f"{mixer}-{variant}": (mixer, flags, 40) for mixer in md.MIXERS
+                  for variant, flags in VARIANT_FLAGS.items()}
+GENERIC_POINTS.update({"adaptive-no_lp": ("adaptive", {"no_lp": True}, 40),
+                       "adaptive-no_rt": ("adaptive", {"no_rt": True}, 40),
+                       "adaptive-3_layers": ("adaptive", {"spans": (2, 4, 8), "n_max": 8}, 40)})
+
+
+class TestGenericPointGradients:
+    """The composed model (window gather, input tables, layer stack, readout,
+    predictor) against central differences for every tensor, at a point
+    where every tensor is moved off its initializer by a normal draw, as
+    ``oracle_fixture`` does. At init the zero ``pred.w2`` cuts every other
+    tensor off the loss, so there the check compares zeros."""
+
+    @staticmethod
+    def point(mixer, flags, seed):
+        cfg = small_config(mixer=mixer, **flags)
+        stream, store = toy_graph(n_events=24, seed=seed)
+        params = md.init_params(cfg, stream.node_dim, stream.edge_dim, seed=seed + 1)
+        rng = np.random.default_rng(seed + 2)
+        tensors = {name: arr + 0.3 * rng.normal(size=arr.shape)
+                   for name, arr in params.tensors.items()}
+        queries = [(int(stream.src[i]), int(stream.dst[i]), int((stream.dst[i] + 1) % 5),
+                    float(stream.t[i])) for i in range(21, 24)]
+        return cfg, store, tensors, queries
+
+    @pytest.mark.parametrize("mixer,flags,seed", GENERIC_POINTS.values(), ids=GENERIC_POINTS)
+    def test_every_tensor_matches_finite_differences(self, mixer, flags, seed):
+        cfg, store, tensors, queries = self.point(mixer, flags, seed)
+
+        def f(values):
+            return md.batch_loss(md.BoundModel(cfg, values), store, queries)
+
+        tape = nc.Tape()
+        values = {name: tape.leaf(arr) for name, arr in tensors.items()}
+        nc.backward(tape, f(values))
+        assert [name for name, v in values.items() if v.data.size and not v.grad.any()] == []
+        report = nc.grad_check(f, tensors, h=1e-5)
+        assert report.max_rel_error <= 1e-4, report.max_rel_error
+
+    def test_the_check_sees_a_dead_tensor(self):
+        """At the zero ``pred.w2`` of init the nonzero-gradient assertion fails."""
+        cfg, store, tensors, queries = self.point("adaptive", {}, 40)
+        tensors["pred.w2"][:] = 0.0
+        tape = nc.Tape()
+        values = {name: tape.leaf(arr) for name, arr in tensors.items()}
+        nc.backward(tape, md.batch_loss(md.BoundModel(cfg, values), store, queries))
+        assert "layer0.ff_w1" in [name for name, v in values.items() if not v.grad.any()]
 
 
 def reference_inputs(store, keys, cfg):
@@ -488,8 +545,7 @@ def max_abs_diff(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
-VARIANTS = {"default": {}, "relu": {"activation": "relu"},
-            "no_resnet": {"no_resnet": True}, "no_cm": {"no_cm": True}}
+VARIANTS = VARIANT_FLAGS
 
 
 class TestEveryMixerMatchesThePerSequencePath:
