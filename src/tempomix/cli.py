@@ -339,11 +339,12 @@ def _fit_slope(ns, values) -> float:
                             np.log(np.asarray(values, float)), 1)[0])
 
 
-def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0) -> dict:
+def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0, ready=None) -> dict:
     """Measure operation counts and wall time per (mixer, N); fit log-log slopes.
 
     Operation counts are machine-independent and drive the scaling claim;
-    wall times are reported alongside.
+    wall times are reported alongside. ``ready()``, if given, runs once every
+    argument has passed, before any measuring.
     """
     lengths = [int(n) for n in lengths]
     if len(lengths) < 3:
@@ -354,6 +355,8 @@ def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0) -> dict:
         raise UsageError("repeats must be at least 1")
     configs = {(mixer, n): _bench_config(mixer, n, dim, kernel)  # all before measuring
                for mixer in mixer_kinds for n in lengths}
+    if ready is not None:
+        ready()
     rng = np.random.default_rng(seed)
     out = {}
     for mixer in mixer_kinds:
@@ -377,10 +380,10 @@ def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0) -> dict:
 def cmd_bench(args) -> int:
     lengths = _int_list("--lengths", args.lengths)
     mixer_kinds = [m.strip() for m in args.mixers.split(",")]
-    results = run_bench(lengths, mixer_kinds, args.repeats, dim=args.dim,
-                        kernel=args.kernel, seed=args.seed or 0)
-    out_dir = Path(args.out or "out")  # made once the arguments have passed
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out or "out")
+    results = run_bench(lengths, mixer_kinds, args.repeats, dim=args.dim, kernel=args.kernel,
+                        seed=args.seed or 0,
+                        ready=lambda: out_dir.mkdir(parents=True, exist_ok=True))
     _write_json(out_dir / "bench.json", results)
     csv_path = out_dir / "bench.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:

@@ -21,7 +21,6 @@ analytic, bit for bit the chain of tape ops that ``tests/oracles.py`` keeps.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -158,10 +157,13 @@ class _Sums(list):
 
 class _Mix:
     """One layer call of a token mixer on R blocks of n rows, run by the block
-    op in chunks bounded at multiples of ``block`` rows: ``rows`` (the mix of
-    rows lo..hi, a new array), ``start_back`` (allocating what the backward
+    op in chunks of whole blocks: ``rows`` (the mix of rows lo..hi, an array
+    the block may write over), ``start_back`` (allocating what the backward
     pass fills), ``back_rows`` (their weight-gradient parts and, if asked, the
-    tokens' shares in the chain's order), ``sums`` and ``flops``."""
+    tokens' shares in the chain's order; run once over all rows after the
+    pass if ``whole_back``), ``sums`` and ``flops``."""
+
+    whole_back = False
 
     def __init__(self, tokens: Value, times, pads, *operands: Value):
         (m, _), (r, n) = tokens.data.shape, times.shape
@@ -169,9 +171,12 @@ class _Mix:
             raise ShapeError(f"token rows {m} do not form {r} blocks of {n}")
         if len(pads) != r or np.any(pads < 0) or np.any(pads >= n):
             raise ContractError(f"{r} pad lengths must lie in [0, {n})")
-        self.x, self.n, self.block, self.operands = tokens.data, n, n, operands
+        self.x, self.n, self.operands = tokens.data, n, operands
         self.want = any(v.want_grad for v in (tokens, *operands))
         self.reads_gh = False  # a sum reads the output gradient after the pass
+
+    def start_back(self) -> None:
+        pass
 
 
 class _Mixing(_Mix):
@@ -355,8 +360,8 @@ class _Attention(_Mix):
 
 
 def _side_by_side(a: np.ndarray, n: int) -> np.ndarray:
-    """Blocks of n rows side by side: (B*n) x d becomes n x (B*d)."""
-    return a.reshape(-1, n, a.shape[1]).transpose(1, 0, 2).reshape(n, -1)
+    """Blocks of n rows side by side, a new array: (B*n) x d becomes n x (B*d)."""
+    return a.reshape(-1, n, a.shape[1]).transpose(1, 0, 2).copy().reshape(n, -1)
 
 
 def _stacked(a: np.ndarray, d: int) -> np.ndarray:
@@ -366,8 +371,11 @@ def _stacked(a: np.ndarray, d: int) -> np.ndarray:
 
 class _TokenMlp(_Mix):
     """A token-axis MLP layer call: each block's n rows become W2 act(W1 h +
-    b1) + b2, all blocks side by side in one pair of GEMMs. A chunk runs its
-    blocks' columns, bit for bit the chain over all blocks at once."""
+    b1) + b2, all blocks side by side in one pair of GEMMs. Every GEMM runs
+    whole, as in the chain: the forward once per call, and the backward once
+    after the block's pass (``whole_back``); the chunks only slice them."""
+
+    whole_back = True
 
     def __init__(self, tokens: Value, times, pads, layer: MlpLayer, activation: str):
         super().__init__(tokens, times, pads, layer.w1, layer.b1, layer.w2, layer.b2)
@@ -378,48 +386,31 @@ class _TokenMlp(_Mix):
         shapes = [w.data.shape for w in self.operands]
         if shapes != [(k, n), (k, 1), (n, k), (n, 1)]:
             raise ShapeError(f"token-axis MLP weights {shapes} do not fit {m}x{d} tokens")
-        self.gelu, width = activation == "gelu", m // n * d
-        self.flops = (4 * k * n + k + nc._FLOPS_PER_ELEMENT[activation] * k + n) * width
-        # OpenBLAS (SkylakeX) sums the last 1-4 columns of a GEMM in another
-        # order, so a chunk's columns start where the whole's groups of 8 do
-        self.block = n * (8 // math.gcd(d, 8))
+        w1, b1, w2, b2 = (w.data for w in self.operands)
+        self.flops = (4 * k * n + k + nc._FLOPS_PER_ELEMENT[activation] * k + n) * (m // n * d)
+        h = _side_by_side(self.x, n)
+        pre = w1 @ h + b1
+        cdf = nc._gelu_cdf(pre) if activation == "gelu" else None
+        act = nc._relu(pre) if cdf is None else pre * cdf
+        self.out = _stacked(w2 @ act + b2, d)
         # side by side: the inputs, pre-activations, GELU gates and activations
-        hidden = functools.partial(np.empty, (k, width))
-        self.keep = (np.empty((n, width)), hidden(), hidden() if self.gelu else None,
-                     hidden()) if self.want else None
+        self.keep = (h, pre, cdf, act) if self.want else None
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        w1, b1, w2, b2 = (w.data for w in self.operands)
-        d = self.x.shape[1]
-        h = _side_by_side(self.x[lo:hi], self.n)
-        pre = w1 @ h
-        pre += b1
-        cdf = nc._gelu_cdf(pre) if self.gelu else None
-        act = pre * cdf if self.gelu else nc._relu(pre)
-        for kept, a in zip(self.keep or (), (h, pre, cdf, act)):
-            if kept is not None:
-                kept[:, lo // self.n * d:hi // self.n * d] = a
-        out = w2 @ act
-        out += b2
-        return _stacked(out, d)
-
-    def start_back(self) -> None:
-        self.gout = np.empty_like(self.keep[0])
+        return self.out[lo:hi]
 
     def back_rows(self, g: np.ndarray, lo: int, hi: int, shares: bool) -> list:
-        """Fills ``gout``, and the pre-activation gradient over ``pre`` (ReLU)
-        or the GELU gates."""
+        """All rows at once: ``gout``, and the pre-activation gradient over
+        ``pre`` (ReLU) or the GELU gates."""
         w1, _, w2, _ = (w.data for w in self.operands)
-        d, (_, pre, cdf, _) = self.x.shape[1], self.keep
-        cols = slice(lo // self.n * d, hi // self.n * d)
-        gout = self.gout[:, cols]
-        gout[...] = _side_by_side(g, self.n)
-        ghid = w2.T @ gout
+        _, pre, cdf, _ = self.keep
+        self.gout = _side_by_side(g, self.n)
+        ghid = w2.T @ self.gout
         if cdf is None:
-            gpre = nc._relu_grad(ghid, pre[:, cols], out=pre[:, cols])
+            gpre = nc._relu_grad(ghid, pre, out=pre)
         else:  # (Phi + x phi) * g, over the gates
-            gpre = cdf[:, cols]
-            gpre += nc._gelu_slope(pre[:, cols])
+            gpre = cdf
+            gpre += nc._gelu_slope(pre)
             gpre *= ghid
         return [_stacked(w1.T @ gpre, self.x.shape[1])] if shares else []
 
@@ -462,11 +453,12 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
     W2.T``, the activation gradient (over the GELU gates, or the
     pre-activations for ReLU, so ``act`` stays for ``act.T @ g``), ``gpre @
     W1.T``, the LayerNorm's input gradient plus the residual's share, the
-    mix's backward, and the tokens' gradient, its shares added in the
-    chain's order to any the tokens already hold. Each sum over rows is one
-    whole task: ``W2`` and ``b2`` in that pass, every other one in one pass
-    of tasks after it. The small ops, which hold the GIL, overlap with the
-    other thread's GEMMs and erf, which release it.
+    mix's backward (after the pass, whole, for the token-axis MLP), and the
+    tokens' gradient, its shares added in the chain's order to any the
+    tokens already hold. Each sum over rows is one whole task: ``W2`` and
+    ``b2`` in that pass, every other one in one pass of tasks after it. The
+    small ops, which hold the GIL, overlap with the other thread's GEMMs and
+    erf, which release it.
     """
     p = channel
     params = () if p is None else (p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
@@ -509,7 +501,7 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
         if residual:
             f[lo:hi] += h
 
-    nc._row_passes(m, forward_rows, block=mix.block)
+    nc._row_passes(m, forward_rows, block=mix.n)
     out = Value(f, tape, want)
     if not want:
         return out
@@ -529,6 +521,13 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
         if mix.want:
             mix.start_back()
 
+        def mix_back_rows(lo, hi):
+            shares = mix.back_rows(gh[lo:hi], lo, hi, tokens.want_grad)
+            if tokens.want_grad:  # the chain's order: the residual's share, then the mix's
+                rows = slice(lo, hi)
+                shares = ([] if prior is None else [prior[rows]]) + [gh[rows]] * residual + shares
+                gx[rows] = functools.reduce(np.add, shares)
+
         def backward_rows(lo, hi):
             rows = slice(lo, hi)
             if p is not None:
@@ -543,14 +542,12 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
                                          out=gh[rows])
                 if residual:
                     gh[rows] += g[rows]
-            if not mix.want:
-                return
-            shares = mix.back_rows(gh[rows], lo, hi, tokens.want_grad)
-            if tokens.want_grad:  # the chain's order: the residual's share, then the mix's
-                shares = ([] if prior is None else [prior[rows]]) + [gh[rows]] * residual + shares
-                gx[rows] = functools.reduce(np.add, shares)
+            if mix.want and not mix.whole_back:
+                mix_back_rows(lo, hi)
 
-        nc._row_passes(m, backward_rows, mix.block, [task for *_, task in sums])
+        nc._row_passes(m, backward_rows, mix.n, [task for *_, task in sums])
+        if mix.want and mix.whole_back:
+            mix_back_rows(0, m)
         first = len(sums)
         if p is not None:
             gpre = pre if cdf is None else cdf

@@ -379,21 +379,21 @@ def _drain(items) -> None:
 def _row_passes(m: int, fn: Callable[[int, int], None] | None = None, block: int = 1,
                 tasks: Sequence[Callable[[], None]] = ()) -> None:
     """Run ``fn(lo, hi)`` over row ranges that cover ``range(m)`` once, each
-    bound but ``m`` a multiple of ``block``, then each of ``tasks`` once:
-    zero-argument callables, each a whole sum into an output its caller
-    allocated (``fn`` None: tasks only). With the worker, the ranges are
-    ceil(m / _ROW_CHUNK) chunks of near-equal numbers of blocks, fewer where
-    one would fall below _ROW_CHUNK / 2 rows, and the two threads take chunks
-    and tasks from one iterator; an exception in either re-raises here.
-    Without it, ``fn(0, m)`` and the tasks run inline, in order. A second
-    caller's items queue behind the first's."""
+    bound a multiple of ``block`` (which must divide ``m``), then each of
+    ``tasks`` once: zero-argument callables, each a whole sum into an output
+    its caller allocated (``fn`` None: tasks only). With the worker, the
+    ranges are ceil(m / _ROW_CHUNK) chunks of near-equal numbers of blocks,
+    fewer where one would fall below _ROW_CHUNK / 2 rows, and the two
+    threads take chunks and tasks from one iterator; an exception in either
+    re-raises here. Without it, ``fn(0, m)`` and the tasks run inline, in
+    order. A second caller's items queue behind the first's."""
     worker = _row_worker
     bounds = [] if fn is None else [(0, m)]
     if fn is not None and worker is not None:
         blocks = m // block
         k = min(-(-m // _ROW_CHUNK), blocks // -(-(_ROW_CHUNK // 2) // block))
         if k >= 2:
-            bounds = [(i * blocks // k * block, (i + 1) * blocks // k * block if i < k - 1 else m)
+            bounds = [(i * blocks // k * block, (i + 1) * blocks // k * block)
                       for i in range(k)]
     items = [functools.partial(fn, lo, hi) for lo, hi in bounds] + list(tasks)
     if len(items) < 2 or worker is None:

@@ -425,6 +425,15 @@ class TestBenchCommand:
         assert not (tmp_path / "bench.csv").exists()
         assert "bogus" in capsys.readouterr().err
 
+    def test_out_that_is_a_file_fails_before_measuring(self, tmp_path, monkeypatch):
+        def measured(*args):
+            raise AssertionError("a mixer was measured")
+
+        monkeypatch.setattr(cli, "_bench_forward", measured)
+        out = tmp_path / "file"
+        out.write_text("")
+        assert main(["bench", "--lengths", "8,16,32", "--repeats", "1", "--out", str(out)]) == 2
+        assert out.read_text() == ""
 
     @pytest.mark.parametrize("kernel", ["0", "-1"])
     def test_kernel_below_one_is_a_usage_error(self, tmp_path, capsys, kernel):

@@ -924,13 +924,12 @@ class TestRowPasses:
         assert_same_run(runs[1], runs[0], "worker on")
         assert_same_run(runs[0], run_block(composed_block, *args), "chain")
 
-    @pytest.mark.parametrize("whole", [True, False], ids=["whole_blocks", "short_last_block"])
     @pytest.mark.parametrize("m", [0, 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17, 8 * CHUNK - 1])
     def test_chunks_cover_each_row_once_and_are_never_short(self, monkeypatch, row_worker,
-                                                            m, whole):
+                                                            m):
         monkeypatch.setattr(nc, "_row_worker", row_worker)
         for block in (None, 1, 7, 20, self.CHUNK // 2 + 1, self.CHUNK + 3):
-            rows_m = m if block is None or not whole else m // block * block
+            rows_m = m if block is None else m // block * block
             seen = np.zeros(rows_m, dtype=np.int64)
             spans = []
 
@@ -948,9 +947,8 @@ class TestRowPasses:
             if step == 1:  # the chunk count of a pass without blocks
                 assert len(spans) == max(1, -(-rows_m // self.CHUNK))
             if len(spans) > 1:  # a GEMM over very few rows sums in another order
-                assert self.CHUNK // 2 <= min(sizes) and max(sizes) < self.CHUNK + 2 * step
-                assert all(lo % step == 0 and (hi % step == 0 or hi == rows_m)
-                           for lo, hi in spans)
+                assert self.CHUNK // 2 <= min(sizes) and max(sizes) < self.CHUNK + step
+                assert all(lo % step == 0 and hi % step == 0 for lo, hi in spans)
                 assert len(spans) <= -(-rows_m // self.CHUNK)
             else:
                 assert spans == [(0, rows_m)]
@@ -1140,6 +1138,13 @@ class TestFusedTokenBlock:
         assert_matches_the_oracles(arrays, times, pads, mixer, activation, residual, BLOCK_ALL)
 
     @pytest.mark.parametrize("mixer", ["learned", "attention", "mlp"])
+    def test_one_block_matches_the_oracles(self, mixer):
+        """One block side by side is the block itself, and the tokens'
+        gradient is written over the output gradient the MLP's sums read."""
+        arrays, times, pads = block_arrays(np.random.default_rng(63), r=1, n=7, mixer=mixer)
+        assert_matches_the_oracles(arrays, times, pads, mixer, "gelu", True, BLOCK_ALL)
+
+    @pytest.mark.parametrize("mixer", ["learned", "attention", "mlp"])
     def test_chunks_hold_whole_blocks(self, monkeypatch, row_worker, mixer):
         monkeypatch.setattr(nc, "_row_worker", row_worker)
         n, r = 7, 3 * self.CHUNK // 7 + 2
@@ -1156,11 +1161,7 @@ class TestFusedTokenBlock:
         # one forward pass; one backward pass with the W2 and b2 sums; one
         # pass of every other sum: W1, b1, the LayerNorm's two and the mix's
         mix_sums = {"learned": 2, "attention": 4, "mlp": 4}[mixer]
-        # the MLP's chunks start where the whole GEMM's groups of 8 columns do:
-        # every second block of d = 4 columns
-        block = 2 * n if mixer == "mlp" else n
-        assert spans == [(r * n, block, True, 0), (r * n, block, True, 2),
-                         (0, 1, False, 4 + mix_sums)]
+        assert spans == [(r * n, n, True, 0), (r * n, n, True, 2), (0, 1, False, 4 + mix_sums)]
 
     @pytest.mark.parametrize("mixer", ["learned", "attention"])
     def test_concurrent_blocks_give_the_single_caller_bits(self, monkeypatch, row_worker,
