@@ -154,6 +154,8 @@ def resolve_run_spec(args) -> RunSpec:
     if "synthetic" in data:
         spec.synthetic = tg.SyntheticSpec.from_dict(data["synthetic"])
         spec.synthetic_seed = nc.json_typed("data 'seed'", data.get("seed", 0), "int")
+        if spec.synthetic_seed < 0:
+            raise UsageError(f"data 'seed' must be non-negative, got {spec.synthetic_seed}")
     if "out" in doc:
         spec.out_dir = Path(nc.json_typed("'out'", doc["out"], "str"))
     spec.runs = nc.json_typed("'runs'", doc.get("runs", 1), "int")
@@ -250,10 +252,9 @@ def cmd_eval(args) -> int:
     if dims != stream_dims:
         raise nc.ContractError(f"checkpoint (node_dim, edge_dim) {dims} does not match "
                                f"the stream's {stream_dims}")
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
     _, _, test_split = tg.chronological_split(stream, te.TRAIN_RATIO, te.VAL_RATIO)
-    fit_len = len(stream) - len(test_split)
-    candidates = stream.slice(0, fit_len).destinations()
+    candidates = te._negative_candidates(stream, len(stream) - len(test_split))
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
     store = tg.TemporalStore(stream)
     ap, auc = te.evaluate(params, test_split, store, candidates,
                           [spec.train.seed, te.TEST_SEED_TAG])
@@ -339,13 +340,8 @@ def _fit_slope(ns, values) -> float:
                             np.log(np.asarray(values, float)), 1)[0])
 
 
-def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0, ready=None) -> dict:
-    """Measure operation counts and wall time per (mixer, N); fit log-log slopes.
-
-    Operation counts are machine-independent and drive the scaling claim;
-    wall times are reported alongside. ``ready()``, if given, runs once every
-    argument has passed, before any measuring.
-    """
+def _bench_configs(lengths, mixer_kinds, repeats, dim, kernel) -> dict:
+    """Check the benchmark's arguments; the config to time per (mixer, N)."""
     lengths = [int(n) for n in lengths]
     if len(lengths) < 3:
         raise UsageError("need at least 3 sequence lengths to fit a slope robustly")
@@ -353,37 +349,45 @@ def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0, ready=None
         raise UsageError(f"sequence lengths must be strictly ascending, got {lengths}")
     if repeats < 1:
         raise UsageError("repeats must be at least 1")
-    configs = {(mixer, n): _bench_config(mixer, n, dim, kernel)  # all before measuring
-               for mixer in mixer_kinds for n in lengths}
-    if ready is not None:
-        ready()
+    return {(mixer, n): _bench_config(mixer, n, dim, kernel)
+            for mixer in mixer_kinds for n in lengths}
+
+
+def _measure(configs: dict, repeats: int, seed: int) -> dict:
+    """Ops and median wall time per (mixer, N); each mixer's log-log slopes."""
     rng = np.random.default_rng(seed)
-    out = {}
-    for mixer in mixer_kinds:
-        points = []
-        for n in lengths:
-            _bench_forward(configs[mixer, n], seed, rng)  # warmup
-            walls = []
-            for _ in range(repeats):
-                ops, wall = _bench_forward(configs[mixer, n], seed, rng)
-                walls.append(wall)
-            points.append({"n": n, "ops": int(ops),
-                           "median_ns": int(np.median(walls))})
-        out[mixer] = {
-            "points": points,
-            "ops_slope": _fit_slope(lengths, [p["ops"] for p in points]),
-            "wall_slope": _fit_slope(lengths, [p["median_ns"] for p in points]),
-        }
-    return out
+    points = {}
+    for (mixer, n), config in configs.items():
+        _bench_forward(config, seed, rng)  # warmup
+        walls = []
+        for _ in range(repeats):
+            ops, wall = _bench_forward(config, seed, rng)
+            walls.append(wall)
+        points.setdefault(mixer, []).append({"n": n, "ops": int(ops),
+                                             "median_ns": int(np.median(walls))})
+    return {mixer: {
+        "points": pts,
+        "ops_slope": _fit_slope([p["n"] for p in pts], [p["ops"] for p in pts]),
+        "wall_slope": _fit_slope([p["n"] for p in pts], [p["median_ns"] for p in pts]),
+    } for mixer, pts in points.items()}
+
+
+def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0) -> dict:
+    """Measure operation counts and wall time per (mixer, N); fit log-log slopes.
+
+    Operation counts are machine-independent and drive the scaling claim;
+    wall times are reported alongside.
+    """
+    return _measure(_bench_configs(lengths, mixer_kinds, repeats, dim, kernel), repeats, seed)
 
 
 def cmd_bench(args) -> int:
     lengths = _int_list("--lengths", args.lengths)
     mixer_kinds = [m.strip() for m in args.mixers.split(",")]
+    configs = _bench_configs(lengths, mixer_kinds, args.repeats, args.dim, args.kernel)
     out_dir = Path(args.out or "out")
-    results = run_bench(lengths, mixer_kinds, args.repeats, dim=args.dim, kernel=args.kernel,
-                        seed=args.seed or 0,
-                        ready=lambda: out_dir.mkdir(parents=True, exist_ok=True))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = _measure(configs, args.repeats, args.seed or 0)
     _write_json(out_dir / "bench.json", results)
     csv_path = out_dir / "bench.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:

@@ -14,8 +14,11 @@ it on R left-padded sequences of n rows stacked into one (R*n) x d matrix;
 :func:`token_mix`. The adaptive mixer computes its weights whole, once per
 call, and keeps per-layer work at O(N * K * d) instead of materializing
 N x N mixing matrices. Pooling is an :class:`AdaptiveLayer` of constants:
-flat order logits over the window 0..k-1 at fusion 1. Every backward is
-analytic, bit for bit the chain of tape ops that ``tests/oracles.py`` keeps.
+flat order logits over the window 0..k-1 at fusion 1. The channel mixer and
+the token-axis MLP share one activation kernel (``numcore._activate`` and
+``_activation_grad``); attention and the order logits share one softmax
+gradient. Every backward is analytic, bit for bit the chain of tape ops that
+``tests/oracles.py`` keeps.
 """
 
 from __future__ import annotations
@@ -144,6 +147,12 @@ def _masked_softmax(scores: np.ndarray) -> np.ndarray:
     return e / np.where(s > 0.0, s, 1.0)
 
 
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of a softmax over the last axis, output ``p``, given the
+    output's gradient ``g``."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
 class _Sums(list):
     """A backward step's whole sums over rows, as (Value, result, task): each
     task is ``fn`` into a new array (``out=``), added only for a Value that
@@ -159,7 +168,7 @@ class _Mix:
     """One layer call of a token mixer on R blocks of n rows, run by the block
     op in chunks of whole blocks: ``rows`` (the mix of rows lo..hi, an array
     the block may write over), ``start_back`` (allocating what the backward
-    pass fills), ``back_rows`` (their weight-gradient parts and, if asked, the
+    pass fills), ``back_rows`` (their weight-gradient parts, returning the
     tokens' shares in the chain's order; run once over all rows after the
     pass if ``whole_back``), ``sums`` and ``flops``."""
 
@@ -204,10 +213,11 @@ class _Mixing(_Mix):
 
         valid = np.arange(n)[None, None, :] - offsets[:, None, None] >= pads[None, :, None]
         self.covered = valid.any(axis=0)
+        # (index, offset) of each offset that reaches back within a block
+        self.window = [(j, p) for j, p in enumerate(offsets) if p < n]
         gaps = np.full((k, r, n), np.inf)
-        for j, p in enumerate(offsets):
-            if p < n:
-                gaps[j, :, p:] = times[:, p:] - times[:, : n - p]
+        for j, p in self.window:
+            gaps[j, :, p:] = times[:, p:] - times[:, : n - p]
         gaps[~valid] = np.inf
         self.theta = _masked_softmax(-gaps)
         self.order_w = _masked_softmax(
@@ -223,9 +233,8 @@ class _Mixing(_Mix):
         n, b0, b1 = self.n, lo // self.n, hi // self.n
         h = self.x[lo:hi].reshape(b1 - b0, n, -1)
         out = np.zeros_like(h)
-        for j, p in enumerate(self.offsets):
-            if p < n:
-                out[:, p:, :] += self.alpha[j, b0:b1, p:, None] * h[:, : n - p, :]
+        for j, p in self.window:
+            out[:, p:, :] += self.alpha[j, b0:b1, p:, None] * h[:, : n - p, :]
         uncovered = ~self.covered[b0:b1]
         out[uncovered] = h[uncovered]
         return out.reshape(hi - lo, -1)
@@ -236,21 +245,17 @@ class _Mixing(_Mix):
             k, r, n = self.alpha.shape
             self.dalpha = np.zeros((r, n, k))
 
-    def back_rows(self, g: np.ndarray, lo: int, hi: int, shares: bool) -> list:
+    def back_rows(self, g: np.ndarray, lo: int, hi: int) -> list:
         """Fills ``dalpha`` (zero where an offset reaches before the block)."""
         n, b0, b1 = self.n, lo // self.n, hi // self.n
         g3 = g.reshape(b1 - b0, n, -1)
         if self.dalpha is not None:
             h = self.x[lo:hi].reshape(g3.shape)
-            for j, p in enumerate(self.offsets):
-                if p < n:
-                    self.dalpha[b0:b1, p:, j] = (g3[:, p:, :] * h[:, : n - p, :]).sum(axis=2)
-        if not shares:
-            return []
+            for j, p in self.window:
+                self.dalpha[b0:b1, p:, j] = (g3[:, p:, :] * h[:, : n - p, :]).sum(axis=2)
         out = np.zeros_like(g3)
-        for j, p in enumerate(self.offsets):
-            if p < n:
-                out[:, : n - p, :] += self.alpha[j, b0:b1, p:, None] * g3[:, p:, :]
+        for j, p in self.window:
+            out[:, : n - p, :] += self.alpha[j, b0:b1, p:, None] * g3[:, p:, :]
         uncovered = ~self.covered[b0:b1]
         out[uncovered] += g3[uncovered]
         return [out.reshape(hi - lo, -1)]
@@ -265,9 +270,7 @@ class _Mixing(_Mix):
         theta = np.ascontiguousarray(np.moveaxis(self.theta, 0, -1))
 
         def order_grad(out):
-            go = fuse * dalpha
-            ds = order_w * (go - (go * order_w).sum(axis=2, keepdims=True))
-            np.sum(ds, axis=(0, 1), out=out.reshape(-1))
+            np.sum(_softmax_grad(order_w, fuse * dalpha), axis=(0, 1), out=out.reshape(-1))
 
         sums.add(order_logits, order_grad)
         sums.add(fusion, lambda out: np.sum(dalpha * (order_w - theta), out=out.reshape(())))
@@ -338,7 +341,7 @@ class _Attention(_Mix):
     def start_back(self) -> None:
         self.grads = tuple(np.empty_like(a) for a in self.keep[:3])  # of q, k and v
 
-    def back_rows(self, g: np.ndarray, lo: int, hi: int, shares: bool) -> list:
+    def back_rows(self, g: np.ndarray, lo: int, hi: int) -> list:
         """Fills the q, k and v gradients; the tokens' shares go via v, k, q."""
         wq, wk, wv, wo = (w.data for w in self.operands)
         q3, k3, v3, p, _ = self._blocks(self.keep, lo, hi)
@@ -346,12 +349,11 @@ class _Attention(_Mix):
         g3 = (g @ wo.T).reshape(v3.shape)
         np.matmul(p.transpose(0, 2, 1), g3, out=gv)
         dp = np.matmul(g3, v3.transpose(0, 2, 1))
-        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True))
+        ds = _softmax_grad(p, dp)
         ds *= self.c
         np.matmul(ds, k3, out=gq)
         np.matmul(ds.transpose(0, 2, 1), q3, out=gk)
-        return [a.reshape(hi - lo, -1) @ w.T
-                for a, w in ((gv, wv), (gk, wk), (gq, wq))] if shares else []
+        return [a.reshape(hi - lo, -1) @ w.T for a, w in ((gv, wv), (gk, wk), (gq, wq))]
 
     def sums(self, sums: _Sums, gh: np.ndarray) -> None:
         sums.add(self.operands[3], np.matmul, self.keep[4].T, gh)
@@ -390,8 +392,7 @@ class _TokenMlp(_Mix):
         self.flops = (4 * k * n + k + nc._FLOPS_PER_ELEMENT[activation] * k + n) * (m // n * d)
         h = _side_by_side(self.x, n)
         pre = w1 @ h + b1
-        cdf = nc._gelu_cdf(pre) if activation == "gelu" else None
-        act = nc._relu(pre) if cdf is None else pre * cdf
+        act, cdf = nc._activate(pre, activation == "gelu")
         self.out = _stacked(w2 @ act + b2, d)
         # side by side: the inputs, pre-activations, GELU gates and activations
         self.keep = (h, pre, cdf, act) if self.want else None
@@ -399,20 +400,14 @@ class _TokenMlp(_Mix):
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return self.out[lo:hi]
 
-    def back_rows(self, g: np.ndarray, lo: int, hi: int, shares: bool) -> list:
+    def back_rows(self, g: np.ndarray, lo: int, hi: int) -> list:
         """All rows at once: ``gout``, and the pre-activation gradient over
         ``pre`` (ReLU) or the GELU gates."""
         w1, _, w2, _ = (w.data for w in self.operands)
         _, pre, cdf, _ = self.keep
         self.gout = _side_by_side(g, self.n)
-        ghid = w2.T @ self.gout
-        if cdf is None:
-            gpre = nc._relu_grad(ghid, pre, out=pre)
-        else:  # (Phi + x phi) * g, over the gates
-            gpre = cdf
-            gpre += nc._gelu_slope(pre)
-            gpre *= ghid
-        return [_stacked(w1.T @ gpre, self.x.shape[1])] if shares else []
+        gpre = nc._activation_grad(pre, cdf, lambda out: np.matmul(w2.T, self.gout, out=out))
+        return [_stacked(w1.T @ gpre, self.x.shape[1])]
 
     def sums(self, sums: _Sums, gh: np.ndarray) -> None:
         (w1, b1, w2, b2), (h, pre, cdf, act) = self.operands, self.keep
@@ -450,15 +445,15 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
     residual), in the same order, so output, gradients and flop tally match
     it bit for bit. One row pass (``numcore._row_passes``) runs all of it
     chunk by chunk. The backward is one pass over the same chunks: ``g @
-    W2.T``, the activation gradient (over the GELU gates, or the
-    pre-activations for ReLU, so ``act`` stays for ``act.T @ g``), ``gpre @
-    W1.T``, the LayerNorm's input gradient plus the residual's share, the
-    mix's backward (after the pass, whole, for the token-axis MLP), and the
-    tokens' gradient, its shares added in the chain's order to any the
-    tokens already hold. Each sum over rows is one whole task: ``W2`` and
-    ``b2`` in that pass, every other one in one pass of tasks after it. The
-    small ops, which hold the GIL, overlap with the other thread's GEMMs and
-    erf, which release it.
+    W2.T``, the activation gradient (``numcore._activation_grad``, over the
+    GELU gates, or the pre-activations for ReLU, so ``act`` stays for
+    ``act.T @ g``), ``gpre @ W1.T``, the LayerNorm's input gradient plus the
+    residual's share, the mix's backward (after the pass, whole, for the
+    token-axis MLP), and, if the tokens want it, their gradient: the mix's
+    shares added in the chain's order to any the tokens already hold. Each
+    sum over rows is one whole task: ``W2`` and ``b2`` in that pass, every
+    other one in one pass of tasks after it. The small ops, which hold the
+    GIL, overlap with the other thread's GEMMs and erf, which release it.
     """
     p = channel
     params = () if p is None else (p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
@@ -491,11 +486,7 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
         # the feed-forward: act(z @ W1 + b1) @ W2 + b2, plus the residual
         pre_r = np.matmul(z_r, p.w1.data, out=pre_r)
         pre_r += p.b1.data
-        if gelu:
-            cdf_r = nc._gelu_cdf(pre_r, out=cdf_r)
-            act_r = np.multiply(pre_r, cdf_r, out=cdf_r if act_r is None else act_r)
-        else:
-            act_r = nc._relu(pre_r, out=pre_r if act_r is None else act_r)
+        act_r, _ = nc._activate(pre_r, gelu, cdf_r, out=pre_r if act_r is None else act_r)
         np.matmul(act_r, p.w2.data, out=f[lo:hi])
         f[lo:hi] += p.b2.data
         if residual:
@@ -522,7 +513,7 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
             mix.start_back()
 
         def mix_back_rows(lo, hi):
-            shares = mix.back_rows(gh[lo:hi], lo, hi, tokens.want_grad)
+            shares = mix.back_rows(gh[lo:hi], lo, hi)
             if tokens.want_grad:  # the chain's order: the residual's share, then the mix's
                 rows = slice(lo, hi)
                 shares = ([] if prior is None else [prior[rows]]) + [gh[rows]] * residual + shares
@@ -531,12 +522,9 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
         def backward_rows(lo, hi):
             rows = slice(lo, hi)
             if p is not None:
-                if cdf is None:
-                    gpre = nc._relu_grad(g[rows] @ p.w2.data.T, pre[rows], out=pre[rows])
-                else:  # gpre over the gates; g @ W2.T into the slope's scratch
-                    gpre, slope = cdf[rows], nc._gelu_slope(pre[rows])
-                    gpre += slope
-                    gpre *= np.matmul(g[rows], p.w2.data.T, out=slope)
+                gpre = nc._activation_grad(  # g @ W2.T into the slope's scratch
+                    pre[rows], None if cdf is None else cdf[rows],
+                    lambda out: np.matmul(g[rows], p.w2.data.T, out=out))
                 np.matmul(gpre, p.w1.data.T, out=gz[rows])
                 nc._layer_norm_back_rows(gz[rows], p.ln_gain.data, xn[rows], inv_std[rows],
                                          out=gh[rows])

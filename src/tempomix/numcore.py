@@ -292,33 +292,34 @@ def _layer_norm_back_rows(g: np.ndarray, gain: np.ndarray, xn: np.ndarray,
                        - xn * (gx * xn).mean(axis=1, keepdims=True), out=out)
 
 
-def _gelu_cdf(x: np.ndarray, out=None) -> np.ndarray:
-    """The exact GELU gate: the standard normal CDF of ``x``, via erf."""
-    cdf = np.multiply(x, _INV_SQRT2, out=out)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf
+def _activate(pre: np.ndarray, gelu: bool, gates=None, out=None):
+    """(act, gate): the activation of ``pre`` into ``out`` and, for the exact
+    GELU x * Phi(x), its gate Phi(x) via erf into ``gates`` (each a new array
+    if None; ``out`` may be ``pre``); the gate is None for ReLU."""
+    if not gelu:
+        return np.maximum(pre, 0.0, out=out), None
+    gates = np.multiply(pre, _INV_SQRT2, out=gates)
+    erf(gates, out=gates)
+    gates += 1.0
+    gates *= 0.5
+    return np.multiply(pre, gates, out=out), gates
 
 
-def _gelu_slope(x: np.ndarray) -> np.ndarray:
-    """x * phi(x), which GELU'(x) adds to the gate Phi(x): one new array,
-    every step in place."""
-    t = np.multiply(x, -0.5)
-    t *= x
+def _activation_grad(pre: np.ndarray, gates, ghid) -> np.ndarray:
+    """The pre-activation gradient of :func:`_activate`, written over the GELU
+    gates ((Phi(x) + x phi(x)) * g) or over ``pre`` for ReLU. ``ghid(scratch)``
+    returns the output gradient g, computed into ``scratch``: for GELU the
+    slope's array, free once added to the gates; for ReLU None."""
+    if gates is None:
+        return np.multiply(ghid(None), pre > 0.0, out=pre)
+    t = np.multiply(pre, -0.5)
+    t *= pre
     np.exp(t, out=t)
     t *= _INV_SQRT_2PI
-    t *= x
-    return t
-
-
-def _relu(x: np.ndarray, out=None) -> np.ndarray:
-    return np.maximum(x, 0.0, out=out)
-
-
-def _relu_grad(g: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-    """``g`` times ReLU'(x); ``out`` may be ``g`` or ``x`` itself."""
-    return np.multiply(g, x > 0.0, out=out)
+    t *= pre
+    gates += t
+    gates *= ghid(t)
+    return gates
 
 
 # Row passes: per-row work split into chunks of rows that the calling thread
@@ -419,7 +420,7 @@ def relu(a: Value) -> Value:
     t = a.tape
     x = a.data
     t.flops += _FLOPS_PER_ELEMENT["relu"] * x.size
-    return _record(t, _relu(x), ((a, lambda g: _relu_grad(g, x)),))
+    return _record(t, np.maximum(x, 0.0), ((a, lambda g: g * (x > 0.0)),))
 
 
 def mean_rows(a: Value) -> Value:
@@ -624,9 +625,8 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_state(params: Mapping[str, np.ndarray], lr: float = 1e-4,
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam_state(params: Mapping[str, np.ndarray], lr: float = 1e-4) -> AdamState:
+    state = AdamState(lr=lr)
     for k, p in params.items():
         state.m[k] = np.zeros_like(p)
         state.v[k] = np.zeros_like(p)

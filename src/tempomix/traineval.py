@@ -225,6 +225,14 @@ def _check_step(loss: float, grads: dict[str, np.ndarray], step: int, epoch: int
             raise nc.NonFiniteError(f"non-finite gradient for parameter {name!r} at {where}")
 
 
+def _negative_candidates(stream: tg.EventStream, fit_len: int) -> np.ndarray:
+    """The first ``fit_len`` events' destinations; a ProtocolError if one."""
+    candidates = stream.slice(0, fit_len).destinations()
+    if len(candidates) < 2:
+        raise ProtocolError(f"no negative candidate among {len(candidates)} destination")
+    return candidates
+
+
 def fit_partition(stream: tg.EventStream):
     """The 70/15/15 chronological train, validation and test splits and the
     negative candidates, the first two's destinations; a ProtocolError if
@@ -232,10 +240,8 @@ def fit_partition(stream: tg.EventStream):
     train_split, val_split, test_split = tg.chronological_split(stream, TRAIN_RATIO, VAL_RATIO)
     if len(train_split) == 0 or len(val_split) == 0:
         raise ProtocolError("stream too small: empty train or validation split")
-    candidates = stream.slice(0, len(train_split) + len(val_split)).destinations()
-    if len(candidates) < 2:
-        raise ProtocolError(f"no negative candidate among {len(candidates)} destination")
-    return train_split, val_split, test_split, candidates
+    return (train_split, val_split, test_split,
+            _negative_candidates(stream, len(train_split) + len(val_split)))
 
 
 def train(stream: tg.EventStream, model_cfg: md.ModelConfig,

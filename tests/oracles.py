@@ -9,6 +9,7 @@ backward step on the operand's tape and adds its work to ``Tape.flops``.
 """
 
 import numpy as np
+from scipy.special import erf
 
 from tempomix import numcore as nc
 from tempomix.numcore import ConfigError, ContractError, ShapeError, Value
@@ -77,12 +78,17 @@ def sum_all(a: Value) -> Value:
 
 
 def gelu(a: Value) -> Value:
-    """Exact GELU, x * Phi(x)."""
+    """Exact GELU, x * Phi(x), with the gate Phi(x) = (1 + erf(x / sqrt(2))) / 2
+    and the gradient (Phi(x) + x phi(x)) * g, each step in the kernel's order."""
     t = a.tape
     x = a.data
-    cdf = nc._gelu_cdf(x)
+    cdf = (erf(x * (1.0 / np.sqrt(2.0))) + 1.0) * 0.5
     t.flops += nc._FLOPS_PER_ELEMENT["gelu"] * x.size
-    return nc._record(t, x * cdf, ((a, lambda g: (cdf + nc._gelu_slope(x)) * g),))
+
+    def share(g):
+        slope = np.exp(x * -0.5 * x) * (1.0 / np.sqrt(2.0 * np.pi)) * x
+        return (cdf + slope) * g
+    return nc._record(t, x * cdf, ((a, share),))
 
 
 def _blocks_to_cols(x: np.ndarray, block_len: int) -> np.ndarray:

@@ -146,9 +146,26 @@ class TestOutAfterInputs:
         (["ablate", "--synthetic", '{"n_events": 2}'], "empty train or validation split"),
         (["bench", "--repeats", "-1"], "repeats"),
         (["bench", "--mixers", "adaptive,bogus", "--lengths", "8,16,32"], "bench bogus"),
+        (["train", "--config", "SPEC"], "data 'seed'"),
+        (["eval", "CKPT", "--synthetic", '{"n_events": 2, "edge_feat_kind": "none"}'],
+         "no negative candidate"),
+        (["eval", "CKPT", "--synthetic", '{"n_events": 0, "edge_feat_kind": "none"}'],
+         "empty stream"),
+        (["eval", "CKPT", "--synthetic",
+          '{"n_src": 1, "n_dst": 1, "n_events": 300, "edge_feat_kind": "none"}'],
+         "no negative candidate"),
     ], ids=["empty_spans", "negative_seed", "one_destination", "too_short_to_split",
-            "bench_repeats", "bench_unknown_mixer"])
+            "bench_repeats", "bench_unknown_mixer", "negative_synthetic_seed",
+            "eval_one_candidate", "eval_empty_stream", "eval_one_destination"])
     def test_bad_input_exits_two_naming_it_before_out(self, tmp_path, capsys, argv, named):
+        # SPEC: a negative synthetic seed; CKPT: a checkpoint that fits a
+        # stream without node or edge features
+        files = {"SPEC": tmp_path / "spec.json", "CKPT": tmp_path / "ckpt.json"}
+        files["SPEC"].write_text(json.dumps(
+            {"data": {"synthetic": {"n_events": 300}, "seed": -1}}))
+        cfg = md.ModelConfig(dim=8, time_dim=8, spans=(2,), n_max=5)
+        md.save_checkpoint(md.init_params(cfg, 0, 0, seed=0), files["CKPT"])
+        argv = [str(files[a]) if a in files else a for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -274,6 +291,16 @@ class TestEvalCommand:
                    "--out", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "eval.json").read_text())
+        assert 0.0 <= doc["ap"] <= 1.0 and 0.0 <= doc["auc_roc"] <= 1.0
+
+    def test_stream_with_an_empty_validation_split_evaluates(self, tmp_path):
+        # 6 events split 4/0/2: eval needs only a test split and two candidates
+        cfg = md.ModelConfig(dim=8, time_dim=8, spans=(2,), n_max=5)
+        md.save_checkpoint(md.init_params(cfg, 0, 0, seed=0), tmp_path / "ckpt.json")
+        synth = json.dumps({"n_events": 6, "edge_feat_kind": "none"})
+        assert main(["eval", str(tmp_path / "ckpt.json"), "--synthetic", synth,
+                     "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "eval.json").read_text())
         assert 0.0 <= doc["ap"] <= 1.0 and 0.0 <= doc["auc_roc"] <= 1.0
 
     def test_feature_dims_other_than_the_streams_exit_two(self, tmp_path, capsys):

@@ -96,6 +96,50 @@ class TestForwardPrimitives:
             tape.constant([[np.inf]])
 
 
+class TestActivationKernel:
+    """``_activate`` and ``_activation_grad``, the one activation kernel of the
+    channel mixer and the token-axis MLP, against the oracle and the tape op."""
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_grad_is_written_over_the_gates_or_pre_and_matches_the_chain(self, activation):
+        rng = np.random.default_rng(19)
+        x, g = rng.normal(size=(2, 6, 5))
+        x[0, :3] = 0.0
+        tape = nc.Tape()
+        a = tape.leaf(x)
+        out = (gelu if activation == "gelu" else nc.relu)(a)
+        (step,) = tape._steps
+        out.grad = g
+        step()
+
+        pre, scratch = x.copy(), []
+        act, gates = nc._activate(pre, activation == "gelu")
+        assert np.array_equal(act, out.data) and np.array_equal(pre, x)
+        assert (gates is None) == (activation == "relu")
+
+        def ghid(out):
+            scratch.append(out)
+            if out is None:
+                return g.copy()
+            out[...] = g
+            return out
+        gpre = nc._activation_grad(pre, gates, ghid)
+        # in place: a backward that reads ``act`` after it needs ``act`` kept apart
+        assert gpre is (pre if gates is None else gates)
+        assert np.array_equal(gpre, a.grad)
+        assert (scratch[0] is None) == (gates is None)
+        assert np.array_equal(act, out.data)
+
+    def test_activate_writes_into_the_given_arrays(self):
+        x = np.random.default_rng(20).normal(size=(4, 3))
+        gates, act = np.empty_like(x), np.empty_like(x)
+        got, got_gates = nc._activate(x, True, gates, out=act)
+        assert got is act and got_gates is gates
+        pre = x.copy()
+        got, _ = nc._activate(pre, True, out=pre)
+        assert got is pre and np.array_equal(pre, act)
+
+
 class TestBackward:
     def test_square_at_three(self):
         tape = nc.Tape()
