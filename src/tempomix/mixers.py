@@ -15,10 +15,10 @@ it on R left-padded sequences of n rows stacked into one (R*n) x d matrix;
 call, and keeps per-layer work at O(N * K * d) instead of materializing
 N x N mixing matrices. Pooling is an :class:`AdaptiveLayer` of constants:
 flat order logits over the window 0..k-1 at fusion 1. The channel mixer and
-the token-axis MLP share one activation kernel (``numcore._activate`` and
-``_activation_grad``); attention and the order logits share one softmax
-gradient. Every backward is analytic, bit for bit the chain of tape ops that
-``tests/oracles.py`` keeps.
+the token-axis MLP share one activation kernel (``numcore._activate``,
+``_activation`` and ``_activation_grad``); attention and the order logits
+share one softmax gradient. Every backward is analytic, bit for bit the
+chain of tape ops that ``tests/oracles.py`` keeps.
 """
 
 from __future__ import annotations
@@ -375,7 +375,9 @@ class _TokenMlp(_Mix):
     """A token-axis MLP layer call: each block's n rows become W2 act(W1 h +
     b1) + b2, all blocks side by side in one pair of GEMMs. Every GEMM runs
     whole, as in the chain: the forward once per call, and the backward once
-    after the block's pass (``whole_back``); the chunks only slice them."""
+    after the block's pass (``whole_back``); the chunks only slice them. It
+    keeps the pre-activations and GELU gates; the backward rebuilds ``act``
+    from them and ``h`` from the tokens, bit for bit."""
 
     whole_back = True
 
@@ -394,28 +396,30 @@ class _TokenMlp(_Mix):
         pre = w1 @ h + b1
         act, cdf = nc._activate(pre, activation == "gelu")
         self.out = _stacked(w2 @ act + b2, d)
-        # side by side: the inputs, pre-activations, GELU gates and activations
-        self.keep = (h, pre, cdf, act) if self.want else None
+        # side by side: the pre-activations and GELU gates
+        self.keep = (pre, cdf) if self.want else None
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         return self.out[lo:hi]
 
     def back_rows(self, g: np.ndarray, lo: int, hi: int) -> list:
-        """All rows at once: ``gout``, and the pre-activation gradient over
-        ``pre`` (ReLU) or the GELU gates."""
+        """All rows at once: ``gout``, ``act`` rebuilt for ``W2``'s sum, and
+        then the pre-activation gradient over ``pre`` (ReLU) or the GELU
+        gates."""
         w1, _, w2, _ = (w.data for w in self.operands)
-        _, pre, cdf, _ = self.keep
+        pre, cdf = self.keep
         self.gout = _side_by_side(g, self.n)
+        self.act = nc._activation(pre, cdf)
         gpre = nc._activation_grad(pre, cdf, lambda out: np.matmul(w2.T, self.gout, out=out))
         return [_stacked(w1.T @ gpre, self.x.shape[1])]
 
     def sums(self, sums: _Sums, gh: np.ndarray) -> None:
-        (w1, b1, w2, b2), (h, pre, cdf, act) = self.operands, self.keep
+        (w1, b1, w2, b2), (pre, cdf) = self.operands, self.keep
         gpre = pre if cdf is None else cdf
         sums.add(b2, np.sum, self.gout, axis=1, keepdims=True)
-        sums.add(w2, np.matmul, self.gout, act.T)
+        sums.add(w2, np.matmul, self.gout, self.act.T)
         sums.add(b1, np.sum, gpre, axis=1, keepdims=True)
-        sums.add(w1, np.matmul, gpre, h.T)
+        sums.add(w1, lambda out: np.matmul(gpre, _side_by_side(self.x, self.n).T, out=out))
 
 
 def _channel_flops(m: int, d: int, params: ChannelParams, activation: str,
@@ -444,16 +448,22 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
     residual, unless ablated) -> LayerNorm -> feed-forward (plus the
     residual), in the same order, so output, gradients and flop tally match
     it bit for bit. One row pass (``numcore._row_passes``) runs all of it
-    chunk by chunk. The backward is one pass over the same chunks: ``g @
-    W2.T``, the activation gradient (``numcore._activation_grad``, over the
-    GELU gates, or the pre-activations for ReLU, so ``act`` stays for
-    ``act.T @ g``), ``gpre @ W1.T``, the LayerNorm's input gradient plus the
-    residual's share, the mix's backward (after the pass, whole, for the
-    token-axis MLP), and, if the tokens want it, their gradient: the mix's
-    shares added in the chain's order to any the tokens already hold. Each
-    sum over rows is one whole task: ``W2`` and ``b2`` in that pass, every
-    other one in one pass of tasks after it. The small ops, which hold the
-    GIL, overlap with the other thread's GEMMs and erf, which release it.
+    chunk by chunk. Between forward and backward the op keeps only what its
+    backward cannot rebuild bit for bit: the pre-activations, the GELU gates,
+    the LayerNorm's normalized rows ``xn`` and 1/std. The backward is one pass
+    over the same chunks: ``act`` rebuilt from ``pre`` and the gates with the
+    forward's own call (``numcore._activation``) for ``W2``'s sum, ``g @
+    W2.T``, the activation gradient (``numcore._activation_grad``, written
+    over the GELU gates, or the pre-activations for ReLU), ``gpre @ W1.T``,
+    the LayerNorm's input gradient plus the residual's share, the mix's
+    backward (after the pass, whole, for the token-axis MLP), and, if the
+    tokens want it, their gradient: the mix's shares added in the chain's
+    order to any the tokens already hold. Each sum over rows is one whole
+    task: ``b2`` in that pass, every other one in one pass of tasks after it,
+    ``W2``'s ``act.T @ g`` and ``W1``'s ``z.T @ gpre`` first, ``z`` rebuilt as
+    ``xn * gain + bias`` (``numcore._layer_norm_affine``). The small ops,
+    which hold the GIL, overlap with the other thread's GEMMs and erf, which
+    release it.
     """
     p = channel
     params = () if p is None else (p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
@@ -465,12 +475,11 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
     want = mix.want or any(v.want_grad for v in params)
     x, gelu = tokens.data, activation == "gelu"
     f = np.empty((m, d if p is None else p.w2.data.shape[1]))
-    keep = (None,) * 6  # what the backward reads: pre, act, GELU gates, z, xn, 1/std
+    keep = (None,) * 4  # what the backward reads: pre, GELU gates, xn, 1/std
     if want and p is not None:
         hidden = functools.partial(np.empty, (m, p.w1.data.shape[1]))
-        keep = (hidden(), hidden(), hidden() if gelu else None,
-                np.empty((m, d)), np.empty((m, d)), np.empty((m, 1)))
-    pre, act, cdf, z, xn, inv_std = keep
+        keep = (hidden(), hidden() if gelu else None, np.empty((m, d)), np.empty((m, 1)))
+    pre, cdf, xn, inv_std = keep
 
     def forward_rows(lo, hi):
         h = mix.rows(lo, hi)
@@ -479,14 +488,12 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
         if p is None:
             f[lo:hi] = h
             return
-        pre_r, act_r, cdf_r = (None if a is None else a[lo:hi] for a in keep[:3])
-        z_r, xn_r, inv_std_r = nc._layer_norm(h, p.ln_gain.data, p.ln_bias.data)
-        if z is not None:
-            z[lo:hi], xn[lo:hi], inv_std[lo:hi] = z_r, xn_r, inv_std_r
+        pre_r, cdf_r, xn_r, inv_std_r = (None if a is None else a[lo:hi] for a in keep)
+        z_r, _, _ = nc._layer_norm(h, p.ln_gain.data, p.ln_bias.data, xn_r, inv_std_r)
         # the feed-forward: act(z @ W1 + b1) @ W2 + b2, plus the residual
         pre_r = np.matmul(z_r, p.w1.data, out=pre_r)
         pre_r += p.b1.data
-        act_r, _ = nc._activate(pre_r, gelu, cdf_r, out=pre_r if act_r is None else act_r)
+        act_r, _ = nc._activate(pre_r, gelu, cdf_r, out=pre_r if pre is None else None)
         np.matmul(act_r, p.w2.data, out=f[lo:hi])
         f[lo:hi] += p.b2.data
         if residual:
@@ -506,9 +513,10 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
         gz, gh = (None, g) if p is None else (np.empty((m, d)), np.empty((m, d)))
         # the tokens' gradient goes over gh where no sum reads gh after the pass
         gx, prior = (gh if p is not None and not mix.reads_gh else np.empty((m, d))), tokens.grad
+        # the activations, rebuilt for W2's sum before gpre goes over their inputs
+        act = np.empty_like(pre) if p is not None and p.w2.want_grad else None
         if p is not None:
             sums.add(p.b2, np.sum, g, axis=0, keepdims=True)
-            sums.add(p.w2, np.matmul, act.T, g)
         if mix.want:
             mix.start_back()
 
@@ -522,9 +530,11 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
         def backward_rows(lo, hi):
             rows = slice(lo, hi)
             if p is not None:
+                pre_r, cdf_r = pre[rows], None if cdf is None else cdf[rows]
+                if act is not None:
+                    nc._activation(pre_r, cdf_r, out=act[rows])
                 gpre = nc._activation_grad(  # g @ W2.T into the slope's scratch
-                    pre[rows], None if cdf is None else cdf[rows],
-                    lambda out: np.matmul(g[rows], p.w2.data.T, out=out))
+                    pre_r, cdf_r, lambda out: np.matmul(g[rows], p.w2.data.T, out=out))
                 np.matmul(gpre, p.w1.data.T, out=gz[rows])
                 nc._layer_norm_back_rows(gz[rows], p.ln_gain.data, xn[rows], inv_std[rows],
                                          out=gh[rows])
@@ -539,8 +549,10 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
         first = len(sums)
         if p is not None:
             gpre = pre if cdf is None else cdf
+            sums.add(p.w2, lambda out: np.matmul(act.T, g, out=out))
+            sums.add(p.w1, lambda out: np.matmul(
+                nc._layer_norm_affine(xn, p.ln_gain.data, p.ln_bias.data).T, gpre, out=out))
             sums.add(p.b1, np.sum, gpre, axis=0, keepdims=True)
-            sums.add(p.w1, np.matmul, z.T, gpre)
             sums.add(p.ln_gain, lambda out: np.sum(gz * xn, axis=0, keepdims=True, out=out))
             sums.add(p.ln_bias, np.sum, gz, axis=0, keepdims=True)
         if mix.want:

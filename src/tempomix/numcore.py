@@ -133,8 +133,8 @@ class Tape:
     ``leaf`` registers a parameter whose gradient is wanted; ``constant``
     wraps data that never needs a gradient. Backward steps run in exact
     reverse order of the forward pass. A tape is single-use: :func:`backward`
-    drops its steps after replaying them, which frees the pass's activations
-    as soon as the caller lets go of the loss.
+    drops each step once it has run, which frees the pass's activations
+    layer by layer.
     """
 
     __slots__ = ("_steps", "leaves", "flops")
@@ -271,17 +271,31 @@ def concat_rows(vals: Sequence[Value]) -> Value:
     return _record(t, np.vstack([v.data for v in vals]), adjoints)
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, xn=None, inv_std=None):
     """Row-normalized ``x`` times gain plus bias; also returns the normalized
-    rows and each row's 1/std, which the backward reuses."""
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xn = x - mu
+    rows and each row's 1/std, which the backward reuses, written into ``xn``
+    and ``inv_std`` (each a new array if None). The row mean and the
+    population variance are numpy's ``mean`` and ``var`` bit for bit: a row
+    sum over d, then the variance from the centred rows."""
+    d = x.shape[1]
+    mu = np.add.reduce(x, axis=1, keepdims=True)
+    mu /= d
+    xn = np.subtract(x, mu, out=xn)
+    var = np.add.reduce(xn * xn, axis=1, keepdims=True)
+    var /= d
+    var += LN_EPS
+    inv_std = np.divide(1.0, np.sqrt(var, out=var), out=inv_std)
     xn *= inv_std
+    return _layer_norm_affine(xn, gain, bias), xn, inv_std
+
+
+def _layer_norm_affine(xn: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The LayerNorm's output from its normalized rows, ``xn * gain + bias``:
+    :func:`_layer_norm`'s last two ops, which a backward reruns to rebuild
+    the output bit for bit instead of keeping it."""
     z = xn * gain
     z += bias
-    return z, xn, inv_std
+    return z
 
 
 def _layer_norm_back_rows(g: np.ndarray, gain: np.ndarray, xn: np.ndarray,
@@ -296,13 +310,24 @@ def _activate(pre: np.ndarray, gelu: bool, gates=None, out=None):
     """(act, gate): the activation of ``pre`` into ``out`` and, for the exact
     GELU x * Phi(x), its gate Phi(x) via erf into ``gates`` (each a new array
     if None; ``out`` may be ``pre``); the gate is None for ReLU."""
-    if not gelu:
-        return np.maximum(pre, 0.0, out=out), None
-    gates = np.multiply(pre, _INV_SQRT2, out=gates)
-    erf(gates, out=gates)
-    gates += 1.0
-    gates *= 0.5
-    return np.multiply(pre, gates, out=out), gates
+    if gelu:
+        gates = np.multiply(pre, _INV_SQRT2, out=gates)
+        erf(gates, out=gates)
+        gates += 1.0
+        gates *= 0.5
+    else:
+        gates = None
+    return _activation(pre, gates, out), gates
+
+
+def _activation(pre: np.ndarray, gates, out=None) -> np.ndarray:
+    """The activation from ``pre`` and its GELU gates, ``pre * gates``, or
+    ``max(pre, 0)`` for ReLU (``gates`` None), into ``out`` (a new array if
+    None): :func:`_activate`'s last op, which a backward reruns to rebuild
+    the activation bit for bit instead of keeping it."""
+    if gates is None:
+        return np.maximum(pre, 0.0, out=out)
+    return np.multiply(pre, gates, out=out)
 
 
 def _activation_grad(pre: np.ndarray, gates, ghid) -> np.ndarray:
@@ -517,9 +542,10 @@ def backward(tape: Tape, loss: Value) -> list[np.ndarray]:
     """Accumulate d(loss)/d(leaf) for every leaf on the tape.
 
     Returns gradients in leaf-registration order; a leaf the loss never
-    touched gets an exact zero gradient. ``loss`` must be a 1x1 Value. The
-    tape's steps are dropped afterwards, so a second call on the same tape
-    raises :class:`ContractError`.
+    touched gets an exact zero gradient. ``loss`` must be a 1x1 Value. Each
+    step is dropped once it has run, so the arrays a layer kept for its
+    backward are freed before the layer below allocates its temporaries; a
+    second call on the same tape raises :class:`ContractError`.
     """
     if loss.tape is not tape:
         raise ContractError("loss does not belong to this tape")
@@ -532,8 +558,8 @@ def backward(tape: Tape, loss: Value) -> list[np.ndarray]:
     # reference counting instead of waiting for the cycle collector
     steps, tape._steps = tape._steps, None
     loss.grad = np.ones((1, 1))
-    for step in reversed(steps):
-        step()
+    while steps:  # popped, so a step's arrays are freed before the next step runs
+        steps.pop()()
     grads = []
     for leaf in tape.leaves:
         if leaf.grad is None:

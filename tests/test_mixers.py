@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -1158,10 +1159,45 @@ class TestFusedTokenBlock:
         monkeypatch.setattr(nc, "_row_passes", recorded)
         arrays, times, pads = block_arrays(np.random.default_rng(62), r=r, n=n, mixer=mixer)
         run_block(fused_block, arrays, times, pads, mixer, "gelu", True, BLOCK_ALL)
-        # one forward pass; one backward pass with the W2 and b2 sums; one
-        # pass of every other sum: W1, b1, the LayerNorm's two and the mix's
+        # one forward pass; one backward pass with the b2 sum, which rebuilds
+        # act; one pass of every other sum: W2, W1, b1, the LayerNorm's two
+        # and the mix's
         mix_sums = {"learned": 2, "attention": 4, "mlp": 4}[mixer]
-        assert spans == [(r * n, n, True, 0), (r * n, n, True, 2), (0, 1, False, 4 + mix_sums)]
+        assert spans == [(r * n, n, True, 0), (r * n, n, True, 1), (0, 1, False, 5 + mix_sums)]
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_keeps_only_what_its_backward_cannot_rebuild(self, monkeypatch, activation):
+        """Between forward and backward a block holds its output, the
+        pre-activations, the GELU gates (none for ReLU), the LayerNorm's
+        normalized rows and 1/std, and what its mix keeps: ``act`` and the
+        LayerNorm's output are rebuilt by the backward."""
+        monkeypatch.setattr(nc, "_row_worker", None)
+        r, n, d, hidden = 64, 8, 16, 48
+        m = r * n
+        arrays, times, pads = block_arrays(np.random.default_rng(66), r=r, n=n,
+                                           mixer="learned", d=d, hidden=hidden)
+
+        def held(block):
+            """Bytes of numpy data that ``block``'s forward leaves alive."""
+            tape = nc.Tape()
+            v = {name: tape.leaf(a) for name, a in arrays.items()}
+            layer = mx.AdaptiveLayer(BLOCK_MIXERS["learned"][1], v["order"], 0.5)
+            params = mx.ChannelParams(*(v[name] for name in CHANNEL_NAMES))
+            numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            tracemalloc.start()
+            try:
+                before = tracemalloc.take_snapshot().filter_traces(numpy_data)
+                out = block(v["h"], times, pads, layer, params, activation, True)
+                after = tracemalloc.take_snapshot().filter_traces(numpy_data)
+            finally:
+                tracemalloc.stop()
+            assert out.data.shape == (m, d) and tape._steps
+            return sum(t.size for t in after.traces) - sum(t.size for t in before.traces)
+
+        mix_keeps = held(token_mix_only) - 8 * m * d
+        gates = hidden if activation == "gelu" else 0
+        kept = 8 * (m * hidden + m * gates + m * d + m)  # pre, gates, xn, 1/std
+        assert held(fused_block) == 8 * m * d + kept + mix_keeps
 
     @pytest.mark.parametrize("mixer", ["learned", "attention"])
     def test_concurrent_blocks_give_the_single_caller_bits(self, monkeypatch, row_worker,

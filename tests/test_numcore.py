@@ -96,6 +96,31 @@ class TestForwardPrimitives:
             tape.constant([[np.inf]])
 
 
+class TestLayerNormKernel:
+    """``_layer_norm``'s statistics are numpy's ``mean`` and ``var``, bit for
+    bit, written out here rather than taken from the chain oracle, which runs
+    the kernel itself."""
+
+    def test_bit_identical_to_numpys_mean_and_var(self):
+        rng = np.random.default_rng(22)
+        for scale in (0.01, 0.3, 1.0, 7.0, 100.0):
+            x = rng.normal(loc=rng.normal(scale=3.0 * scale), scale=scale, size=(300, 32))
+            x[0] = 0.0  # constant rows: the variance is exactly 0
+            x[1] = scale
+            gain, bias = rng.normal(size=(2, 1, 32))
+            mu = x.mean(axis=1, keepdims=True)
+            inv_std = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + nc.LN_EPS)
+            xn = (x - mu) * inv_std
+            want = (xn * gain + bias, xn, inv_std)
+            assert inv_std[0, 0] == inv_std[1, 0] == 1.0 / np.sqrt(nc.LN_EPS)
+            assert all(np.array_equal(a, b) for a, b in zip(nc._layer_norm(x, gain, bias), want))
+            xn_out, inv_std_out = np.empty_like(x), np.empty((300, 1))
+            got = nc._layer_norm(x, gain, bias, xn_out, inv_std_out)
+            assert got[1] is xn_out and got[2] is inv_std_out
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert np.array_equal(nc._layer_norm_affine(xn_out, gain, bias), want[0])
+
+
 class TestActivationKernel:
     """``_activate`` and ``_activation_grad``, the one activation kernel of the
     channel mixer and the token-axis MLP, against the oracle and the tape op."""
@@ -116,6 +141,9 @@ class TestActivationKernel:
         act, gates = nc._activate(pre, activation == "gelu")
         assert np.array_equal(act, out.data) and np.array_equal(pre, x)
         assert (gates is None) == (activation == "relu")
+        rebuilt = np.empty_like(x)  # as a backward rebuilds it, before gpre goes over its inputs
+        assert nc._activation(pre, gates, out=rebuilt) is rebuilt
+        assert np.array_equal(rebuilt, act)
 
         def ghid(out):
             scratch.append(out)
@@ -179,6 +207,24 @@ class TestBackward:
             del loss
             assert activation() is None
             assert w.grad.shape == (3, 3)
+        finally:
+            gc.enable()
+
+    def test_each_step_is_freed_once_it_has_run(self):
+        """A later layer's kept arrays die before an earlier layer's step runs,
+        so that step's temporaries do not pile on top of them."""
+        gc.disable()  # only reference counting may free it
+        try:
+            tape = nc.Tape()
+            x = tape.leaf([[2.0]])
+            seen = []
+            tape.record(lambda: seen.append(kept() is None))  # recorded first, runs last
+            pre = np.ones((3, 4))
+            kept = weakref.ref(pre)
+            tape.record(lambda pre=pre: pre.sum())
+            del pre
+            nc.backward(tape, x)
+            assert seen == [True]
         finally:
             gc.enable()
 
