@@ -133,6 +133,14 @@ def _load_spec_file(path: str) -> dict:
         return nc.json_typed(path, json.load(fh), "dict")
 
 
+def _out_dir(name: str, text: str) -> Path:
+    """An output directory path; an empty one is a usage error, not the
+    current directory."""
+    if not text:
+        raise UsageError(f"{name} must name a directory, got an empty path")
+    return Path(text)
+
+
 def _int_list(flag: str, text: str) -> list[int]:
     """The integers of a comma-separated flag value; anything else is a usage error."""
     try:
@@ -157,7 +165,7 @@ def resolve_run_spec(args) -> RunSpec:
         if spec.synthetic_seed < 0:
             raise UsageError(f"data 'seed' must be non-negative, got {spec.synthetic_seed}")
     if "out" in doc:
-        spec.out_dir = Path(nc.json_typed("'out'", doc["out"], "str"))
+        spec.out_dir = _out_dir("'out'", nc.json_typed("'out'", doc["out"], "str"))
     spec.runs = nc.json_typed("'runs'", doc.get("runs", 1), "int")
 
     if getattr(args, "dataset", None) and getattr(args, "synthetic", None):
@@ -184,8 +192,8 @@ def resolve_run_spec(args) -> RunSpec:
             train_kw[name] = flag
     if (getattr(args, "seed", None) or 0) < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    if getattr(args, "out", None):
-        spec.out_dir = Path(args.out)
+    if getattr(args, "out", None) is not None:
+        spec.out_dir = _out_dir("--out", args.out)
     if getattr(args, "runs", None) is not None:
         spec.runs = args.runs
 
@@ -340,7 +348,7 @@ def _fit_slope(ns, values) -> float:
                             np.log(np.asarray(values, float)), 1)[0])
 
 
-def _bench_configs(lengths, mixer_kinds, repeats, dim, kernel) -> dict:
+def _bench_configs(lengths, mixer_kinds, repeats, dim, kernel, seed) -> dict:
     """Check the benchmark's arguments; the config to time per (mixer, N)."""
     lengths = [int(n) for n in lengths]
     if len(lengths) < 3:
@@ -349,6 +357,8 @@ def _bench_configs(lengths, mixer_kinds, repeats, dim, kernel) -> dict:
         raise UsageError(f"sequence lengths must be strictly ascending, got {lengths}")
     if repeats < 1:
         raise UsageError("repeats must be at least 1")
+    if seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {seed}")
     return {(mixer, n): _bench_config(mixer, n, dim, kernel)
             for mixer in mixer_kinds for n in lengths}
 
@@ -378,16 +388,18 @@ def run_bench(lengths, mixer_kinds, repeats, dim=8, kernel=8, seed=0) -> dict:
     Operation counts are machine-independent and drive the scaling claim;
     wall times are reported alongside.
     """
-    return _measure(_bench_configs(lengths, mixer_kinds, repeats, dim, kernel), repeats, seed)
+    configs = _bench_configs(lengths, mixer_kinds, repeats, dim, kernel, seed)
+    return _measure(configs, repeats, seed)
 
 
 def cmd_bench(args) -> int:
     lengths = _int_list("--lengths", args.lengths)
     mixer_kinds = [m.strip() for m in args.mixers.split(",")]
-    configs = _bench_configs(lengths, mixer_kinds, args.repeats, args.dim, args.kernel)
-    out_dir = Path(args.out or "out")
+    configs = _bench_configs(lengths, mixer_kinds, args.repeats, args.dim, args.kernel,
+                             args.seed)
+    out_dir = Path("out") if args.out is None else _out_dir("--out", args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = _measure(configs, args.repeats, args.seed or 0)
+    results = _measure(configs, args.repeats, args.seed)
     _write_json(out_dir / "bench.json", results)
     csv_path = out_dir / "bench.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -404,9 +416,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    out_dir = None if args.out is None else _out_dir("--out", args.out)
     stream = tg.ingest_csv(args.path, bipartite=args.bipartite)
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         tg.write_csv(stream, out_dir / "ingested.csv")
     print(f"nodes={stream.node_count} links={len(stream)} "

@@ -167,10 +167,13 @@ class _Sums(list):
 class _Mix:
     """One layer call of a token mixer on R blocks of n rows, run by the block
     op in chunks of whole blocks: ``rows`` (the mix of rows lo..hi, an array
-    the block may write over), ``start_back`` (allocating what the backward
-    pass fills), ``back_rows`` (their weight-gradient parts, returning the
-    tokens' shares in the chain's order; run once over all rows after the
-    pass if ``whole_back``), ``sums`` and ``flops``."""
+    the block may write over; the block drops it after its forward pass),
+    ``start_back`` (allocating what the backward pass fills), ``back_rows``
+    (given the output gradient of rows lo..hi, which the block may write
+    over once it returns: their weight-gradient parts, returning the tokens'
+    shares in the chain's order; run once over all rows after the pass if
+    ``whole_back``), ``sums`` (the whole sums, added to the block's one task
+    pass) and ``flops``."""
 
     whole_back = False
 
@@ -182,7 +185,6 @@ class _Mix:
             raise ContractError(f"{r} pad lengths must lie in [0, {n})")
         self.x, self.n, self.operands = tokens.data, n, operands
         self.want = any(v.want_grad for v in (tokens, *operands))
-        self.reads_gh = False  # a sum reads the output gradient after the pass
 
     def start_back(self) -> None:
         pass
@@ -260,7 +262,7 @@ class _Mixing(_Mix):
         out[uncovered] += g3[uncovered]
         return [out.reshape(hi - lo, -1)]
 
-    def sums(self, sums: _Sums, gh: np.ndarray) -> None:
+    def sums(self, sums: _Sums) -> None:
         """The order-logit and fusion gradients, offsets last as in one pass."""
         (order_logits, fusion), dalpha = self.operands, self.dalpha
         if dalpha is None:
@@ -310,7 +312,7 @@ class _Attention(_Mix):
         dk, dv = shapes[0][1], shapes[2][1]
         if shapes != [(d, dk), (d, dk), (d, dv), (dv, d)]:
             raise ShapeError(f"attention weights {shapes} do not fit {d}-wide tokens")
-        self.c, self.reads_gh = 1.0 / np.sqrt(dk), True  # the sum for wo reads it
+        self.c = 1.0 / np.sqrt(dk)
         self.flops = 4 * m * d * (dk + dv) + r * (2 * n * n * (dk + dv) + 6 * n * n)
         masked = np.arange(n)[None, :] < pads[:, None]
         # decided once per call, as the chain does
@@ -340,12 +342,15 @@ class _Attention(_Mix):
 
     def start_back(self) -> None:
         self.grads = tuple(np.empty_like(a) for a in self.keep[:3])  # of q, k and v
+        self.gout = np.empty_like(self.x)  # the output gradient, for wo's sum
 
     def back_rows(self, g: np.ndarray, lo: int, hi: int) -> list:
-        """Fills the q, k and v gradients; the tokens' shares go via v, k, q."""
+        """Copies ``g`` and fills the q, k and v gradients; the tokens' shares
+        go via v, k, q."""
         wq, wk, wv, wo = (w.data for w in self.operands)
         q3, k3, v3, p, _ = self._blocks(self.keep, lo, hi)
         gq, gk, gv = self._blocks(self.grads, lo, hi)
+        self.gout[lo:hi] = g
         g3 = (g @ wo.T).reshape(v3.shape)
         np.matmul(p.transpose(0, 2, 1), g3, out=gv)
         dp = np.matmul(g3, v3.transpose(0, 2, 1))
@@ -355,8 +360,8 @@ class _Attention(_Mix):
         np.matmul(ds.transpose(0, 2, 1), q3, out=gk)
         return [a.reshape(hi - lo, -1) @ w.T for a, w in ((gv, wv), (gk, wk), (gq, wq))]
 
-    def sums(self, sums: _Sums, gh: np.ndarray) -> None:
-        sums.add(self.operands[3], np.matmul, self.keep[4].T, gh)
+    def sums(self, sums: _Sums) -> None:
+        sums.add(self.operands[3], np.matmul, self.keep[4].T, self.gout)
         for w, gw in zip(self.operands, self.grads):
             sums.add(w, np.matmul, self.x.T, gw)
 
@@ -395,12 +400,10 @@ class _TokenMlp(_Mix):
         h = _side_by_side(self.x, n)
         pre = w1 @ h + b1
         act, cdf = nc._activate(pre, activation == "gelu")
-        self.out = _stacked(w2 @ act + b2, d)
+        out = _stacked(w2 @ act + b2, d)
+        self.rows = lambda lo, hi: out[lo:hi]
         # side by side: the pre-activations and GELU gates
         self.keep = (pre, cdf) if self.want else None
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return self.out[lo:hi]
 
     def back_rows(self, g: np.ndarray, lo: int, hi: int) -> list:
         """All rows at once: ``gout``, ``act`` rebuilt for ``W2``'s sum, and
@@ -413,7 +416,7 @@ class _TokenMlp(_Mix):
         gpre = nc._activation_grad(pre, cdf, lambda out: np.matmul(w2.T, self.gout, out=out))
         return [_stacked(w1.T @ gpre, self.x.shape[1])]
 
-    def sums(self, sums: _Sums, gh: np.ndarray) -> None:
+    def sums(self, sums: _Sums) -> None:
         (w1, b1, w2, b2), (pre, cdf) = self.operands, self.keep
         gpre = pre if cdf is None else cdf
         sums.add(b2, np.sum, self.gout, axis=1, keepdims=True)
@@ -450,20 +453,24 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
     it bit for bit. One row pass (``numcore._row_passes``) runs all of it
     chunk by chunk. Between forward and backward the op keeps only what its
     backward cannot rebuild bit for bit: the pre-activations, the GELU gates,
-    the LayerNorm's normalized rows ``xn`` and 1/std. The backward is one pass
-    over the same chunks: ``act`` rebuilt from ``pre`` and the gates with the
-    forward's own call (``numcore._activation``) for ``W2``'s sum, ``g @
-    W2.T``, the activation gradient (``numcore._activation_grad``, written
-    over the GELU gates, or the pre-activations for ReLU), ``gpre @ W1.T``,
-    the LayerNorm's input gradient plus the residual's share, the mix's
-    backward (after the pass, whole, for the token-axis MLP), and, if the
-    tokens want it, their gradient: the mix's shares added in the chain's
-    order to any the tokens already hold. Each sum over rows is one whole
-    task: ``b2`` in that pass, every other one in one pass of tasks after it,
-    ``W2``'s ``act.T @ g`` and ``W1``'s ``z.T @ gpre`` first, ``z`` rebuilt as
-    ``xn * gain + bias`` (``numcore._layer_norm_affine``). The small ops,
-    which hold the GIL, overlap with the other thread's GEMMs and erf, which
-    release it.
+    the LayerNorm's normalized rows ``xn`` and 1/std.
+
+    The backward has one schedule, whatever the mixer kind. First one pass
+    over the same chunks, with no task in it: ``act`` rebuilt from ``pre``
+    and the gates with the forward's own call (``numcore._activation``) for
+    ``W2``'s sum, ``g @ W2.T``, the activation gradient
+    (``numcore._activation_grad``, written over the GELU gates, or the
+    pre-activations for ReLU), ``gpre @ W1.T``, the LayerNorm's input
+    gradient plus the residual's share, the mix's backward (after the pass,
+    whole, for the token-axis MLP), and, if the tokens want it, their
+    gradient: the mix's shares added in the chain's order to any the tokens
+    already hold, written over the LayerNorm's input gradient if there is a
+    channel mixer. Then one pass of the whole sums over rows, each one task
+    on one thread: ``W2``'s ``act.T @ g`` and ``W1``'s ``z.T @ gpre`` first,
+    ``z`` rebuilt as ``xn * gain + bias`` (``numcore._layer_norm_affine``),
+    then the biases', the LayerNorm's gain and bias and the mix's. Then
+    ``accumulate_grad``, on the caller. The small ops, which hold the GIL,
+    overlap with the other thread's GEMMs and erf, which release it.
     """
     p = channel
     params = () if p is None else (p.ln_gain, p.ln_bias, p.w1, p.b1, p.w2, p.b2)
@@ -500,6 +507,7 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
             f[lo:hi] += h
 
     nc._row_passes(m, forward_rows, block=mix.n)
+    mix.rows = None  # drops the forward's mix, such as the MLP's whole output
     out = Value(f, tape, want)
     if not want:
         return out
@@ -508,15 +516,12 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
         g = out.grad
         if g is None:
             return
-        sums = _Sums()
         # the gradients of the LayerNorm's output and input (mix plus residual)
         gz, gh = (None, g) if p is None else (np.empty((m, d)), np.empty((m, d)))
-        # the tokens' gradient goes over gh where no sum reads gh after the pass
-        gx, prior = (gh if p is not None and not mix.reads_gh else np.empty((m, d))), tokens.grad
+        # with a channel mixer the tokens' gradient goes over gh, which no sum reads
+        gx, prior = (np.empty((m, d)) if p is None else gh), tokens.grad
         # the activations, rebuilt for W2's sum before gpre goes over their inputs
         act = np.empty_like(pre) if p is not None and p.w2.want_grad else None
-        if p is not None:
-            sums.add(p.b2, np.sum, g, axis=0, keepdims=True)
         if mix.want:
             mix.start_back()
 
@@ -543,21 +548,22 @@ def _mix_block(tokens: Value, mix: _Mix, channel: ChannelParams | None,
             if mix.want and not mix.whole_back:
                 mix_back_rows(lo, hi)
 
-        nc._row_passes(m, backward_rows, mix.n, [task for *_, task in sums])
+        nc._row_passes(m, backward_rows, mix.n)
         if mix.want and mix.whole_back:
             mix_back_rows(0, m)
-        first = len(sums)
+        sums = _Sums()
         if p is not None:
             gpre = pre if cdf is None else cdf
             sums.add(p.w2, lambda out: np.matmul(act.T, g, out=out))
             sums.add(p.w1, lambda out: np.matmul(
                 nc._layer_norm_affine(xn, p.ln_gain.data, p.ln_bias.data).T, gpre, out=out))
+            sums.add(p.b2, np.sum, g, axis=0, keepdims=True)
             sums.add(p.b1, np.sum, gpre, axis=0, keepdims=True)
             sums.add(p.ln_gain, lambda out: np.sum(gz * xn, axis=0, keepdims=True, out=out))
             sums.add(p.ln_bias, np.sum, gz, axis=0, keepdims=True)
         if mix.want:
-            mix.sums(sums, gh)
-        nc._row_passes(0, tasks=[task for *_, task in sums[first:]])
+            mix.sums(sums)
+        nc._row_passes(0, tasks=[task for *_, task in sums])
         for v, grad, _ in sums:
             nc.accumulate_grad(v, grad)
         if tokens.want_grad:

@@ -404,6 +404,9 @@ class SyntheticSpec:
             raise SpecError("p_repeat must lie in [0, 1]")
         if not (math.isfinite(self.time_step) and self.time_step >= 0):
             raise SpecError(f"time_step must be finite and non-negative, got {self.time_step}")
+        if not math.isfinite(self.time_step * (self.n_events - 1)):
+            raise SpecError(f"time_step {self.time_step} overflows the timestamps of "
+                            f"{self.n_events} events")
         if self.edge_feat_kind not in ("none", "endpoint_onehot"):
             raise SpecError(f"unknown edge_feat_kind {self.edge_feat_kind!r}")
 

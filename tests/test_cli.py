@@ -154,9 +154,12 @@ class TestOutAfterInputs:
         (["eval", "CKPT", "--synthetic",
           '{"n_src": 1, "n_dst": 1, "n_events": 300, "edge_feat_kind": "none"}'],
          "no negative candidate"),
+        (["bench", "--seed", "-1", "--lengths", "8,16,32"], "--seed"),
+        (["train", "--synthetic", '{"n_events": 300, "time_step": 1e308}'], "time_step"),
     ], ids=["empty_spans", "negative_seed", "one_destination", "too_short_to_split",
             "bench_repeats", "bench_unknown_mixer", "negative_synthetic_seed",
-            "eval_one_candidate", "eval_empty_stream", "eval_one_destination"])
+            "eval_one_candidate", "eval_empty_stream", "eval_one_destination",
+            "bench_negative_seed", "overflowing_time_step"])
     def test_bad_input_exits_two_naming_it_before_out(self, tmp_path, capsys, argv, named):
         # SPEC: a negative synthetic seed; CKPT: a checkpoint that fits a
         # stream without node or edge features
@@ -171,6 +174,30 @@ class TestOutAfterInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert not out.exists()
+
+
+class TestEmptyOut:
+    """An empty output path is a usage error, not the current directory or
+    the default ``out/``: nothing is written."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["train", *FAST, "--out", ""], "--out"),
+        (["train", *FAST, "--config", "spec.json"], "'out'"),
+        (["eval", "ckpt.json", *FAST, "--out", ""], "--out"),
+        (["bench", "--lengths", "8,16,32", "--repeats", "1", "--out", ""], "--out"),
+        (["ingest", OVERLAPPING_IDS, "--out", ""], "--out"),
+    ], ids=["train_flag", "spec_field", "eval", "bench", "ingest"])
+    def test_exits_two_naming_it_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                     argv, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps({"out": ""}))
+        cfg = md.ModelConfig(dim=8, time_dim=8, spans=(2,), n_max=5)
+        md.save_checkpoint(md.init_params(cfg, 10, 10, seed=0), tmp_path / "ckpt.json")
+        files = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert sorted(tmp_path.rglob("*")) == files
 
 
 class FakeLibc:

@@ -760,6 +760,33 @@ MIXED_LEAVES = [MIXED_ALL, ("h",), ("mixer",), ("w2", "b2"), ("ln_gain", "w1"), 
 BLOCK_LEAVES = [BLOCK_ALL, ("h",), ("order", "fuse_raw"), ("w2", "b2"), ("ln_gain", "w1"), ()]
 
 
+def leaf_layer(arrays, mixer):
+    """A tape with every array a leaf, and the layer and channel mixer built of them."""
+    kind, offsets, _ = BLOCK_MIXERS[mixer]
+    tape = nc.Tape()
+    v = {name: tape.leaf(a) for name, a in arrays.items()}
+    if kind == "adaptive":
+        layer = mx.AdaptiveLayer(offsets, v["order"], 0.5)
+    else:
+        layer = MIXER_LAYERS[kind](*(v[name] for name in MIXER_PARAMS[kind]))
+    return tape, v, layer, mx.ChannelParams(*(v[name] for name in CHANNEL_NAMES))
+
+
+def forward_bytes(block, arrays, times, pads, mixer, activation):
+    """Bytes of numpy data that ``block``'s forward leaves alive."""
+    tape, v, layer, params = leaf_layer(arrays, mixer)
+    numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(numpy_data)
+        out = block(v["h"], times, pads, layer, params, activation, True)
+        after = tracemalloc.take_snapshot().filter_traces(numpy_data)
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == v["h"].data.shape and tape._steps
+    return sum(t.size for t in after.traces) - sum(t.size for t in before.traces)
+
+
 def run_block(block, arrays, times, pads, mixer, activation, residual, leaves):
     """Output, tape flops and steps, and leaf gradients of one token block under
     a loss that also reads the tokens directly, so they gather gradient from
@@ -1159,11 +1186,11 @@ class TestFusedTokenBlock:
         monkeypatch.setattr(nc, "_row_passes", recorded)
         arrays, times, pads = block_arrays(np.random.default_rng(62), r=r, n=n, mixer=mixer)
         run_block(fused_block, arrays, times, pads, mixer, "gelu", True, BLOCK_ALL)
-        # one forward pass; one backward pass with the b2 sum, which rebuilds
-        # act; one pass of every other sum: W2, W1, b1, the LayerNorm's two
-        # and the mix's
+        # one forward pass; one backward pass, which rebuilds act, with no
+        # task; one pass of every sum: W2, W1, b2, b1, the LayerNorm's two and
+        # the mix's
         mix_sums = {"learned": 2, "attention": 4, "mlp": 4}[mixer]
-        assert spans == [(r * n, n, True, 0), (r * n, n, True, 1), (0, 1, False, 5 + mix_sums)]
+        assert spans == [(r * n, n, True, 0), (r * n, n, True, 0), (0, 1, False, 6 + mix_sums)]
 
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
     def test_keeps_only_what_its_backward_cannot_rebuild(self, monkeypatch, activation):
@@ -1174,30 +1201,54 @@ class TestFusedTokenBlock:
         monkeypatch.setattr(nc, "_row_worker", None)
         r, n, d, hidden = 64, 8, 16, 48
         m = r * n
-        arrays, times, pads = block_arrays(np.random.default_rng(66), r=r, n=n,
-                                           mixer="learned", d=d, hidden=hidden)
-
-        def held(block):
-            """Bytes of numpy data that ``block``'s forward leaves alive."""
-            tape = nc.Tape()
-            v = {name: tape.leaf(a) for name, a in arrays.items()}
-            layer = mx.AdaptiveLayer(BLOCK_MIXERS["learned"][1], v["order"], 0.5)
-            params = mx.ChannelParams(*(v[name] for name in CHANNEL_NAMES))
-            numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
-            tracemalloc.start()
-            try:
-                before = tracemalloc.take_snapshot().filter_traces(numpy_data)
-                out = block(v["h"], times, pads, layer, params, activation, True)
-                after = tracemalloc.take_snapshot().filter_traces(numpy_data)
-            finally:
-                tracemalloc.stop()
-            assert out.data.shape == (m, d) and tape._steps
-            return sum(t.size for t in after.traces) - sum(t.size for t in before.traces)
-
-        mix_keeps = held(token_mix_only) - 8 * m * d
+        args = block_arrays(np.random.default_rng(66), r=r, n=n, mixer="learned", d=d,
+                            hidden=hidden) + ("learned", activation)
+        mix_keeps = forward_bytes(token_mix_only, *args) - 8 * m * d
         gates = hidden if activation == "gelu" else 0
         kept = 8 * (m * hidden + m * gates + m * d + m)  # pre, gates, xn, 1/std
-        assert held(fused_block) == 8 * m * d + kept + mix_keeps
+        assert forward_bytes(fused_block, *args) == 8 * m * d + kept + mix_keeps
+
+    def test_mlp_mix_keeps_only_its_pre_activations_and_gates(self, monkeypatch):
+        """A token-axis MLP's whole output goes once the forward has read it:
+        its ``token_mix`` leaves alive the output, and the pre-activations and
+        GELU gates side by side (k x R*d each)."""
+        monkeypatch.setattr(nc, "_row_worker", None)
+        r, n, d = 64, 8, 16
+        arrays, times, pads = block_arrays(np.random.default_rng(68), r=r, n=n, mixer="mlp",
+                                           d=d)
+        k = arrays["tw1"].shape[0]
+        held = forward_bytes(token_mix_only, arrays, times, pads, "mlp", "gelu")
+        assert held == 8 * (r * n * d + 2 * k * r * d)
+
+    def test_attention_backward_peak(self, monkeypatch):
+        """The peak of an attention block's backward (worker off) per row: the
+        arrays it allocates (the LayerNorm's output and input gradients, over
+        the latter of which the tokens' gradient goes, ``act``, the q, k and v
+        gradients, and the mix's copy of the output gradient) and, in the
+        mix's backward, the tokens' three shares and two partial sums of them.
+        Taken at two sizes, so that the interpreter's own objects cancel."""
+        monkeypatch.setattr(nc, "_row_worker", None)
+        n, d, hidden = 8, 16, 48  # q, k and v are d wide
+
+        def peak(r):
+            arrays, times, pads = block_arrays(np.random.default_rng(69), r=r, n=n,
+                                               mixer="attention", d=d, hidden=hidden)
+            tape, v, layer, params = leaf_layer(arrays, "attention")
+            out = fused_block(v["h"], times, pads, layer, params, "gelu", True)
+            out.grad = np.random.default_rng(70).normal(size=out.data.shape)
+            (step,) = tape._steps
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                step()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        # gz and gh, act, the q, k and v gradients, the copy, shares, partial sums
+        per_row = 2 * d + hidden + 3 * d + d + 3 * d + 2 * d
+        peak(64)  # the first call's one-off allocations
+        assert peak(128) - peak(64) == 8 * 64 * n * per_row
 
     @pytest.mark.parametrize("mixer", ["learned", "attention"])
     def test_concurrent_blocks_give_the_single_caller_bits(self, monkeypatch, row_worker,
