@@ -18,7 +18,7 @@ import numpy as np
 from . import numcore as nc
 from . import mixers as mx
 from .encoders import EncoderParams, embed_neighbors, time_encode_rows
-from .numcore import ConfigError, ContractError, Tape, Value
+from .numcore import ConfigError, ContractError, Int64, Tape, Value
 from .tgraph import TemporalStore
 
 __all__ = [
@@ -51,12 +51,12 @@ SCORE_BLOCK_ROWS = 4096
 class ModelConfig:
     """Architecture plus ablation switches; layer count equals len(spans)."""
 
-    dim: int = 32
-    time_dim: int = 100
+    dim: Int64 = 32
+    time_dim: Int64 = 100
     spans: tuple = (2, 4, 8)
     mixer: str = "adaptive"
     activation: str = "gelu"
-    n_max: int = 10
+    n_max: Int64 = 10
     no_lp: bool = False      # pin order/recency fusion to 0 (recency only)
     no_rt: bool = False      # pin fusion to 1 (order weights only)
     no_resnet: bool = False
@@ -466,7 +466,8 @@ def load_checkpoint(path) -> ModelParams:
         raise ContractError(f"unsupported checkpoint version {doc.get('format_version')}")
     config, node_dim, edge_dim, stored = (
         nc.json_typed(f"checkpoint {key!r}", doc.get(key), kind) for key, kind in
-        (("config", "dict"), ("node_dim", "int"), ("edge_dim", "int"), ("tensors", "dict")))
+        (("config", "dict"), ("node_dim", "Int64"), ("edge_dim", "Int64"),
+         ("tensors", "dict")))
     config = ModelConfig.from_dict(config)
     table = _tensor_table(config, node_dim, edge_dim)
     if set(stored) != set(table):

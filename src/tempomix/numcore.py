@@ -21,6 +21,7 @@ import ctypes
 import functools
 import os
 import reprlib
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,7 @@ __all__ = [
     "ConfigError",
     "NonFiniteError",
     "OracleError",
+    "Int64",
     "json_typed",
     "from_json",
     "Tape",
@@ -89,22 +91,37 @@ class OracleError(RuntimeError):
     """A verification oracle cannot be trusted (e.g. non-deterministic f)."""
 
 
+# The annotation of a config field that numpy holds as an int64: a count, a
+# size or an offset. A plain ``int`` field (a seed, an epoch count) stays a
+# Python int and takes any integer.
+Int64 = int
+
 # the JSON types that fit a field of each annotation, and the item types of a
 # list that fits a tuple (spans, shapes) or a list (tensor data)
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "dict": dict,
-               "tuple": list, "list": list}
+_JSON_TYPES = {"int": int, "Int64": int, "float": (int, float), "str": str, "bool": bool,
+               "dict": dict, "tuple": list, "list": list}
 _JSON_ITEMS = {"tuple": (int,), "list": (int, float)}
+# the largest integer that fits a field, or the items of a list, of each
+# annotation, and the machine type that holds it
+_INT_LIMITS = {"Int64": (2**63 - 1, "an int64"), "tuple": (2**63 - 1, "an int64"),
+               "float": (sys.float_info.max, "a float64"),
+               "list": (sys.float_info.max, "a float64")}
 
 
 def json_typed(where: str, value, annotation: str):
     """``value`` if its JSON type fits a field annotated ``annotation``, else a
-    ``ConfigError`` naming ``where``: only true or false is a bool, and an
-    integer is also a float."""
+    ``ConfigError`` naming ``where``: only true or false is a bool, an integer
+    is also a float, and an integer that an int64 (or a float) field cannot
+    hold is too large for it."""
     if (not isinstance(value, _JSON_TYPES[annotation])
             or isinstance(value, bool) != (annotation == "bool")
             or annotation in _JSON_ITEMS
             and not all(type(x) in _JSON_ITEMS[annotation] for x in value)):
         raise ConfigError(f"{where}: expected {annotation}, got {reprlib.repr(value)}")
+    limit, kind = _INT_LIMITS.get(annotation, (None, None))
+    items = value if annotation in _JSON_ITEMS else (value,)
+    if limit is not None and any(type(x) is int and abs(x) > limit for x in items):
+        raise ConfigError(f"{where}: {reprlib.repr(value)} is too large for {kind}")
     return value
 
 
@@ -309,10 +326,20 @@ def _layer_norm_back_rows(g: np.ndarray, gain: np.ndarray, xn: np.ndarray,
 def _activate(pre: np.ndarray, gelu: bool, gates=None, out=None):
     """(act, gate): the activation of ``pre`` into ``out`` and, for the exact
     GELU x * Phi(x), its gate Phi(x) via erf into ``gates`` (each a new array
-    if None; ``out`` may be ``pre``); the gate is None for ReLU."""
+    if None; ``out`` may be ``pre``); the gate is None for ReLU.
+
+    erf runs on |x / sqrt(2)| and the sign is put back after. scipy's erf
+    (cephes) opens with ``if (x < 0) return -erf(-x)``; about half of GELU's
+    inputs are negative, in no order, so the CPU mispredicts that branch
+    often, and on |x| the call takes about half the time. The same branch
+    is why the bits hold: for negative x the signed call returns -erf(-x),
+    which ``copysign`` rebuilds exactly, -0.0 included, so the gate is the
+    signed call's double for every x but NaN (whose sign may differ)."""
     if gelu:
         gates = np.multiply(pre, _INV_SQRT2, out=gates)
+        np.abs(gates, out=gates)
         erf(gates, out=gates)
+        np.copysign(gates, pre, out=gates)
         gates += 1.0
         gates *= 0.5
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import from_json
+from .numcore import Int64, from_json
 
 __all__ = [
     "ParseError",
@@ -385,9 +385,9 @@ class SyntheticSpec:
     learnable from token sequences alone.
     """
 
-    n_src: int = 10
-    n_dst: int = 10
-    n_events: int = 1000
+    n_src: Int64 = 10
+    n_dst: Int64 = 10
+    n_events: Int64 = 1000
     pattern: str = "uniform"
     p_repeat: float = 0.9
     time_step: float = 1.0

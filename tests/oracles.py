@@ -79,7 +79,10 @@ def sum_all(a: Value) -> Value:
 
 def gelu(a: Value) -> Value:
     """Exact GELU, x * Phi(x), with the gate Phi(x) = (1 + erf(x / sqrt(2))) / 2
-    and the gradient (Phi(x) + x phi(x)) * g, each step in the kernel's order."""
+    and the gradient (Phi(x) + x phi(x)) * g, each step in the kernel's order.
+    It calls erf on the signed input on purpose, where the kernel calls it on
+    |x| and restores the sign: the two agreeing bit for bit is the proof that
+    the kernel's shortcut changes no bit."""
     t = a.tape
     x = a.data
     cdf = (erf(x * (1.0 / np.sqrt(2.0))) + 1.0) * 0.5

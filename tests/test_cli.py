@@ -23,6 +23,9 @@ OVERLAPPING_IDS = str(Path(__file__).parent / "data" / "overlapping_ids.csv")
 SYNTH = json.dumps({"n_src": 5, "n_dst": 5, "n_events": 300,
                     "pattern": "periodic", "p_repeat": 0.9})
 
+# a JSON integer too large for an int64 or a float64 field
+HUGE = 10**400
+
 FAST = ["--synthetic", SYNTH, "--dim", "8", "--time-dim", "8", "--spans", "2",
         "--n-max", "5", "--epochs", "2", "--batch-size", "100", "--lr", "0.003",
         "--patience", "5", "--seed", "0"]
@@ -90,6 +93,22 @@ class TestTrainCommand:
         doc = json.loads((tmp_path / "from_file" / "metrics.json").read_text())
         assert len(doc["runs"][0]["epoch_losses"]) == 2  # flag beat the file
 
+    def test_huge_seeds_and_counts_run(self, tmp_path):
+        # these stay Python ints, so no int64 bound applies to them
+        cfg = {"data": {"synthetic": json.loads(SYNTH), "seed": HUGE},
+               "model": {"dim": 8, "time_dim": 8, "spans": [2], "n_max": 5},
+               "train": {"epochs": HUGE, "batch_size": HUGE, "patience": 0, "seed": HUGE}}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert doc["runs"][0]["seed"] == HUGE and len(doc["runs"][0]["epoch_losses"]) == 1
+        cfg["train"]["patience"] = HUGE
+        cfg["train"]["epochs"] = 1
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "out2")]) == 0
+
     def test_both_data_sources_rejected(self, tmp_path, capsys):
         rc = main(["train", *FAST, "--dataset", __file__, "--out", str(tmp_path)])
         assert rc == 2
@@ -146,7 +165,8 @@ class TestOutAfterInputs:
         (["ablate", "--synthetic", '{"n_events": 2}'], "empty train or validation split"),
         (["bench", "--repeats", "-1"], "repeats"),
         (["bench", "--mixers", "adaptive,bogus", "--lengths", "8,16,32"], "bench bogus"),
-        (["train", "--config", "SPEC"], "data 'seed'"),
+        (["train", "--config", {"data": {"synthetic": {"n_events": 300}, "seed": -1}}],
+         "data 'seed'"),
         (["eval", "CKPT", "--synthetic", '{"n_events": 2, "edge_feat_kind": "none"}'],
          "no negative candidate"),
         (["eval", "CKPT", "--synthetic", '{"n_events": 0, "edge_feat_kind": "none"}'],
@@ -156,19 +176,29 @@ class TestOutAfterInputs:
          "no negative candidate"),
         (["bench", "--seed", "-1", "--lengths", "8,16,32"], "--seed"),
         (["train", "--synthetic", '{"n_events": 300, "time_step": 1e308}'], "time_step"),
+        *[(["train", "--synthetic", json.dumps({"n_events": 300, key: HUGE})], repr(key))
+          for key in ("time_step", "n_events", "n_src", "n_dst")],
+        *[(["train", "--config", {"data": {"synthetic": {"n_events": 300}},
+                                  section: {key: value}}], repr(key)) for section, key, value in
+          (("train", "lr", HUGE), ("model", "dim", HUGE), ("model", "time_dim", HUGE),
+           ("model", "n_max", HUGE), ("model", "spans", [2, HUGE]), ("model", "n_max", 2**63))],
     ], ids=["empty_spans", "negative_seed", "one_destination", "too_short_to_split",
             "bench_repeats", "bench_unknown_mixer", "negative_synthetic_seed",
             "eval_one_candidate", "eval_empty_stream", "eval_one_destination",
-            "bench_negative_seed", "overflowing_time_step"])
+            "bench_negative_seed", "overflowing_time_step", "huge_time_step", "huge_n_events",
+            "huge_n_src", "huge_n_dst", "huge_lr", "huge_dim", "huge_time_dim", "huge_n_max",
+            "huge_span", "n_max_past_int64"])
     def test_bad_input_exits_two_naming_it_before_out(self, tmp_path, capsys, argv, named):
-        # SPEC: a negative synthetic seed; CKPT: a checkpoint that fits a
+        # a dict is a spec file's content; CKPT: a checkpoint that fits a
         # stream without node or edge features
-        files = {"SPEC": tmp_path / "spec.json", "CKPT": tmp_path / "ckpt.json"}
-        files["SPEC"].write_text(json.dumps(
-            {"data": {"synthetic": {"n_events": 300}, "seed": -1}}))
+        spec, ckpt = tmp_path / "spec.json", tmp_path / "ckpt.json"
         cfg = md.ModelConfig(dim=8, time_dim=8, spans=(2,), n_max=5)
-        md.save_checkpoint(md.init_params(cfg, 0, 0, seed=0), files["CKPT"])
-        argv = [str(files[a]) if a in files else a for a in argv]
+        md.save_checkpoint(md.init_params(cfg, 0, 0, seed=0), ckpt)
+        for a in argv:
+            if isinstance(a, dict):
+                spec.write_text(json.dumps(a))
+        argv = [str(spec) if isinstance(a, dict) else str(ckpt) if a == "CKPT" else a
+                for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -373,6 +403,11 @@ def malform(doc: dict, case: str) -> str:
         return "node_dim"
     elif case == "string_entry":
         w1["data"][3] = "x"
+    elif case == "huge_entry":
+        w1["data"][3] = HUGE
+    elif case == "huge_node_dim":
+        doc["node_dim"] = HUGE
+        return "node_dim"
     elif case == "no_data":
         del w1["data"]
     elif case == "list_tensor":
@@ -397,8 +432,9 @@ class TestMalformedCheckpoint:
     @pytest.mark.parametrize("case", ["missing", "extra", "transposed", "short_data",
                                       "one_d_shape", "nan", "node_dim", "no_config",
                                       "fractional_node_dim", "string_node_dim",
-                                      "string_entry", "no_data", "list_tensor", "float_dim",
-                                      "string_spans", "parent_no_cm"])
+                                      "string_entry", "huge_entry", "huge_node_dim", "no_data",
+                                      "list_tensor", "float_dim", "string_spans",
+                                      "parent_no_cm"])
     def test_eval_exits_two_and_names_it(self, tmp_path, capsys, case):
         cfg = md.ModelConfig(dim=8, time_dim=8, spans=(2,), n_max=5)
         md.save_checkpoint(md.init_params(cfg, 0, 10, seed=0), tmp_path / "ckpt.json")

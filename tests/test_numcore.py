@@ -2,11 +2,13 @@
 
 import ast
 import gc
+import sys
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from tempomix import numcore as nc
 from oracles import (blocks_to_cols, cols_to_blocks, gelu, layer_norm_rows, scale, softmax_rows,
@@ -121,6 +123,22 @@ class TestLayerNormKernel:
             assert np.array_equal(nc._layer_norm_affine(xn_out, gain, bias), want[0])
 
 
+class TestJsonTyped:
+    """An integer fits an int64 field (``Int64``, a tuple's items) up to
+    2**63 - 1 and a float field (a list's items) up to the largest float64; a
+    plain ``int`` field takes any integer."""
+
+    def test_largest_integers_each_field_takes(self):
+        top = int(sys.float_info.max)
+        for value, annotation in ((2**63 - 1, "Int64"), ([1, 2**63 - 1], "tuple"),
+                                  (top, "float"), ([0.5, -top], "list"), (10**400, "int")):
+            assert nc.json_typed("f", value, annotation) is value
+        for value, annotation in ((2**63, "Int64"), ([1, 2**63], "tuple"),
+                                  (2 * top, "float"), ([0.5, -2 * top], "list")):
+            with pytest.raises(nc.ConfigError, match="^f: .* is too large for an? "):
+                nc.json_typed("f", value, annotation)
+
+
 class TestActivationKernel:
     """``_activate`` and ``_activation_grad``, the one activation kernel of the
     channel mixer and the token-axis MLP, against the oracle and the tape op."""
@@ -166,6 +184,27 @@ class TestActivationKernel:
         pre = x.copy()
         got, _ = nc._activate(pre, True, out=pre)
         assert got is pre and np.array_equal(pre, act)
+
+    def test_gelu_gate_has_the_bits_of_the_signed_erf(self):
+        # the kernel calls erf on |x / sqrt(2)| and restores the sign; the
+        # oracle calls it on the signed input. Compared as int64 so that -0.0
+        # counts; cephes changes branch at |x / sqrt(2)| = 1 and 8.
+        edges = [0.0, 5e-324, 1e-300, 40.0, 1e300]
+        for z in (1.0, 8.0):
+            x = z * np.sqrt(2.0)
+            edges += [x + k * np.spacing(x) for k in range(-4, 5)]
+        edges = np.array(edges)
+        scaled = edges * nc._INV_SQRT2
+        for z in (1.0, 8.0):
+            assert (scaled < z).any() and (scaled > z).any()
+        draws = np.random.default_rng(26).normal(size=(3, 10**5)) * [[0.1], [1.0], [10.0]]
+        for x in (np.concatenate([edges, -edges]), *draws):
+            x = x.reshape(1, -1)
+            act, gates = nc._activate(x.copy(), True)
+            want_gates = (erf(x * (1.0 / np.sqrt(2.0))) + 1.0) * 0.5
+            want_act = gelu(nc.Tape().constant(x)).data
+            assert np.array_equal(gates.view(np.int64), want_gates.view(np.int64))
+            assert np.array_equal(act.view(np.int64), want_act.view(np.int64))
 
 
 class TestBackward:
