@@ -224,10 +224,23 @@ def _run_training(spec: RunSpec, stream: tg.EventStream
     return reports, params_list
 
 
+def _check_model_fits(config: md.ModelConfig, stream: tg.EventStream) -> None:
+    """Allocate each tensor of the model once, so that a size that fits an
+    int64 but not memory is a usage error naming the tensor, before ``--out``
+    is made."""
+    for name, (shape, _) in md._tensor_table(config, stream.node_dim, stream.edge_dim).items():
+        try:
+            np.empty(shape)
+        except (MemoryError, ValueError) as exc:  # ValueError: bytes past the int64 range
+            raise nc.ConfigError(f"model config: tensor {name!r} of shape {shape} "
+                                 f"does not fit in memory ({exc})") from None
+
+
 def cmd_train(args) -> int:
     spec = resolve_run_spec(args)
     stream = spec.load_stream()
     te.fit_partition(stream)  # fails on a stream it cannot fit, before --out
+    _check_model_fits(spec.model, stream)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     reports, params_list = _run_training(spec, stream)
     metrics = {
@@ -278,6 +291,8 @@ def cmd_ablate(args) -> int:
         raise UsageError("the ablation sweep applies to the adaptive mixer")
     stream = spec.load_stream()
     te.fit_partition(stream)
+    # the full variant holds every tensor that another variant holds
+    _check_model_fits(replace(spec.model, no_lp=False, no_rt=False, no_cm=False), stream)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     base = spec.model.to_dict()
     results = {}

@@ -24,13 +24,19 @@ def _frequencies(time_dim: int) -> np.ndarray:
     return 10.0 ** (-4.0 * np.arange(time_dim) / time_dim)
 
 
-def time_encode_rows(dts: np.ndarray, time_dim: int) -> np.ndarray:
+def time_encode_rows(dts: np.ndarray, time_dim: int, out: np.ndarray | None = None
+                     ) -> np.ndarray:
     """Row-stacked time encodings for a vector of gaps: row i is
-    cos(w_k * dts[i]) for a fixed geometric frequency bank, k = 0..time_dim-1."""
+    cos(w_k * dts[i]) for a fixed geometric frequency bank, k = 0..time_dim-1.
+
+    With ``out`` (len(dts) x time_dim float64), the rows are written into it
+    in place, with the same bits, and ``out`` is returned.
+    """
     dts = np.asarray(dts, dtype=np.float64)
     if np.any(dts < 0):
         raise ContractError("time gaps must be non-negative")
-    return np.cos(dts[:, None] * _frequencies(time_dim)[None, :])
+    product = np.multiply(dts[:, None], _frequencies(time_dim)[None, :], out=out)
+    return np.cos(product, out=product)
 
 
 @dataclass

@@ -9,6 +9,7 @@ evaluating) and builds the graph through the pure layer functions.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, asdict
 from typing import Mapping, Sequence
@@ -41,9 +42,11 @@ __all__ = [
 MIXERS = ("adaptive", "pooling", "mlp", "attention")
 ACTIVATIONS = ("gelu", "relu")
 MLP_TOKEN_RATIO = 0.5  # hidden token count = ceil(ratio * n_max)
-# token rows per block on the scoring path, and input rows per projection of
-# an input table: a block's 4*dim-wide channel-mixer temporaries and a chunk's
-# input rows stay within a few MB instead of growing with the split
+# the scoring path's one size: token rows per block of keys, so that a block's
+# 4*dim-wide channel-mixer temporaries stay within a few MB; input floats per
+# chunk of an input table (one block's token matrix, 1 MiB at dim 32); and
+# pairs per block of predictor logits. No chunk or pair block needs to be
+# smaller than numcore._ROW_CHUNK // 2 rows (see _row_blocks)
 SCORE_BLOCK_ROWS = 4096
 
 
@@ -256,44 +259,78 @@ def _windows(store: TemporalStore, keys: Sequence[tuple[int, float]],
     return ts, index[valid], valid
 
 
+def _feature_rows(feats: np.ndarray, ids: np.ndarray, out: np.ndarray) -> None:
+    """Write ``feats[ids]`` for sorted ``ids`` into ``out``. The range is
+    checked once, here, so that ``np.take`` need not buffer a copy of the
+    rows to check each id."""
+    if ids[0] < 0 or ids[-1] >= len(feats):
+        raise IndexError(f"feature rows {ids[0]}..{ids[-1]} outside 0..{len(feats) - 1}")
+    np.take(feats, ids, axis=0, out=out, mode="clip")
+
+
 def _input_kinds(bound: BoundModel, store: TemporalStore, ts: np.ndarray,
                  entries: np.ndarray, valid: np.ndarray) -> list[tuple]:
     """Per input kind present, in the order tokens sum them (time gap,
     neighbor node, edge): every real token's lookup value in row-major order,
-    the map from values to input rows, and the encoder weight."""
+    the function ``fill(values, out)`` that writes the input rows of sorted
+    values into ``out``, and the encoder weight."""
     stream, enc = store.stream, bound.encoder
     kinds = [(np.repeat(ts, valid.sum(axis=1)) - store.times[entries],
-              lambda gaps: time_encode_rows(gaps, enc.time_dim), enc.w_time)]
+              lambda gaps, out: time_encode_rows(gaps, enc.time_dim, out=out), enc.w_time)]
     if stream.node_dim:
-        kinds.append((store.neighbor_ids[entries], stream.node_feats.__getitem__,
-                      enc.w_node))
+        kinds.append((store.neighbor_ids[entries],
+                      functools.partial(_feature_rows, stream.node_feats), enc.w_node))
     if stream.edge_dim:
-        kinds.append((store.edge_ids[entries], stream.edge_feats.__getitem__,
-                      enc.w_edge))
+        kinds.append((store.edge_ids[entries],
+                      functools.partial(_feature_rows, stream.edge_feats), enc.w_edge))
     return kinds
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array, by one sort: numpy's hashed unique takes
+    several times as long on integer ids."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _distinct(kinds: list[tuple]) -> list[tuple]:
     """``kinds`` with each kind's per-token values replaced by their sorted
     distinct values."""
-    return [(np.unique(values), rows_of, weight) for values, rows_of, weight in kinds]
+    return [(_sorted_distinct(values), fill, weight) for values, fill, weight in kinds]
+
+
+def _row_blocks(total: int, most: int) -> list[tuple[int, int]]:
+    """Bounds of the fewest near-equal blocks that cover ``range(total)`` with
+    at most ``max(most, numcore._ROW_CHUNK // 2)`` rows each. So one of
+    several blocks never has fewer than ``_ROW_CHUNK // 4`` rows, nor fewer
+    than ``_ROW_CHUNK // 2`` where ``most`` is at least ``_ROW_CHUNK``: a GEMM
+    split into such blocks keeps every row's bits, where one-row products
+    (gemv) would sum in another order."""
+    k = -(-total // max(most, nc._ROW_CHUNK // 2))
+    return [(i * total // k, (i + 1) * total // k) for i in range(k)]
 
 
 def _input_tables(distinct_kinds: list[tuple]) -> list[tuple[np.ndarray, Value]]:
     """Projected lookup tables, one per input kind: its sorted distinct values
     and their projected rows (dim wide), then one all-zero row that pad slots
-    index. Each input row is built and projected once, by tape matmuls over
-    at most ``SCORE_BLOCK_ROWS`` input rows; the time encoder has fixed
+    index. Each input row is written once, in place, into a chunk that holds
+    at most ``SCORE_BLOCK_ROWS * dim`` input floats (one block's token
+    matrix) and is projected by one tape matmul; the time encoder has fixed
     frequencies, so a projected row depends only on its value."""
     tables = []
-    for distinct, rows_of, weight in distinct_kinds:
+    for distinct, fill, weight in distinct_kinds:
+        width, dim = weight.data.shape
         parts = []
-        for lo in range(0, len(distinct) + 1, SCORE_BLOCK_ROWS):  # the last input row is zero
-            chunk = distinct[lo:lo + SCORE_BLOCK_ROWS]
-            rows = np.zeros((min(SCORE_BLOCK_ROWS, len(distinct) + 1 - lo),
-                             weight.data.shape[0]))
+        # the last input row is zero
+        for lo, hi in _row_blocks(len(distinct) + 1, SCORE_BLOCK_ROWS * dim // width):
+            rows = np.empty((hi - lo, width))
+            chunk = distinct[lo:hi]
             if chunk.size:
-                rows[:chunk.size] = rows_of(chunk)
+                fill(chunk, rows[:chunk.size])
+            rows[chunk.size:] = 0.0
             parts.append(nc.matmul(weight.tape.constant(rows), weight))
         tables.append((distinct, parts[0] if len(parts) == 1 else nc.concat_rows(parts)))
     return tables
@@ -395,27 +432,42 @@ def score_pairs(params: ModelParams, store: TemporalStore,
                 pairs: Sequence[tuple[int, int, float]]) -> np.ndarray:
     """Probabilities for (src, dst, t) pairs on the no-gradient path.
 
-    The projected input tables are built once, over every key of the split.
-    Keys then stream through the layer stack in blocks of about
-    ``SCORE_BLOCK_ROWS`` token rows, so memory is bounded by the block and the
-    tables, not by the split. Every block reads the same tables, so every
+    Keys go in blocks of about ``SCORE_BLOCK_ROWS`` token rows, twice. The
+    first pass collects each input kind's distinct values, block by block,
+    and merges them; the projected input tables are built once from those,
+    in chunks of at most one block's worth of input floats. The second pass
+    streams each block through the layer stack and writes its
+    representations into one array of the split's keys; the predictor then
+    takes the pairs in blocks of at most ``SCORE_BLOCK_ROWS``. So every array
+    is sized by a block, by the distinct inputs or by the output, never by
+    the split's token count. Every block reads the same tables, so every
     row's arithmetic is the same as in one pass.
     """
     if not pairs:
         return np.zeros(0)
     bound = bind(params, Tape(), trainable=False)
+    cfg = bound.config
     keys, left, right = _key_index([((u, t), (v, t)) for u, v, t in pairs])
-    ts, entries, valid = _windows(store, keys, bound.config.n_max)
-    distinct = _distinct(_input_kinds(bound, store, ts, entries, valid))
-    # the all-key windows go before the input rows are built: held through
-    # the build, they raise the heap's high-water mark (peak RSS) by a few MB.
-    # Only the dim-wide tables are held across blocks.
-    del ts, entries, valid
+    step = max(1, SCORE_BLOCK_ROWS // cfg.n_max)
+    starts = range(0, len(keys), step)
+    per_block = [_distinct(_input_kinds(bound, store, *_windows(store, keys[lo:lo + step],
+                                                                   cfg.n_max)))
+                 for lo in starts]
+    distinct = [(_sorted_distinct(np.concatenate([kinds[i][0] for kinds in per_block])),
+                 fill, weight)
+                for i, (_, fill, weight) in enumerate(per_block[0])]
+    del per_block
     tables = _input_tables(distinct)
-    step = max(1, SCORE_BLOCK_ROWS // bound.config.n_max)
-    reprs = nc.concat_rows([_batched_reprs(bound, store, keys[lo:lo + step], tables)
-                            for lo in range(0, len(keys), step)])
-    return nc.sigmoid(_pair_logits(bound, reprs, left, right)).data[:, 0].copy()
+    reprs = np.empty((len(keys), cfg.dim))
+    for lo in starts:
+        reprs[lo:lo + step] = _batched_reprs(bound, store, keys[lo:lo + step], tables).data
+    # the Value that concat_rows of the blocks' constant outputs would give
+    reprs = Value(reprs, bound.tape, want_grad=False)
+    scores = np.empty(len(pairs))
+    for lo, hi in _row_blocks(len(pairs), SCORE_BLOCK_ROWS):
+        logits = _pair_logits(bound, reprs, left[lo:hi], right[lo:hi])
+        scores[lo:hi] = nc.sigmoid(logits).data[:, 0]
+    return scores
 
 
 def effective_fusions(params: ModelParams) -> list[float]:
@@ -439,20 +491,24 @@ def save_checkpoint(params: ModelParams, path) -> None:
     for name, arr in params.tensors.items():
         if not np.isfinite(arr).all():
             raise nc.NonFiniteError(f"save_checkpoint: tensor {name!r} has non-finite entries")
-    doc = {
+    head = json.dumps({
         "format_version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
         "node_dim": params.node_dim,
         "edge_dim": params.edge_dim,
         "effective_fusion": effective_fusions(params),
-        "tensors": {
-            name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-            for name, arr in sorted(params.tensors.items())
-        },
-    }
+    }, sort_keys=True)
+    # the bytes of json.dumps(doc, sort_keys=True), where "tensors" is the
+    # last key, written a tensor at a time: json.dumps without indent runs
+    # the C encoder (json.dump to a file runs the pure-Python one), and only
+    # one tensor's list of floats and its text exist at once
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(head[:-1] + ', "tensors": {')
+        for i, (name, arr) in enumerate(sorted(params.tensors.items())):
+            tensor = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+            fh.write(f"{', ' if i else ''}{json.dumps(name)}: "
+                     f"{json.dumps(tensor, sort_keys=True)}")
+        fh.write("}}\n")
 
 
 def load_checkpoint(path) -> ModelParams:

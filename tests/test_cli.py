@@ -182,12 +182,22 @@ class TestOutAfterInputs:
                                   section: {key: value}}], repr(key)) for section, key, value in
           (("train", "lr", HUGE), ("model", "dim", HUGE), ("model", "time_dim", HUGE),
            ("model", "n_max", HUGE), ("model", "spans", [2, HUGE]), ("model", "n_max", 2**63))],
+        # past memory but not past an int64: the tensor that cannot be
+        # allocated (the MLP's tw1 has more bytes than an int64 can count)
+        *[([command, "--config", {"data": {"synthetic": {"n_events": 300}}, "model": model}],
+           f"model config: tensor {tensor!r}")
+          for command, model, tensor in (
+              ("train", {"dim": 2**40}, "enc.edge"),
+              ("train", {"time_dim": 2**40}, "enc.time"),
+              ("train", {"mixer": "mlp", "n_max": 2**40}, "layer0.tw1"),
+              ("ablate", {"dim": 2**40, "no_cm": True}, "enc.edge"))],
     ], ids=["empty_spans", "negative_seed", "one_destination", "too_short_to_split",
             "bench_repeats", "bench_unknown_mixer", "negative_synthetic_seed",
             "eval_one_candidate", "eval_empty_stream", "eval_one_destination",
             "bench_negative_seed", "overflowing_time_step", "huge_time_step", "huge_n_events",
             "huge_n_src", "huge_n_dst", "huge_lr", "huge_dim", "huge_time_dim", "huge_n_max",
-            "huge_span", "n_max_past_int64"])
+            "huge_span", "n_max_past_int64", "dim_past_memory", "time_dim_past_memory",
+            "mlp_n_max_past_memory", "ablate_dim_past_memory"])
     def test_bad_input_exits_two_naming_it_before_out(self, tmp_path, capsys, argv, named):
         # a dict is a spec file's content; CKPT: a checkpoint that fits a
         # stream without node or edge features

@@ -34,6 +34,18 @@ class TestTimeEncode:
         with pytest.raises(nc.ContractError):
             enc.time_encode_rows([-0.5], 4)
 
+    def test_out_has_the_allocating_call_bits(self):
+        rng = np.random.default_rng(1)
+        dts = np.concatenate([[0.0, 5e-324, 1e-300, 1e300], rng.uniform(0, 1e6, size=300)])
+        want = enc.time_encode_rows(dts, 100)
+        rows = np.full((len(dts) + 2, 100), np.nan)
+        got = enc.time_encode_rows(dts, 100, out=rows[1:-1])
+        assert got.base is rows
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isnan(rows[[0, -1]]).all()  # nothing written outside out
+        with pytest.raises(nc.ContractError):
+            enc.time_encode_rows([1.0, -0.5], 4, out=np.empty((2, 4)))
+
     def test_frequencies_strictly_decreasing(self):
         freqs = enc._frequencies(100)
         assert np.all(np.diff(freqs) < 0)

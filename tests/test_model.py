@@ -1,6 +1,9 @@
 """Tests for the end-to-end model."""
 
 import hashlib
+import io
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,20 +466,68 @@ class TestInputTables:
         stream, store, cfg, params, pairs = oracle_fixture(40)
         keys, _, _ = md._key_index([((u, t), (v, t)) for u, v, t in pairs])
         monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", 4)  # one key per block
+        monkeypatch.setattr(nc, "_ROW_CHUNK", 4)  # chunks of at least 2 input rows
         blocks = count_batched_calls(monkeypatch)
         encoded = []
         real = md.time_encode_rows
 
-        def spy(dts, time_dim):
+        def spy(dts, time_dim, out=None):
             encoded.append(np.array(dts))
-            return real(dts, time_dim)
+            return real(dts, time_dim, out=out)
 
         monkeypatch.setattr(md, "time_encode_rows", spy)
         md.score_pairs(params, store, pairs)
         distinct = np.unique(real_gaps(store, keys, cfg.n_max))
         assert len(blocks) == len(keys) >= 3
-        assert len(encoded) == -(-len(distinct) // md.SCORE_BLOCK_ROWS) >= 2
+        # near-equal chunks of the distinct gaps and the zero row, each of at
+        # most SCORE_BLOCK_ROWS * dim input floats, but never under 2 rows
+        most = max(md.SCORE_BLOCK_ROWS * cfg.dim // cfg.time_dim, nc._ROW_CHUNK // 2)
+        assert len(encoded) == -(-(len(distinct) + 1) // most) >= 2
         assert np.array_equal(np.concatenate(encoded), distinct)
+
+    def test_every_input_chunk_fits_one_block(self, monkeypatch):
+        # edge features three times wider than dim; query times off the event
+        # grid, so that nearly every token has a gap of its own
+        stream, store = toy_graph(n_events=1500, seed=44, edge_dim=12, node_dim=2, n_nodes=20)
+        cfg = small_config(n_max=6)
+        params = md.init_params(cfg, 2, 12, seed=45)
+        rng = np.random.default_rng(46)
+        pairs = [(int(u), int(v), float(t)) for u, v, t in
+                 zip(stream.src, stream.dst, stream.t + rng.uniform(0, 1, size=len(stream)))]
+        tapes = []
+
+        def recording_tape():
+            tapes.append(RecordingTape())
+            return tapes[-1]
+
+        monkeypatch.setattr(md, "Tape", recording_tape)
+        projected = []
+        real = md._input_tables
+
+        def spy(distinct_kinds):
+            tables = real(distinct_kinds)
+            projected.append([table.data.view(np.int64).copy() for _, table in tables])
+            return tables
+
+        monkeypatch.setattr(md, "_input_tables", spy)
+        monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", 10**6)  # one chunk per table
+        md.score_pairs(params, store, pairs)
+        monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", 512)
+        md.score_pairs(params, store, pairs)
+        # the chunks' projected rows have the bits of one product per table
+        assert all(np.array_equal(a, b) for a, b in zip(*projected, strict=True))
+        floor = nc._ROW_CHUNK // 2
+        for width in (cfg.time_dim, stream.node_dim, stream.edge_dim):
+            # one-row constants are scoring's parameters
+            table, = [c for c in tapes[0].constants if c.shape[1] == width and len(c) > 1]
+            chunks = [c for c in tapes[1].constants if c.shape[1] == width and len(c) > 1]
+            assert np.array_equal(np.concatenate(chunks), table)
+            assert all(c.size <= max(md.SCORE_BLOCK_ROWS * cfg.dim, floor * width)
+                       for c in chunks)
+            most = max(md.SCORE_BLOCK_ROWS * cfg.dim // width, floor)
+            assert len(chunks) == -(-len(table) // most)
+            assert len(chunks) == 1 or min(len(c) for c in chunks) >= floor // 2
+            assert (len(chunks) >= 2) == (width != stream.node_dim)  # 21 node rows
 
     def test_no_input_matrix_has_a_row_per_token(self, monkeypatch):
         stream, store, cfg, params, pairs = oracle_fixture(41)
@@ -651,6 +702,47 @@ class TestBlockedScoring:
         assert max(calls) == per_block
         assert max(calls) * cfg.n_max <= max(md.SCORE_BLOCK_ROWS, cfg.n_max)
 
+    def test_peak_memory_grows_only_with_the_outputs(self, monkeypatch):
+        # an integer time grid and no edge features: the distinct gaps and
+        # neighbors, so the input tables, are the same for any number of pairs
+        rng = np.random.default_rng(50)
+        n_nodes, n_events = 30, 400
+        src = rng.integers(n_nodes, size=n_events)
+        dst = (src + 1 + rng.integers(n_nodes - 1, size=n_events)) % n_nodes
+        t = np.sort(rng.integers(0, 100, size=n_events)).astype(float)
+        stream = tg.EventStream(src, dst, t, np.zeros((n_events, 0)), node_count=n_nodes,
+                                node_feats=rng.normal(size=(n_nodes, 3)))
+        store = tg.TemporalStore(stream)
+        cfg = small_config(n_max=32)
+        params = md.init_params(cfg, 3, 0, seed=51)
+        monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", 16 * cfg.n_max)  # 16 keys per block
+
+        def traced_peak(run):
+            run()  # warm
+            tracemalloc.start()
+            try:
+                out = run()
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        sizes = []
+        for n in (300, 1200):
+            u = rng.integers(n_nodes, size=n)
+            v = (u + 1 + rng.integers(n_nodes - 1, size=n)) % n_nodes
+            pairs = [(int(a), int(b), float(c))
+                     for a, b, c in zip(u, v, rng.integers(0, 120, size=n))]
+            index_peak, (keys, _, _) = traced_peak(
+                lambda: md._key_index([((a, c), (b, c)) for a, b, c in pairs]))
+            peak, _ = traced_peak(lambda: md.score_pairs(params, store, pairs))
+            sizes.append((len(pairs), len(keys), index_peak, peak))
+        (p0, k0, i0, s0), (p1, k1, i1, s1) = sizes
+        assert k1 >= 3 * k0
+        # the key index's own objects, the keys' representations, and a few
+        # floats per pair; the windows of all keys (k x n_max) would be more
+        allowed = (i1 - i0) + (k1 - k0) * cfg.dim * 8 + (p1 - p0) * 3 * 8
+        assert s1 - s0 <= allowed, (s1 - s0, allowed)
+
     def test_batch_loss_builds_one_graph(self, monkeypatch):
         stream, store, cfg, params, pairs = oracle_fixture(34)
         monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", cfg.n_max)
@@ -740,6 +832,24 @@ class TestCheckpoint:
         assert set(loaded.tensors) == set(params.tensors)
         for name in params.tensors:
             assert loaded.tensors[name].tobytes() == params.tensors[name].tobytes()
+
+    def test_file_has_the_pure_python_encoder_bytes(self, tmp_path):
+        params = md.init_params(small_config(), 2, 3, seed=12)
+        awkward = [-0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.1, 0.30000000000000004,
+                   1.2345678901234567, -9.8765432109876543e-17, 2.0**-1074 * 3, 1.0]
+        flat = params.tensors["layer0.ff_w1"].reshape(-1)
+        flat[:len(awkward)] = awkward
+        path = tmp_path / "ckpt.json"
+        md.save_checkpoint(params, path)
+        text = path.read_text(encoding="utf-8")
+        # the file's own document, written again by the pure-Python encoder
+        # (json.dump to a file), gives the same bytes
+        again = io.StringIO()
+        json.dump(json.loads(text), again, sort_keys=True)
+        assert text == again.getvalue() + "\n"
+        loaded = md.load_checkpoint(path).tensors["layer0.ff_w1"]
+        assert loaded.tobytes() == params.tensors["layer0.ff_w1"].tobytes()
+        assert "-0.0," in text and "5e-324" in text and "1e+300" in text
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_tensor_refused_by_name(self, tmp_path, bad):
