@@ -225,14 +225,16 @@ def _run_training(spec: RunSpec, stream: tg.EventStream
 
 
 def _check_model_fits(config: md.ModelConfig, stream: tg.EventStream) -> None:
-    """Allocate each tensor of the model once, so that a size that fits an
-    int64 but not memory is a usage error naming the tensor, before ``--out``
-    is made."""
-    for name, (shape, _) in md._tensor_table(config, stream.node_dim, stream.edge_dim).items():
+    """Allocate each tensor of the model once, then one key's window of
+    ``n_max`` positions, so that a size that fits an int64 but not memory is
+    a usage error naming the tensor or ``n_max``, before ``--out`` is made."""
+    table = md._tensor_table(config, stream.node_dim, stream.edge_dim)
+    for what, shape in [*((f"tensor {name!r}", shape) for name, (shape, _) in table.items()),
+                        ("'n_max': one key's window", (config.n_max,))]:
         try:
             np.empty(shape)
         except (MemoryError, ValueError) as exc:  # ValueError: bytes past the int64 range
-            raise nc.ConfigError(f"model config: tensor {name!r} of shape {shape} "
+            raise nc.ConfigError(f"model config: {what} of shape {shape} "
                                  f"does not fit in memory ({exc})") from None
 
 
@@ -275,6 +277,7 @@ def cmd_eval(args) -> int:
                                f"the stream's {stream_dims}")
     _, _, test_split = tg.chronological_split(stream, te.TRAIN_RATIO, te.VAL_RATIO)
     candidates = te._negative_candidates(stream, len(stream) - len(test_split))
+    _check_model_fits(params.config, stream)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     store = tg.TemporalStore(stream)
     ap, auc = te.evaluate(params, test_split, store, candidates,

@@ -45,8 +45,7 @@ MLP_TOKEN_RATIO = 0.5  # hidden token count = ceil(ratio * n_max)
 # the scoring path's one size: token rows per block of keys, so that a block's
 # 4*dim-wide channel-mixer temporaries stay within a few MB; input floats per
 # chunk of an input table (one block's token matrix, 1 MiB at dim 32); and
-# pairs per block of predictor logits. No chunk or pair block needs to be
-# smaller than numcore._ROW_CHUNK // 2 rows (see _row_blocks)
+# pairs per block of predictor logits. numcore._row_bounds cuts all three
 SCORE_BLOCK_ROWS = 4096
 
 
@@ -302,17 +301,6 @@ def _distinct(kinds: list[tuple]) -> list[tuple]:
     return [(_sorted_distinct(values), fill, weight) for values, fill, weight in kinds]
 
 
-def _row_blocks(total: int, most: int) -> list[tuple[int, int]]:
-    """Bounds of the fewest near-equal blocks that cover ``range(total)`` with
-    at most ``max(most, numcore._ROW_CHUNK // 2)`` rows each. So one of
-    several blocks never has fewer than ``_ROW_CHUNK // 4`` rows, nor fewer
-    than ``_ROW_CHUNK // 2`` where ``most`` is at least ``_ROW_CHUNK``: a GEMM
-    split into such blocks keeps every row's bits, where one-row products
-    (gemv) would sum in another order."""
-    k = -(-total // max(most, nc._ROW_CHUNK // 2))
-    return [(i * total // k, (i + 1) * total // k) for i in range(k)]
-
-
 def _input_tables(distinct_kinds: list[tuple]) -> list[tuple[np.ndarray, Value]]:
     """Projected lookup tables, one per input kind: its sorted distinct values
     and their projected rows (dim wide), then one all-zero row that pad slots
@@ -325,7 +313,7 @@ def _input_tables(distinct_kinds: list[tuple]) -> list[tuple[np.ndarray, Value]]
         width, dim = weight.data.shape
         parts = []
         # the last input row is zero
-        for lo, hi in _row_blocks(len(distinct) + 1, SCORE_BLOCK_ROWS * dim // width):
+        for lo, hi in nc._row_bounds(len(distinct) + 1, SCORE_BLOCK_ROWS * dim // width):
             rows = np.empty((hi - lo, width))
             chunk = distinct[lo:hi]
             if chunk.size:
@@ -432,7 +420,7 @@ def score_pairs(params: ModelParams, store: TemporalStore,
                 pairs: Sequence[tuple[int, int, float]]) -> np.ndarray:
     """Probabilities for (src, dst, t) pairs on the no-gradient path.
 
-    Keys go in blocks of about ``SCORE_BLOCK_ROWS`` token rows, twice. The
+    Keys go in blocks of at most ``SCORE_BLOCK_ROWS`` token rows, twice. The
     first pass collects each input kind's distinct values, block by block,
     and merges them; the projected input tables are built once from those,
     in chunks of at most one block's worth of input floats. The second pass
@@ -440,31 +428,32 @@ def score_pairs(params: ModelParams, store: TemporalStore,
     representations into one array of the split's keys; the predictor then
     takes the pairs in blocks of at most ``SCORE_BLOCK_ROWS``. So every array
     is sized by a block, by the distinct inputs or by the output, never by
-    the split's token count. Every block reads the same tables, so every
-    row's arithmetic is the same as in one pass.
+    the split's token count. Blocks and chunks are cut by
+    ``numcore._row_bounds`` and read the same tables, so the scores have the
+    bits of one pass within the sizes it names.
     """
     if not pairs:
         return np.zeros(0)
     bound = bind(params, Tape(), trainable=False)
     cfg = bound.config
     keys, left, right = _key_index([((u, t), (v, t)) for u, v, t in pairs])
-    step = max(1, SCORE_BLOCK_ROWS // cfg.n_max)
-    starts = range(0, len(keys), step)
-    per_block = [_distinct(_input_kinds(bound, store, *_windows(store, keys[lo:lo + step],
-                                                                   cfg.n_max)))
-                 for lo in starts]
+    n = cfg.n_max
+    blocks = [(lo // n, hi // n) for lo, hi in
+              nc._row_bounds(len(keys) * n, max(SCORE_BLOCK_ROWS // n, 1) * n, n)]
+    per_block = [_distinct(_input_kinds(bound, store, *_windows(store, keys[lo:hi], n)))
+                 for lo, hi in blocks]
     distinct = [(_sorted_distinct(np.concatenate([kinds[i][0] for kinds in per_block])),
                  fill, weight)
                 for i, (_, fill, weight) in enumerate(per_block[0])]
     del per_block
     tables = _input_tables(distinct)
     reprs = np.empty((len(keys), cfg.dim))
-    for lo in starts:
-        reprs[lo:lo + step] = _batched_reprs(bound, store, keys[lo:lo + step], tables).data
+    for lo, hi in blocks:
+        reprs[lo:hi] = _batched_reprs(bound, store, keys[lo:hi], tables).data
     # the Value that concat_rows of the blocks' constant outputs would give
     reprs = Value(reprs, bound.tape, want_grad=False)
     scores = np.empty(len(pairs))
-    for lo, hi in _row_blocks(len(pairs), SCORE_BLOCK_ROWS):
+    for lo, hi in nc._row_bounds(len(pairs), SCORE_BLOCK_ROWS):
         logits = _pair_logits(bound, reprs, left[lo:hi], right[lo:hi])
         scores[lo:hi] = nc.sigmoid(logits).data[:, 0]
     return scores

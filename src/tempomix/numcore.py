@@ -374,15 +374,12 @@ def _activation_grad(pre: np.ndarray, gates, ghid) -> np.ndarray:
     return gates
 
 
-# Row passes: per-row work split into chunks of rows that the calling thread
-# and one persistent worker take in turn, then whole sums as tasks. numpy and
-# scipy release the GIL inside large array operations, so the two threads run
-# on two cores. A chunk's rows are bit-identical to the whole pass, since a
-# GEMM split only by output rows keeps each row's sum over K; chunks never
-# fall below _ROW_CHUNK / 2 rows, well above the few-row shapes (one row:
-# gemv) that OpenBLAS sums in another order. Row functions and tasks write
-# shared results only into arrays their caller allocated, and call no public
-# op: a Tape is single-owner.
+# Row passes: per-row work split into chunks of rows (_row_bounds) that the
+# calling thread and one persistent worker take in turn, then whole sums as
+# tasks. numpy and scipy release the GIL inside large array operations, so the
+# two threads run on two cores. Row functions and tasks write shared results
+# only into arrays their caller allocated, and call no public op: a Tape is
+# single-owner.
 _ROW_CHUNK = 512
 _row_worker: ThreadPoolExecutor | None = None  # None: every pass runs inline
 
@@ -429,25 +426,35 @@ def _drain(items) -> None:
         run()
 
 
+def _row_bounds(m: int, most: int, block: int = 1) -> list[tuple[int, int]]:
+    """Bounds of ceil(m / cap) near-equal chunks of whole ``block``-row
+    blocks (``block`` divides ``m``), ``cap = max(most, _ROW_CHUNK // 2)``, so
+    each has fewer than ``cap + block`` rows; fewer chunks, down to one, where
+    one would have fewer than ceil(cap / 2) rows. The one rule for every split
+    of rows into chunks. The floor is for bits: split by output rows, a GEMM
+    gives each row the bits of the whole product at the sizes measured, but a
+    one-row product (gemv) sums in another order, and OpenBLAS 0.3.31 sums
+    ``(M, 16) @ (16, 4)`` in another order from M of about 16,000."""
+    cap = max(most, _ROW_CHUNK // 2)
+    least = -(-cap // 2)
+    blocks = m // block
+    k = max(1, min(-(-m // cap), blocks // -(-least // block)))
+    return [(i * blocks // k * block, (i + 1) * blocks // k * block) for i in range(k)]
+
+
 def _row_passes(m: int, fn: Callable[[int, int], None] | None = None, block: int = 1,
                 tasks: Sequence[Callable[[], None]] = ()) -> None:
     """Run ``fn(lo, hi)`` over row ranges that cover ``range(m)`` once, each
     bound a multiple of ``block`` (which must divide ``m``), then each of
     ``tasks`` once: zero-argument callables, each a whole sum into an output
     its caller allocated (``fn`` None: tasks only). With the worker, the
-    ranges are ceil(m / _ROW_CHUNK) chunks of near-equal numbers of blocks,
-    fewer where one would fall below _ROW_CHUNK / 2 rows, and the two
-    threads take chunks and tasks from one iterator; an exception in either
-    re-raises here. Without it, ``fn(0, m)`` and the tasks run inline, in
-    order. A second caller's items queue behind the first's."""
+    ranges are the chunks of ``_row_bounds(m, _ROW_CHUNK, block)``, and the
+    two threads take chunks and tasks from one iterator; an exception in
+    either re-raises here. Without it, ``fn(0, m)`` and the tasks run inline,
+    in order. A second caller's items queue behind the first's."""
     worker = _row_worker
-    bounds = [] if fn is None else [(0, m)]
-    if fn is not None and worker is not None:
-        blocks = m // block
-        k = min(-(-m // _ROW_CHUNK), blocks // -(-(_ROW_CHUNK // 2) // block))
-        if k >= 2:
-            bounds = [(i * blocks // k * block, (i + 1) * blocks // k * block)
-                      for i in range(k)]
+    bounds = ([] if fn is None else [(0, m)] if worker is None
+              else _row_bounds(m, _ROW_CHUNK, block))
     items = [functools.partial(fn, lo, hi) for lo, hi in bounds] + list(tasks)
     if len(items) < 2 or worker is None:
         _drain(items)

@@ -191,24 +191,34 @@ class TestOutAfterInputs:
               ("train", {"time_dim": 2**40}, "enc.time"),
               ("train", {"mixer": "mlp", "n_max": 2**40}, "layer0.tw1"),
               ("ablate", {"dim": 2**40, "no_cm": True}, "enc.edge"))],
+        # no tensor of these mixers is sized by n_max, but a key's window is
+        *[([command, "--config", {"data": {"synthetic": {"n_events": 300}},
+                                  "model": {"mixer": mixer, "n_max": 2**40}}], "'n_max'")
+          for command, mixer in (("train", "adaptive"), ("train", "pooling"),
+                                 ("train", "attention"), ("ablate", "adaptive"))],
+        (["eval", "WIDE_CKPT", "--synthetic", '{"n_events": 300, "edge_feat_kind": "none"}'],
+         "'n_max'"),
     ], ids=["empty_spans", "negative_seed", "one_destination", "too_short_to_split",
             "bench_repeats", "bench_unknown_mixer", "negative_synthetic_seed",
             "eval_one_candidate", "eval_empty_stream", "eval_one_destination",
             "bench_negative_seed", "overflowing_time_step", "huge_time_step", "huge_n_events",
             "huge_n_src", "huge_n_dst", "huge_lr", "huge_dim", "huge_time_dim", "huge_n_max",
             "huge_span", "n_max_past_int64", "dim_past_memory", "time_dim_past_memory",
-            "mlp_n_max_past_memory", "ablate_dim_past_memory"])
+            "mlp_n_max_past_memory", "ablate_dim_past_memory", "n_max_past_memory",
+            "pooling_n_max_past_memory", "attention_n_max_past_memory",
+            "ablate_n_max_past_memory", "eval_n_max_past_memory"])
     def test_bad_input_exits_two_naming_it_before_out(self, tmp_path, capsys, argv, named):
         # a dict is a spec file's content; CKPT: a checkpoint that fits a
-        # stream without node or edge features
-        spec, ckpt = tmp_path / "spec.json", tmp_path / "ckpt.json"
-        cfg = md.ModelConfig(dim=8, time_dim=8, spans=(2,), n_max=5)
-        md.save_checkpoint(md.init_params(cfg, 0, 0, seed=0), ckpt)
+        # stream without node or edge features, WIDE_CKPT: one at n_max 2^40
+        spec = tmp_path / "spec.json"
+        ckpts = {"CKPT": tmp_path / "ckpt.json", "WIDE_CKPT": tmp_path / "wide.json"}
+        for ckpt, n_max in zip(ckpts.values(), (5, 2**40)):
+            cfg = md.ModelConfig(dim=8, time_dim=8, spans=(2,), n_max=n_max)
+            md.save_checkpoint(md.init_params(cfg, 0, 0, seed=0), ckpt)
         for a in argv:
             if isinstance(a, dict):
                 spec.write_text(json.dumps(a))
-        argv = [str(spec) if isinstance(a, dict) else str(ckpt) if a == "CKPT" else a
-                for a in argv]
+        argv = [str(spec) if isinstance(a, dict) else str(ckpts.get(a, a)) for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -73,3 +73,8 @@ def test_the_reference_scan_sees_calls_and_not_definitions():
     assert ("model", "_predictor_logits") in refs["matmul"]  # nc.matmul, an attribute
     assert ("mixers", "token_block") in refs["_mix_block"]  # a bare name
     assert "node_repr" not in refs  # a def, an __all__ entry and an import are no calls
+
+
+def test_only_numcore_reads_the_row_chunk():
+    """The rule that cuts rows into chunks has one home, ``numcore._row_bounds``."""
+    assert {module for module, _ in src_references()["_ROW_CHUNK"]} == {"numcore"}

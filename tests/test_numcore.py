@@ -207,6 +207,50 @@ class TestActivationKernel:
             assert np.array_equal(act.view(np.int64), want_act.view(np.int64))
 
 
+class TestRowBounds:
+    """``_row_bounds`` is the one rule that cuts rows into chunks: for the
+    block op's row passes, the scoring path's key blocks, input-table chunks
+    and pair blocks."""
+
+    CHUNK = nc._ROW_CHUNK
+
+    @staticmethod
+    def row_passes_count(m, block, chunk):
+        """The chunk count of a row pass before the rule had one home."""
+        blocks = m // block
+        k = min(-(-m // chunk), blocks // -(-(chunk // 2) // block))
+        return k if k >= 2 else 1
+
+    @staticmethod
+    def row_blocks_count(total, most, chunk):
+        """The chunk count of a scoring table or pair split before the rule
+        had one home."""
+        return -(-total // max(most, chunk // 2))
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 8, 20, 255, 257, 600])
+    @pytest.mark.parametrize("most", [1, 100, 256, 300, CHUNK, 1000, 4096])
+    def test_chunks_cover_whole_blocks_near_equally_within_cap_and_floor(self, most, block):
+        cap = max(most, self.CHUNK // 2)
+        for blocks in [*range(60), 199, 204, 1000, 1499]:
+            m = blocks * block
+            bounds = nc._row_bounds(m, most, block)
+            sizes = [hi - lo for lo, hi in bounds]
+            seen = np.zeros(m, dtype=np.int64)
+            for lo, hi in bounds:
+                seen[lo:hi] += 1
+            assert np.all(seen == 1) and bounds[0][0] == 0 and bounds[-1][1] == m
+            assert all(lo % block == 0 and hi % block == 0 for lo, hi in bounds)
+            # no chunk exceeds the cap but by part of one block
+            assert max(sizes) <= -(-cap // block) * block
+            if len(bounds) > 1:
+                assert min(sizes) >= -(-cap // 2)  # never a few-row product
+                assert max(sizes) - min(sizes) <= block  # near-equal
+            if most == self.CHUNK:
+                assert len(bounds) == self.row_passes_count(m, block, self.CHUNK)
+            if block == 1 and m:
+                assert len(bounds) == self.row_blocks_count(m, most, self.CHUNK)
+
+
 class TestBackward:
     def test_square_at_three(self):
         tape = nc.Tape()
